@@ -28,7 +28,7 @@ from .planner import (
     sweep_grid,
 )
 from .reporting import OutputTable, emit_table, format_number, render_csv
-from .scenario import ScenarioSpec, evaluate_scenario
+from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
 SWEEP_COMMANDS = ("sweep-plos", "sweep-pathloss", "sweep-coverage")
 COMMANDS = SWEEP_COMMANDS + ("optimize-altitude", "coverage-radius", "scenario", "show-envs")
@@ -43,7 +43,16 @@ _AXIS_COLUMN = {"angle": "angle_deg", "distance": "distance_m", "altitude": "alt
 _DEFAULT_AXIS = {"sweep-plos": "angle", "sweep-pathloss": "distance", "sweep-coverage": "distance"}
 _SWEEP_METRIC = {"sweep-plos": "p_los", "sweep-pathloss": "mean_pl_db", "sweep-coverage": "p_cov"}
 
-_RADIO_KEYS = ("f_c_hz", "p_tx_dbm", "g_db", "p_min_dbm", "noise_density_dbm_hz", "bandwidth_hz")
+_RADIO_FLAGS = {
+    "f_c_hz": ("--f-c", "carrier frequency, Hz"),
+    "p_tx_dbm": ("--p-tx", "transmit power, dBm"),
+    "g_db": ("--g-db", "antenna gain, dB"),
+    "p_min_dbm": ("--p-min", "receiver threshold, dBm"),
+    "noise_density_dbm_hz": ("--noise-density", "noise density, dBm/Hz"),
+    "bandwidth_hz": ("--bandwidth", "channel bandwidth, Hz"),
+}
+_RADIO_KEYS = tuple(_RADIO_FLAGS)
+_MODES = tuple(m.value for m in FormulationMode)
 _ENV_KEYS = ("name", "a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db")
 
 _CONFIG_SECTIONS = {
@@ -84,13 +93,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_radio_flags(sub):
-    sub.add_argument("--f-c", dest="f_c_hz", type=float, help="carrier frequency, Hz")
-    sub.add_argument("--p-tx", dest="p_tx_dbm", type=float, help="transmit power, dBm")
-    sub.add_argument("--g-db", dest="g_db", type=float, help="antenna gain, dB")
-    sub.add_argument("--p-min", dest="p_min_dbm", type=float, help="receiver threshold, dBm")
-    sub.add_argument("--noise-density", dest="noise_density_dbm_hz", type=float,
-                     help="noise density, dBm/Hz")
-    sub.add_argument("--bandwidth", dest="bandwidth_hz", type=float, help="channel bandwidth, Hz")
+    for key, (flag, help_text) in _RADIO_FLAGS.items():
+        sub.add_argument(flag, dest=key, type=float, help=help_text)
 
 
 def _add_common_flags(sub):
@@ -98,7 +102,7 @@ def _add_common_flags(sub):
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.add_argument("--plot", action="store_true", help="also write an SVG chart beside the CSV")
     sub.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
-    sub.add_argument("--mode", choices=[m.value for m in FormulationMode],
+    sub.add_argument("--mode", choices=_MODES,
                      help="coverage formulation (default standard)")
     sub.add_argument("--seed", type=int, help="seed for stochastic draws")
     sub.add_argument("--env", action="append",
@@ -162,6 +166,25 @@ def _pick(*candidates):
     return None
 
 
+# config-file values arrive as any JSON type; flags arrive already typed
+def _as_int(flag: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(flag, f"must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(flag: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(flag, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_choice(flag: str, value, choices) -> str:
+    if not isinstance(value, str) or value not in choices:
+        _fail(flag, f"must be one of {', '.join(choices)}; got {value!r}")
+    return value
+
+
 def _load_config_file(path: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -201,6 +224,8 @@ def _env_dict_from_object(obj: dict) -> dict:
     missing = [key for key in ("name", "a", "b", "mu_los_db", "mu_nlos_db") if key not in obj]
     if missing:
         _fail("--config", f"environment object missing keys: {', '.join(missing)}")
+    if not isinstance(obj["name"], str):
+        _fail("--config", f"environment name must be a string, got {obj['name']!r}")
     out = dict(obj)
     out.setdefault("sigma_los_db", 3.0)
     out.setdefault("sigma_nlos_db", 8.0)
@@ -222,6 +247,8 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
             items = [file_cfg["environment"]]
         if not isinstance(items, list):
             _fail("--config", "'environments' must be a list")
+        if not all(isinstance(item, (str, dict)) for item in items):
+            _fail("--config", "each environment must be a name or an object")
         envs = [
             _env_dict_from_name(item) if isinstance(item, str) else _env_dict_from_object(item)
             for item in items
@@ -244,7 +271,7 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
 
     for env in envs:
         for key in _ENV_KEYS[1:]:
-            env[key] = float(env[key])
+            env[key] = _as_float(f"--config: environment {key!r}", env[key])
         try:
             EnvironmentProfile(**env)
         except ValueError as exc:
@@ -256,20 +283,21 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
 
 def _resolve_radio(ns, file_cfg: dict) -> dict:
     file_radio = file_cfg.get("radio", {})
-    radio = {}
-    for key in _RADIO_KEYS:
-        default = getattr(RadioConfig(), key)
-        radio[key] = float(_pick(getattr(ns, key, None), file_radio.get(key), default))
-    flag = {"f_c_hz": "--f-c", "bandwidth_hz": "--bandwidth"}
+    defaults = RadioConfig()
+    radio = {
+        key: _as_float(flag, _pick(getattr(ns, key, None), file_radio.get(key),
+                                   getattr(defaults, key)))
+        for key, (flag, _) in _RADIO_FLAGS.items()
+    }
     for key in ("f_c_hz", "bandwidth_hz"):
         if radio[key] <= 0:
-            _fail(flag[key], f"must be > 0, got {radio[key]}")
+            _fail(_RADIO_FLAGS[key][0], f"must be > 0, got {radio[key]}")
     return radio
 
 
 def _resolve_seed(ns, section: dict) -> int:
-    seed = _pick(ns.seed, section.get("seed"), 0)
-    if not isinstance(seed, int) or seed < 0:
+    seed = _as_int("--seed", _pick(ns.seed, section.get("seed"), 0))
+    if seed < 0:
         _fail("--seed", f"must be a non-negative integer, got {seed}")
     return seed
 
@@ -299,15 +327,14 @@ def parse_args(argv=None) -> RunConfig:
 
     if command in SWEEP_COMMANDS:
         sweep_cfg = file_cfg.get("sweep", {})
-        axis = _pick(ns.axis, sweep_cfg.get("axis"), _DEFAULT_AXIS[command])
-        if axis not in _AXIS_TO_PLANNER:
-            _fail("--axis", f"unknown axis {axis!r}")
+        axis = _as_choice("--axis", _pick(ns.axis, sweep_cfg.get("axis"), _DEFAULT_AXIS[command]),
+                          tuple(_AXIS_TO_PLANNER))
         grid_default = _AXIS_GRID[axis]
-        start = float(_pick(ns.start, sweep_cfg.get("start"), grid_default[0]))
-        stop = float(_pick(ns.stop, sweep_cfg.get("stop"), grid_default[1]))
-        step = float(_pick(ns.step, sweep_cfg.get("step"), grid_default[2]))
-        h = float(_pick(ns.h, geometry.get("h_m"), 100.0))
-        r0 = float(_pick(ns.r0, geometry.get("r0_m"), 200.0))
+        start = _as_float("--start", _pick(ns.start, sweep_cfg.get("start"), grid_default[0]))
+        stop = _as_float("--stop", _pick(ns.stop, sweep_cfg.get("stop"), grid_default[1]))
+        step = _as_float("--step", _pick(ns.step, sweep_cfg.get("step"), grid_default[2]))
+        h = _as_float("--h", _pick(ns.h, geometry.get("h_m"), 100.0))
+        r0 = _as_float("--r0", _pick(ns.r0, geometry.get("r0_m"), 200.0))
         if h <= 0:
             _fail("--h", f"altitude must be > 0, got {h}")
         if r0 < 0:
@@ -325,12 +352,13 @@ def parse_args(argv=None) -> RunConfig:
         params.update(
             axis=axis, start=start, stop=stop, step=step,
             baseline_r0_m=r0, baseline_h_m=h,
-            mode=_pick(ns.mode, sweep_cfg.get("mode"), "standard"),
+            mode=_as_choice("--mode", _pick(ns.mode, sweep_cfg.get("mode"), "standard"), _MODES),
             seed=_resolve_seed(ns, sweep_cfg),
         )
         if command == "sweep-coverage":
-            mc = _pick(getattr(ns, "mc_samples", None), sweep_cfg.get("mc_samples"), 0)
-            if not isinstance(mc, int) or mc < 0:
+            mc = _as_int("--mc-samples",
+                         _pick(getattr(ns, "mc_samples", None), sweep_cfg.get("mc_samples"), 0))
+            if mc < 0:
                 _fail("--mc-samples", f"must be a non-negative integer, got {mc}")
             params["mc_samples"] = mc
 
@@ -338,7 +366,7 @@ def parse_args(argv=None) -> RunConfig:
         r_edge = float(_pick(ns.r_edge, 500.0))
         h_min = float(_pick(ns.h_min, 50.0))
         h_max = float(_pick(ns.h_max, 2000.0))
-        steps = _pick(ns.steps, 1951)
+        steps = _as_int("--steps", _pick(ns.steps, 1951))
         if r_edge < 0:
             _fail("--r-edge", f"must be >= 0, got {r_edge}")
         if h_min <= 0:
@@ -353,7 +381,7 @@ def parse_args(argv=None) -> RunConfig:
         )
 
     elif command == "coverage-radius":
-        h = float(_pick(ns.h, geometry.get("h_m"), 100.0))
+        h = _as_float("--h", _pick(ns.h, geometry.get("h_m"), 100.0))
         target = float(_pick(ns.target, 0.9))
         r_max = float(_pick(ns.r_max, 2000.0))
         resolution = float(_pick(ns.resolution, 5.0))
@@ -372,29 +400,30 @@ def parse_args(argv=None) -> RunConfig:
 
     elif command == "scenario":
         scen_cfg = file_cfg.get("scenario", {})
-        n_users = _pick(ns.n_users, scen_cfg.get("n_users"), 1000)
-        n_draws = _pick(ns.n_draws, scen_cfg.get("n_draws"), 100)
-        area_side = float(_pick(ns.area_side, scen_cfg.get("area_side_m"), 1000.0))
-        area_shape = _pick(ns.area_shape, scen_cfg.get("area_shape"), "square")
+        n_users = _as_int("--n-users", _pick(ns.n_users, scen_cfg.get("n_users"), 1000))
+        n_draws = _as_int("--n-draws", _pick(ns.n_draws, scen_cfg.get("n_draws"), 100))
+        area_side = _as_float("--area-side",
+                              _pick(ns.area_side, scen_cfg.get("area_side_m"), 1000.0))
+        area_shape = _as_choice("--area-shape",
+                                _pick(ns.area_shape, scen_cfg.get("area_shape"), "square"),
+                                AREA_SHAPES)
         uav_x = _pick(ns.uav_x, scen_cfg.get("uav_x_m"))
         uav_y = _pick(ns.uav_y, scen_cfg.get("uav_y_m"))
-        uav_h = float(_pick(ns.uav_h, scen_cfg.get("uav_h_m"), 100.0))
+        uav_h = _as_float("--uav-h", _pick(ns.uav_h, scen_cfg.get("uav_h_m"), 100.0))
         if n_users < 1:
             _fail("--n-users", f"must be >= 1, got {n_users}")
         if n_draws < 1:
             _fail("--n-draws", f"must be >= 1, got {n_draws}")
         if area_side <= 0:
             _fail("--area-side", f"must be > 0, got {area_side}")
-        if area_shape not in ("square", "disk"):
-            _fail("--area-shape", f"must be 'square' or 'disk', got {area_shape!r}")
         if uav_h <= 0:
             _fail("--uav-h", f"must be > 0, got {uav_h}")
         params.update(
             n_users=n_users, n_draws=n_draws, area_side_m=area_side, area_shape=area_shape,
-            uav_x_m=None if uav_x is None else float(uav_x),
-            uav_y_m=None if uav_y is None else float(uav_y),
+            uav_x_m=None if uav_x is None else _as_float("--uav-x", uav_x),
+            uav_y_m=None if uav_y is None else _as_float("--uav-y", uav_y),
             uav_h_m=uav_h,
-            mode=_pick(ns.mode, scen_cfg.get("mode"), "standard"),
+            mode=_as_choice("--mode", _pick(ns.mode, scen_cfg.get("mode"), "standard"), _MODES),
             seed=_resolve_seed(ns, scen_cfg),
         )
 
@@ -523,13 +552,10 @@ def _scenario_table(config: RunConfig) -> OutputTable:
         mode=params["mode"],
     )
     result = evaluate_scenario(spec, workers=config.workers)
-    header = ["x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov",
-              "snr_db", "rate_bps"]
-    rows = [
-        (rec.x_m, rec.y_m, rec.r0_m, rec.theta_deg, rec.p_los, rec.mean_pl_db,
-         rec.p_cov, rec.snr_db, rec.rate_bps)
-        for rec in result.records
-    ]
+    # one column per UserRecord field, in field order
+    columns = result.records.columns
+    header = list(columns)
+    rows = list(zip(*(col.tolist() for col in columns.values())))
     summary = {
         "mean_p_cov": result.summary.mean_p_cov,
         "covered_fraction_draws": list(result.summary.covered_fraction_draws),

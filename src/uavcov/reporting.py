@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,6 +45,16 @@ def format_number(value) -> str:
     return str(value)
 
 
+def _cell_format(cell_type: type) -> str:
+    # the %-format that prints a cell exactly as format_number does: "%.9g" and
+    # format(value, ".9g") give the same bytes for every double, -0, inf and nan too
+    if issubclass(cell_type, bool):
+        return "%d"
+    if issubclass(cell_type, float):
+        return "%.9g"
+    return "%s"
+
+
 def render_csv(table: OutputTable) -> str:
     params = table.metadata.get("params", {})
     lines = [f"# {TOOL_NAME} {TOOL_VERSION}"]
@@ -72,10 +81,17 @@ def render_csv(table: OutputTable) -> str:
         lines.append("# summary: " + json.dumps(table.metadata["summary"], sort_keys=True))
     lines.append("# config: " + json.dumps(params, sort_keys=True, separators=(",", ":")))
     lines.append(",".join(table.header))
+    # one %-format string per row type signature, so a row is formatted in one call
+    row_formats = {}
     for i, row in enumerate(table.rows):
         if len(row) != len(table.header):
             raise ValueError(f"row {i} has {len(row)} cells for {len(table.header)} columns")
-        lines.append(",".join(format_number(cell) for cell in row))
+        row = tuple(row)
+        signature = tuple(map(type, row))
+        fmt = row_formats.get(signature)
+        if fmt is None:
+            fmt = row_formats[signature] = ",".join(map(_cell_format, signature))
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 
@@ -88,9 +104,11 @@ def parse_metadata(csv_text: str) -> dict:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    # write-then-rename so a failure never leaves a partial target
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) if str(path.parent) else ".",
-                               prefix=f".{path.name}.", suffix=".tmp")
+    # write-then-rename so a failure never leaves a partial target; the temp file
+    # is created with mode 0o666 so the umask decides the final mode, as it would
+    # for a plain open()
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

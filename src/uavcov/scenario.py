@@ -1,16 +1,20 @@
 """Populate a service area with ground users and evaluate one UAV serving them.
 
-Per-user analytic link statistics come from the channel and coverage modules;
-the empirical covered fraction re-draws the shadowing model once per user per
-draw from a stream derived from the scenario seed, so results are reproducible
-bit for bit.
+Per-user analytic link statistics come from the channel and coverage modules
+and stay numpy columns; ``UserColumns`` shows them as a sequence of
+``UserRecord`` values. The empirical covered fraction re-draws the shadowing
+model once per user per draw from a stream derived from the scenario seed, so
+results are reproducible bit for bit. Draws are generated in blocks of whole
+draws, so memory grows with the number of users, not with the number of draws.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,6 +23,11 @@ from .coverage import FormulationMode, RadioConfig, _coverage_arrays, noise_powe
 from .errors import DomainError, InvalidSpecError
 
 AREA_SHAPES = ("square", "disk")
+
+# user-draws per shadowing block: the scenario's working set is a few arrays of
+# this many elements whatever n_draws is (a block holds at least one whole draw,
+# so one draw of n_users is the floor); 2**18 was a little faster than 2**20
+SHADOWING_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,54 @@ class UserRecord:
     rate_bps: float
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(UserRecord))
+
+
+class UserColumns(Sequence):
+    """Read-only sequence of ``UserRecord`` over per-user numpy columns.
+
+    ``columns`` maps each ``UserRecord`` field, in field order, to a read-only
+    float64 array. Indexing builds one record; slicing gives a view over the
+    sliced columns. Two views are equal when their columns are equal element
+    for element; a view also equals a list of the same records.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        arrays = {}
+        for name in _RECORD_FIELDS:
+            array = np.asarray(columns[name], dtype=float).view()
+            array.flags.writeable = False
+            arrays[name] = array
+        self.columns = MappingProxyType(arrays)
+
+    def __len__(self) -> int:
+        return len(self.columns["x_m"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return UserColumns({name: col[index] for name, col in self.columns.items()})
+        return UserRecord(*(float(col[index]) for col in self.columns.values()))
+
+    def __iter__(self):
+        return (UserRecord(*values)
+                for values in zip(*(col.tolist() for col in self.columns.values())))
+
+    def __eq__(self, other):
+        if isinstance(other, UserColumns):
+            return all(np.array_equal(self.columns[name], other.columns[name])
+                       for name in _RECORD_FIELDS)
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"UserColumns(<{len(self)} users>)"
+
+
 @dataclass(frozen=True)
 class ScenarioSummary:
     mean_p_cov: float
@@ -88,7 +145,7 @@ class ScenarioSummary:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    records: list[UserRecord]
+    records: UserColumns
     summary: ScenarioSummary
 
 
@@ -120,8 +177,8 @@ def _link_arrays(positions, uav, env, radio, mode):
     snr_db = (radio.p_tx_dbm + radio.g_db - mean_pl) - noise_power_dbm(radio)
     rate = radio.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
     return {
-        "r0": r0, "theta": theta, "p_los": pl, "fspl": fspl,
-        "mean_pl": mean_pl, "p_cov": p_cov, "snr_db": snr_db, "rate": rate,
+        "x_m": x, "y_m": y, "r0_m": r0, "theta_deg": theta, "p_los": pl, "fspl_db": fspl,
+        "mean_pl_db": mean_pl, "p_cov": p_cov, "snr_db": snr_db, "rate_bps": rate,
     }
 
 
@@ -146,24 +203,12 @@ def evaluate_links(
     radio: RadioConfig,
     mode: FormulationMode | str = FormulationMode.STANDARD,
     workers: int = 1,
-) -> list[UserRecord]:
+) -> UserColumns:
     """Analytic per-user link statistics for explicit positions and UAV site."""
     positions = np.asarray(positions, dtype=float)
-    cols = _link_arrays_sharded(positions, uav, env, radio, FormulationMode(mode), workers)
-    return [
-        UserRecord(
-            x_m=float(positions[i, 0]),
-            y_m=float(positions[i, 1]),
-            r0_m=float(cols["r0"][i]),
-            theta_deg=float(cols["theta"][i]),
-            p_los=float(cols["p_los"][i]),
-            mean_pl_db=float(cols["mean_pl"][i]),
-            p_cov=float(cols["p_cov"][i]),
-            snr_db=float(cols["snr_db"][i]),
-            rate_bps=float(cols["rate"][i]),
-        )
-        for i in range(len(positions))
-    ]
+    return UserColumns(
+        _link_arrays_sharded(positions, uav, env, radio, FormulationMode(mode), workers)
+    )
 
 
 def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
@@ -171,6 +216,43 @@ def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
     if not (math.isfinite(total_power_w) and total_power_w > 0):
         raise DomainError(f"total power must be > 0 W, got {total_power_w}")
     return sum_rate_bps / total_power_w
+
+
+def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) -> tuple:
+    """Covered fraction of the users in each of ``spec.n_draws`` shadowing draws.
+
+    Draw ``d`` of user ``i`` takes the uniform and the normal at flat index
+    ``d * n_users + i`` of two streams: the uniforms from the scenario's
+    shadowing generator, the normals from a copy of it advanced past every
+    uniform. That is exactly where a single ``random((n_draws, n_users))``
+    followed by ``standard_normal((n_draws, n_users))`` would take them, so
+    the block size never changes a result.
+    """
+    env, radio = spec.env, spec.radio
+    # one shadowing realization per (draw, user); stream independent of the
+    # position stream so adding draws never disturbs the layout
+    uniform_bits = np.random.PCG64(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
+    normal_bits = np.random.PCG64()
+    normal_bits.state = uniform_bits.state
+    normal_bits.advance(spec.n_draws * spec.n_users)  # one 64-bit output per uniform
+    uniforms = np.random.Generator(uniform_bits)
+    normals = np.random.Generator(normal_bits)
+
+    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    rows = max(1, SHADOWING_BLOCK_ELEMENTS // spec.n_users)
+    fractions = []
+    for first in range(0, spec.n_draws, rows):
+        shape = (min(rows, spec.n_draws - first), spec.n_users)
+        u = uniforms.random(shape)
+        z = normals.standard_normal(shape)
+        excess = np.where(
+            u < p_los,
+            env.mu_los_db + env.sigma_los_db * z,
+            env.mu_nlos_db + env.sigma_nlos_db * z,
+        )
+        fractions.extend((excess <= margin).mean(axis=1).tolist())
+    return tuple(fractions)
+
 
 
 def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
@@ -181,40 +263,12 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     user. All randomness derives from ``spec.seed``.
     """
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
-    uav = spec.uav_position
-    cols = _link_arrays_sharded(positions, uav, spec.env, spec.radio, spec.mode, workers)
+    cols = _link_arrays_sharded(positions, spec.uav_position, spec.env, spec.radio, spec.mode,
+                                workers)
+    fractions = _covered_fractions(spec, cols["p_los"], cols["fspl_db"])
 
-    records = [
-        UserRecord(
-            x_m=float(positions[i, 0]),
-            y_m=float(positions[i, 1]),
-            r0_m=float(cols["r0"][i]),
-            theta_deg=float(cols["theta"][i]),
-            p_los=float(cols["p_los"][i]),
-            mean_pl_db=float(cols["mean_pl"][i]),
-            p_cov=float(cols["p_cov"][i]),
-            snr_db=float(cols["snr_db"][i]),
-            rate_bps=float(cols["rate"][i]),
-        )
-        for i in range(spec.n_users)
-    ]
-
-    # one shadowing realization per (draw, user); stream independent of the
-    # position stream so adding draws never disturbs the layout
-    env, radio = spec.env, spec.radio
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
-    u = rng.random((spec.n_draws, spec.n_users))
-    z = rng.standard_normal((spec.n_draws, spec.n_users))
-    excess = np.where(
-        u < cols["p_los"][np.newaxis, :],
-        env.mu_los_db + env.sigma_los_db * z,
-        env.mu_nlos_db + env.sigma_nlos_db * z,
-    )
-    margin = radio.p_tx_dbm + radio.g_db - cols["fspl"] - radio.p_min_dbm
-    covered = excess <= margin[np.newaxis, :]
-    fractions = tuple(float(f) for f in covered.mean(axis=1))
-
-    sum_rate = float(np.sum(cols["rate"]))
+    radio = spec.radio
+    sum_rate = float(np.sum(cols["rate_bps"]))
     total_power_w = 10.0 ** ((radio.p_tx_dbm - 30.0) / 10.0)
     summary = ScenarioSummary(
         mean_p_cov=float(np.mean(cols["p_cov"])),
@@ -223,4 +277,5 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
         total_power_w=total_power_w,
         energy_efficiency_bpj=energy_efficiency(sum_rate, total_power_w),
     )
-    return ScenarioResult(records=records, summary=summary)
+    return ScenarioResult(records=UserColumns(cols), summary=summary)
+

@@ -1,9 +1,13 @@
 """CLI and CSV/SVG reporting: argument handling, exit codes, reproducibility."""
 
 import json
+import os
+import stat
 
+import numpy as np
 import pytest
 
+import uavcov
 from uavcov import cli, reporting
 from uavcov.reporting import OutputTable, emit_table, render_csv
 
@@ -60,6 +64,41 @@ class TestParseArgs:
     def test_semantic_errors_exit_2(self, argv, capsys):
         assert run_cli(argv) == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, flag",
+        [
+            ("scenario", {"scenario": {"n_users": "10"}}, "--n-users"),
+            ("scenario", {"scenario": {"n_users": True}}, "--n-users"),
+            ("scenario", {"scenario": {"n_draws": 2.5}}, "--n-draws"),
+            ("scenario", {"scenario": {"seed": False}}, "--seed"),
+            ("scenario", {"scenario": {"seed": 1.0}}, "--seed"),
+            ("scenario", {"scenario": {"area_side_m": "big"}}, "--area-side"),
+            ("scenario", {"scenario": {"uav_x_m": [1]}}, "--uav-x"),
+            ("scenario", {"scenario": {"area_shape": 3}}, "--area-shape"),
+            ("scenario", {"radio": {"p_tx_dbm": "abc"}}, "--p-tx"),
+            ("scenario", {"radio": {"bandwidth_hz": True}}, "--bandwidth"),
+            ("sweep-coverage", {"sweep": {"mc_samples": "100"}}, "--mc-samples"),
+            ("sweep-coverage", {"sweep": {"mc_samples": True}}, "--mc-samples"),
+            ("sweep-coverage", {"sweep": {"step": "5"}}, "--step"),
+            ("sweep-coverage", {"sweep": {"axis": ["angle"]}}, "--axis"),
+            ("sweep-coverage", {"sweep": {"mode": {}}}, "--mode"),
+            ("sweep-coverage", {"geometry": {"h_m": None, "r0_m": "far"}}, "--r0"),
+            ("coverage-radius", {"geometry": {"h_m": "high"}}, "--h"),
+            ("sweep-plos", {"environments": [7]}, "--config"),
+            ("sweep-plos", {"environment": {"name": "x", "a": "q", "b": 0.1,
+                                            "mu_los_db": 1, "mu_nlos_db": 20}}, "--config"),
+            ("sweep-plos", {"environment": {"name": 4, "a": 9.0, "b": 0.1,
+                                            "mu_los_db": 1, "mu_nlos_db": 20}}, "--config"),
+        ],
+    )
+    def test_wrong_json_types_exit_2_name_flag(self, tmp_path, capsys, command, config, flag):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert run_cli([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}" in err
+        assert "Traceback" not in err
 
     def test_config_file_seed_overridden_by_flag(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -305,6 +344,26 @@ class TestCommands:
         assert "paper-literal" in b.read_text()
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_out_files_respect_umask(self, tmp_path, umask):
+        out = tmp_path / "plos.csv"
+        previous = os.umask(umask)
+        try:
+            assert run_cli(["sweep-plos", "--env", "urban", "--step", "30", "--out", out,
+                            "--plot"]) == 0
+        finally:
+            os.umask(previous)
+        for path in (out, out.with_suffix(".svg")):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plos.csv", "plos.svg"]
+
+    def test_version_is_the_header_version(self):
+        assert uavcov.__version__ is reporting.TOOL_VERSION
+        table = OutputTable(header=["x"], rows=[], metadata={})
+        assert render_csv(table).startswith(f"# uavcov {uavcov.__version__}\n")
+
+
 class TestPlot:
     def test_plot_writes_svg_beside_csv(self, tmp_path):
         out = tmp_path / "plos.csv"
@@ -336,3 +395,14 @@ class TestNumberFormatting:
         out = reporting.format_number(1234567.891)
         assert "," not in out
         assert out == "1234567.89"
+
+    def test_render_csv_cells_match_format_number(self):
+        cells = [0.5, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1.0e300,
+                 1234567.891, 7, True, False, "urban", "100%s", np.float64(0.1 + 0.2),
+                 np.float32(0.1), np.int64(3), None]
+        rows = [tuple(cells), tuple(reversed(cells)), tuple(cells)]
+        rows.append([2] * len(cells))  # a list row and a second type signature
+        table = OutputTable(header=[f"c{i}" for i in range(len(cells))], rows=rows,
+                            metadata={})
+        body = render_csv(table).split("\n")[-len(rows) - 1:-1]
+        assert body == [",".join(reporting.format_number(c) for c in row) for row in rows]

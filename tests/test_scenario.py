@@ -1,10 +1,12 @@
 """Disaster-area population, per-user link statistics, aggregate metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uavcov import scenario
 from uavcov.channel import URBAN, LinkGeometry
 from uavcov.coverage import (
     RadioConfig,
@@ -15,6 +17,8 @@ from uavcov.coverage import (
 from uavcov.errors import DomainError, InvalidSpecError
 from uavcov.scenario import (
     ScenarioSpec,
+    UserColumns,
+    UserRecord,
     energy_efficiency,
     evaluate_links,
     evaluate_scenario,
@@ -185,6 +189,90 @@ class TestEvaluateScenario:
             make_spec(uav_h_m=-10.0)
         with pytest.raises(InvalidSpecError):
             make_spec(area_shape="triangle")
+
+
+def dense_covered_fractions(spec):
+    """The shadowing draws as one (n_draws, n_users) array each: the reference layout."""
+    positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
+    records = evaluate_links(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
+    p_los = records.columns["p_los"]
+    fspl = scenario._link_arrays(positions, spec.uav_position, spec.env, spec.radio,
+                                 spec.mode)["fspl_db"]
+    env, radio = spec.env, spec.radio
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
+    u = rng.random((spec.n_draws, spec.n_users))
+    z = rng.standard_normal((spec.n_draws, spec.n_users))
+    excess = np.where(u < p_los, env.mu_los_db + env.sigma_los_db * z,
+                      env.mu_nlos_db + env.sigma_nlos_db * z)
+    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    return tuple((excess <= margin).mean(axis=1).tolist())
+
+
+class TestStreamedShadowing:
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 20])
+    @pytest.mark.parametrize("shape", [(1, 1), (37, 11), (200, 25), (1500, 3)])
+    def test_any_block_size_reproduces_dense_draws(self, block, shape, monkeypatch):
+        n_users, n_draws = shape
+        spec = make_spec(n_users=n_users, n_draws=n_draws, seed=n_users + n_draws)
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", block)
+        got = evaluate_scenario(spec).summary.covered_fraction_draws
+        assert got == dense_covered_fractions(spec)
+
+    def test_peak_memory_flat_in_n_draws(self):
+        def peak(n_draws):
+            spec = make_spec(n_users=20_000, n_draws=n_draws)
+            tracemalloc.start()
+            try:
+                evaluate_scenario(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(40), peak(400)
+        assert many <= 1.5 * few, (few, many)
+
+
+class TestUserColumns:
+    def make(self, n=5):
+        positions = generate_users(n, 1000.0, seed=4)
+        return evaluate_links(positions, (500.0, 500.0, 100.0), URBAN, RadioConfig())
+
+    def test_sequence_protocol(self):
+        view = self.make()
+        assert isinstance(view, UserColumns)
+        assert len(view) == 5
+        records = list(view)
+        assert all(isinstance(rec, UserRecord) for rec in records)
+        assert [view[i] for i in range(5)] == records
+        assert view[-1] == records[-1]
+        assert list(view[1:4]) == records[1:4]
+        assert view == records and records == view
+        with pytest.raises(IndexError):
+            view[5]
+
+    def test_record_values_are_python_floats_of_the_columns(self):
+        view = self.make()
+        rec = view[2]
+        for name, column in view.columns.items():
+            value = getattr(rec, name)
+            assert type(value) is float
+            assert value == column[2]
+
+    def test_columns_read_only(self):
+        view = self.make()
+        assert list(view.columns) == [
+            "x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov", "snr_db",
+            "rate_bps",
+        ]
+        with pytest.raises(ValueError):
+            view.columns["p_cov"][0] = 1.0
+
+    def test_equality(self):
+        a, b = self.make(), self.make()
+        assert a == b
+        assert a != self.make(6)
+        assert a != list(a)[:-1]
+        assert a != "not records"
 
 
 class TestEnergyEfficiency:
