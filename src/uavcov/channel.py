@@ -125,9 +125,7 @@ def p_los(theta_deg, env: EnvironmentProfile):
 
 def p_nlos(theta_deg, env: EnvironmentProfile):
     """Complement of :func:`p_los`."""
-    theta = _check_theta(theta_deg)
-    out = 1.0 - 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
-    return float(out) if np.isscalar(theta_deg) else out
+    return 1.0 - p_los(theta_deg, env)
 
 
 def fspl_db(f_c_hz, d_m):

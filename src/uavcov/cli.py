@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,14 @@ _RADIO_FLAGS = {
 }
 _RADIO_KEYS = tuple(_RADIO_FLAGS)
 _MODES = tuple(m.value for m in FormulationMode)
+# specification field named by a library error -> the flag that sets it
+_FIELD_FLAGS = {
+    "step": "--step",
+    "steps": "--steps",
+    "resolution": "--resolution",
+    "uav_x_m": "--uav-x",
+    "uav_y_m": "--uav-y",
+}
 _ENV_KEYS = ("name", "a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db")
 
 _CONFIG_SECTIONS = {
@@ -101,7 +110,8 @@ def _add_common_flags(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.add_argument("--plot", action="store_true", help="also write an SVG chart beside the CSV")
-    sub.add_argument("--workers", type=int, default=1, help="worker threads (results identical)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="worker threads; results do not depend on it")
     sub.add_argument("--mode", choices=_MODES,
                      help="coverage formulation (default standard)")
     sub.add_argument("--seed", type=int, help="seed for stochastic draws")
@@ -469,24 +479,29 @@ def _sweep_table(config: RunConfig) -> OutputTable:
     if mc_samples:
         values, grid_r0, grid_h = sweep_grid(spec)
         n_rows = len(values)
-        estimates = []
-        for j, env in enumerate(envs):
-            column = []
-            for i in range(n_rows):
-                cell_seed = params["seed"] + 1_000_003 * (j * n_rows + i)
-                column.append(coverage_monte_carlo(
-                    LinkGeometry(float(grid_r0[i]), float(grid_h[i])), env, radio,
-                    n_samples=mc_samples, seed=cell_seed, workers=config.workers,
-                ))
-            estimates.append(column)
-        for j, name in enumerate(result.environment_names):
+        n_cells = len(envs) * n_rows
+
+        def estimate(cell: int):
+            j, i = divmod(cell, n_rows)  # environment j, row i
+            # a global looked up per call, so a wrapper set on this module sees every cell
+            return coverage_monte_carlo(
+                LinkGeometry(float(grid_r0[i]), float(grid_h[i])), envs[j], radio,
+                n_samples=mc_samples, seed=params["seed"] + 1_000_003 * cell,
+            )
+
+        # cells are independent and each is deterministic, so threads change no byte
+        workers = min(config.workers, n_cells)
+        if workers == 1:
+            estimates = [estimate(cell) for cell in range(n_cells)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                estimates = list(pool.map(estimate, range(n_cells)))
+        for name in result.environment_names:
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]
         rows = [
-            row + tuple(
-                value
-                for j in range(len(envs))
-                for value in (estimates[j][i].estimate, estimates[j][i].std_error)
-            )
+            # estimates[i::n_rows] holds row i of every environment, in order
+            row + tuple(value for mc in estimates[i::n_rows]
+                        for value in (mc.estimate, mc.std_error))
             for i, row in enumerate(rows)
         ]
         notes.append(
@@ -605,7 +620,8 @@ def main(argv=None) -> int:
     try:
         result = execute(config)
     except ValueError as exc:
-        print(f"uavcov: error: {exc}", file=sys.stderr)
+        flag = _FIELD_FLAGS.get(getattr(exc, "field", None))
+        print(f"uavcov: error: {flag + ': ' if flag else ''}{exc}", file=sys.stderr)
         return 2
     if isinstance(result, str):
         print(result)

@@ -8,7 +8,7 @@ the same generative model serves as the independent cross-check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +32,15 @@ _SQRT2 = math.sqrt(2.0)
 # consumes the counter-based stream Philox(seed).jumped(k), so the estimate is
 # a sum of integers that no scheduling order can change.
 _MC_CHUNK = 1 << 15
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+# doubles in numeric order map onto consecutive integers, -inf..inf onto
+# -_KEY_INF.._KEY_INF, with -0.0 and +0.0 sharing key 0
+_SIGN = 1 << 63
+_KEY_INF = _INT64.unpack(_DOUBLE.pack(math.inf))[0]
+# the threshold search first probes this many doubles either side of its guess
+_GUESS_ULPS = 64
 
 
 class FormulationMode(str, Enum):
@@ -179,6 +188,51 @@ def coverage_probability(
     )
 
 
+def _double_key(x: float) -> int:
+    bits = _INT64.unpack(_DOUBLE.pack(x))[0]
+    return bits if bits >= 0 else -(bits & (_SIGN - 1))
+
+
+def _key_double(key: int) -> float:
+    return _DOUBLE.unpack(_INT64.pack(key if key >= 0 else -_SIGN - key))[0]
+
+
+def _last_passing_double(passes, guess: float) -> float:
+    """Largest double ``z`` with ``passes(z)``.
+
+    ``passes`` must be monotone: true at -inf, false at +inf, and true up to
+    some double and false above it. The search bisects over the doubles in
+    numeric order. It first probes ``_GUESS_ULPS`` doubles either side of
+    ``guess``, so it takes 9 evaluations when the answer lies between the two
+    probes and at most 66 wherever it lies.
+    """
+    lo, hi = -_KEY_INF, _KEY_INF  # passes at lo, fails at hi
+    start = _double_key(guess)
+    for probe in (start - _GUESS_ULPS, start + _GUESS_ULPS):
+        if lo < probe < hi:
+            if passes(_key_double(probe)):
+                lo = probe
+            else:
+                hi = probe
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(_key_double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _key_double(lo)
+
+
+def _z_threshold(mu: float, sigma: float, margin: float) -> float:
+    """Largest double ``z`` for which ``mu + sigma * z <= margin`` holds in float64.
+
+    With ``sigma > 0`` the rounded sum never decreases as ``z`` grows, so for
+    any double ``z`` the test ``z <= _z_threshold(mu, sigma, margin)`` gives
+    the same answer as ``mu + sigma * z <= margin``, bit for bit.
+    """
+    return _last_passing_double(lambda z: mu + sigma * z <= margin, (margin - mu) / sigma)
+
+
 def coverage_monte_carlo(
     geom: LinkGeometry,
     env: EnvironmentProfile,
@@ -191,7 +245,9 @@ def coverage_monte_carlo(
 
     Each draw picks LoS with probability p_los(elevation), adds Gaussian
     excess loss for that class, and tests received power against the
-    threshold. Fixed seeds give bit-identical estimates for any ``workers``.
+    threshold. A cell runs on the calling thread; ``workers`` is accepted for
+    compatibility and has no effect (the CLI spreads whole cells over threads
+    instead). Fixed seeds give bit-identical estimates.
     """
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got {n_samples}")
@@ -201,25 +257,19 @@ def coverage_monte_carlo(
     fspl = fspl_db(radio.f_c_hz, slant_distance(geom))
     # covered iff excess loss X <= link margin
     margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    # X = mu + sigma*z <= margin  <=>  z <= z*, exactly, per class
+    z_los = _z_threshold(env.mu_los_db, env.sigma_los_db, margin)
+    z_nlos = _z_threshold(env.mu_nlos_db, env.sigma_nlos_db, margin)
 
-    def covered_in_chunk(k: int) -> int:
+    base = np.random.Philox(seed)
+    covered = 0
+    for k in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        rng = np.random.Generator(base.jumped(k))
         size = min(_MC_CHUNK, n_samples - k * _MC_CHUNK)
-        rng = np.random.Generator(np.random.Philox(seed).jumped(k))
-        u = rng.random(size)
+        los = rng.random(size) < pl
         z = rng.standard_normal(size)
-        x = np.where(
-            u < pl,
-            env.mu_los_db + env.sigma_los_db * z,
-            env.mu_nlos_db + env.sigma_nlos_db * z,
-        )
-        return int(np.count_nonzero(x <= margin))
-
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            covered = sum(pool.map(covered_in_chunk, range(n_chunks)))
-    else:
-        covered = sum(covered_in_chunk(k) for k in range(n_chunks))
+        covered += int(np.count_nonzero(los & (z <= z_los)))
+        covered += int(np.count_nonzero(~los & (z <= z_nlos)))
 
     estimate = covered / n_samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_samples)

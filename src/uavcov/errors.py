@@ -14,7 +14,15 @@ class DomainError(ValueError):
 
 
 class InvalidSpecError(ValueError):
-    """Sweep or scenario specification that cannot produce a valid run."""
+    """Sweep or scenario specification that cannot produce a valid run.
+
+    ``field`` names the specification field at fault, where one is, so that a
+    front end can name its own option for it.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidRangeError(InvalidSpecError):

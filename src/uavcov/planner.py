@@ -26,6 +26,10 @@ DEFAULT_ANGLE_SWEEP = (0.5, 90.0, 0.5)
 DEFAULT_DISTANCE_SWEEP = (15.0, 500.0, 5.0)
 DEFAULT_ALTITUDE_SWEEP = (50.0, 2000.0, 1.0)
 
+# the most points one grid may hold, checked before the grid is allocated; a
+# float64 array of this many points takes 128 MiB
+MAX_GRID_POINTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -75,10 +79,15 @@ class SweepResult:
         return [row.axis_value for row in self.rows]
 
 
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
+def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
     # tolerance keeps exact multiples of step from dropping the last point
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # the grid holds floor(span) + 1 points
+        raise InvalidRangeError(
+            f"{field} {step} over [{start}, {stop}] gives more than {MAX_GRID_POINTS} "
+            "grid points", field=field,
+        )
+    return start + step * np.arange(math.floor(span) + 1)
 
 
 def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,7 +101,7 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if spec.axis not in AXES:
         raise InvalidSpecError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}")
 
-    values = _grid(spec.start, spec.stop, spec.step)
+    values = _grid(spec.start, spec.stop, spec.step, "step")
     if spec.axis == AXIS_ELEVATION:
         if spec.start <= 0.0 or spec.stop > 90.0:
             raise InvalidSpecError("elevation-angle sweeps must lie within (0, 90] degrees")
@@ -161,6 +170,9 @@ def optimal_altitude(
         raise InvalidRangeError(f"need 0 < h_min < h_max, got [{h_min}, {h_max}]")
     if steps < 2:
         raise InvalidRangeError(f"need at least 2 grid steps, got {steps}")
+    if steps > MAX_GRID_POINTS:
+        raise InvalidRangeError(f"steps {steps} exceeds {MAX_GRID_POINTS} grid points",
+                                field="steps")
     if not (math.isfinite(r_edge) and r_edge >= 0.0):
         raise InvalidRangeError(f"edge distance must be >= 0, got {r_edge}")
     mode = FormulationMode(mode)
@@ -193,7 +205,7 @@ def max_coverage_radius(
     if not (math.isfinite(r_max_scan) and r_max_scan >= 0.0):
         raise InvalidRangeError(f"scan limit must be >= 0, got {r_max_scan}")
     mode = FormulationMode(mode)
-    radii = _grid(0.0, r_max_scan, resolution)
+    radii = _grid(0.0, r_max_scan, resolution, "resolution")
     p_cov = _coverage_arrays(radii, np.full_like(radii, h), env, radio, mode)[-1]
     qualifying = radii[p_cov >= target]
     return float(qualifying[-1]) if qualifying.size else 0.0

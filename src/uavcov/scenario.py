@@ -58,6 +58,11 @@ class ScenarioSpec:
             raise InvalidSpecError(f"need at least one shadowing draw, got {self.n_draws}")
         if not (math.isfinite(self.area_side_m) and self.area_side_m > 0):
             raise InvalidSpecError(f"area side must be > 0, got {self.area_side_m}")
+        for name in ("uav_x_m", "uav_y_m"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpecError(f"UAV position {name} must be finite, got {value}",
+                                       field=name)
         if not (math.isfinite(self.uav_h_m) and self.uav_h_m > 0):
             raise InvalidSpecError(f"UAV altitude must be > 0, got {self.uav_h_m}")
         if self.area_shape not in AREA_SHAPES:

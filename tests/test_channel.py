@@ -159,6 +159,16 @@ class TestLosProbability:
             assert np.all(pn > 0.0) and np.all(pn < 1.0)
             assert np.max(np.abs(pl + pn - 1.0)) <= 1e-15
 
+    def test_p_nlos_values_bit_for_bit(self):
+        # the sigmoid written out, as p_nlos once repeated it
+        theta = np.concatenate([np.arange(0.0, 90.5, 0.5), [1e-300, 5e-324, 89.999999]])
+        for env in BUILTIN_ENVIRONMENTS.values():
+            expect = 1.0 - 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
+            np.testing.assert_array_equal(p_nlos(theta, env), expect)
+            for t, e in zip(theta.tolist(), expect.tolist()):
+                got = p_nlos(t, env)
+                assert type(got) is float and got == e
+
     def test_strictly_increasing_on_grid(self):
         theta = np.arange(0.0, 90.5, 0.5)
         for env in BUILTIN_ENVIRONMENTS.values():

@@ -100,6 +100,42 @@ class TestParseArgs:
         assert f"error: {flag}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep-plos", "--step", "1e-9"], "--step"),
+            (["sweep-coverage", "--step", "5e-324", "--mc-samples", "10"], "--step"),
+            (["optimize-altitude", "--steps", str(2**24 + 1)], "--steps"),
+            (["coverage-radius", "--resolution", "1e-9"], "--resolution"),
+            (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-x", "nan"], "--uav-x"),
+            (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-y", "inf"], "--uav-y"),
+            (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-y=-inf"], "--uav-y"),
+        ],
+    )
+    def test_library_refusals_exit_2_name_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flag",
+        [
+            ('{"scenario": {"uav_x_m": NaN}}', "--uav-x"),
+            ('{"scenario": {"uav_y_m": Infinity}}', "--uav-y"),
+            ('{"scenario": {"uav_x_m": 1e999}}', "--uav-x"),
+        ],
+    )
+    def test_non_finite_uav_position_in_config_exit_2(self, tmp_path, capsys, text, flag):
+        cfg, out = tmp_path / "bad.json", tmp_path / "out.csv"
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli(["scenario", "--n-users", "3", "--n-draws", "2", "--config", cfg,
+                        "--out", out]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_seed_overridden_by_flag(self, tmp_path):
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps({"scenario": {"n_users": 17, "seed": 3}}))
@@ -323,17 +359,33 @@ class TestCommands:
         )
 
     def test_sweep_coverage_mc_columns_worker_invariant(self, tmp_path):
-        a, b = tmp_path / "mc1.csv", tmp_path / "mc4.csv"
+        paths = {w: tmp_path / f"mc{w}.csv" for w in (1, 2, 3, 4)}
         base = ["sweep-coverage", "--env", "urban", "--start", "100", "--stop", "300",
                 "--step", "100", "--p-min", "-70", "--mc-samples", "20000", "--seed", "3"]
-        assert run_cli(base + ["--workers", "1", "--out", a]) == 0
-        assert run_cli(base + ["--workers", "4", "--out", b]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        _, _, header, rows = read_csv(a)
+        for workers, path in paths.items():
+            assert run_cli(base + ["--workers", workers, "--out", path]) == 0
+        assert len({path.read_bytes() for path in paths.values()}) == 1
+        _, _, header, rows = read_csv(paths[1])
         assert header == ["distance_m", "p_cov[urban]", "p_cov_mc[urban]", "mc_stderr[urban]"]
         assert len(rows) == 3
         for row in rows:
             assert abs(float(row[1]) - float(row[2])) <= 5 * float(row[3]) + 1e-9
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_cells_go_through_the_module_name(self, tmp_path, monkeypatch, workers):
+        # wrapping cli.coverage_monte_carlo sees every (environment, row) cell once
+        calls = []
+        real = cli.coverage_monte_carlo
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "coverage_monte_carlo", counted)
+        assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
+                        "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
+                        "--seed", "5", "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
+        assert sorted(calls) == [5 + 1_000_003 * cell for cell in range(6)]
 
     def test_paper_literal_mode_flag(self, tmp_path):
         a, b = tmp_path / "std.csv", tmp_path / "lit.csv"

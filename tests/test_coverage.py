@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavcov.channel import (
@@ -18,10 +18,13 @@ from uavcov.channel import (
     URBAN,
     EnvironmentProfile,
     LinkGeometry,
+    elevation_angle_deg,
     fspl_db,
+    p_los,
     slant_distance,
 )
 from uavcov.coverage import (
+    _MC_CHUNK,
     FormulationMode,
     RadioConfig,
     branch_argument,
@@ -30,6 +33,8 @@ from uavcov.coverage import (
     noise_power_dbm,
     q_function,
     received_power_dbm,
+    _last_passing_double,
+    _z_threshold,
 )
 from uavcov.errors import DomainError
 
@@ -300,3 +305,102 @@ class TestMonteCarlo:
         )
         expect = math.sqrt(mc.estimate * (1.0 - mc.estimate) / 50_000)
         assert mc.std_error == pytest.approx(expect, rel=1e-12)
+
+
+def reference_covered(geom, env, radio, n_samples, seed):
+    """Covered draws as the chunk sampler first counted them: a fresh Philox per
+    chunk and the excess loss built as floats, then compared with the margin."""
+    pl = p_los(elevation_angle_deg(geom), env)
+    fspl = fspl_db(radio.f_c_hz, slant_distance(geom))
+    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    covered = 0
+    for k in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        size = min(_MC_CHUNK, n_samples - k * _MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(seed).jumped(k))
+        u = rng.random(size)
+        z = rng.standard_normal(size)
+        x = np.where(
+            u < pl,
+            env.mu_los_db + env.sigma_los_db * z,
+            env.mu_nlos_db + env.sigma_nlos_db * z,
+        )
+        covered += int(np.count_nonzero(x <= margin))
+    return covered
+
+
+def margin_at(geom, env_mu):
+    """A receiver threshold that puts the link margin at (about) ``env_mu``."""
+    return 40.0 + 3.0 - fspl_db(2e9, slant_distance(geom)) - env_mu
+
+
+CANYON = EnvironmentProfile("canyon", a=26.5, b=0.5, mu_los_db=2.3, mu_nlos_db=34.0)
+
+# (geometry, environment, p_min): p_los near 0, near 1, and in between, with the
+# margin inside a branch's spread or within rounding of a branch mean
+SAMPLER_CASES = {
+    "plos-near-0": (LinkGeometry(5000.0, 1.0), CANYON, -95.0),
+    "plos-near-1": (LinkGeometry(0.0, 300.0), SUBURBAN, -75.0),
+    "mid": (LinkGeometry(200.0, 100.0), URBAN, -60.0),
+    "margin-at-nlos-mean": (LinkGeometry(200.0, 100.0), URBAN,
+                            margin_at(LinkGeometry(200.0, 100.0), 20.0)),
+    "tiny-sigma-at-los-mean": (
+        LinkGeometry(200.0, 100.0),
+        EnvironmentProfile("sharp", a=10.6, b=0.18, mu_los_db=1.0, mu_nlos_db=20.0,
+                           sigma_los_db=1e-13, sigma_nlos_db=1e-13),
+        margin_at(LinkGeometry(200.0, 100.0), 1.0)),
+}
+
+
+class TestMonteCarloReference:
+    @pytest.mark.parametrize("n_samples", [1, 32767, 32768, 32769, 100_000])
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_matches_float_sampler(self, case, n_samples):
+        geom, env, p_min = SAMPLER_CASES[case]
+        radio = make_radio(p_min_dbm=p_min)
+        for seed in (0, 9, 1_000_003 * 717 + 5):
+            mc = coverage_monte_carlo(geom, env, radio, n_samples=n_samples, seed=seed)
+            covered = reference_covered(geom, env, radio, n_samples, seed)
+            assert mc.estimate == covered / n_samples, (case, n_samples, seed)
+
+    def test_cases_cover_both_extremes_of_p_los(self):
+        theta = {name: elevation_angle_deg(geom) for name, (geom, _, _) in SAMPLER_CASES.items()}
+        assert p_los(theta["plos-near-0"], CANYON) < 1e-6
+        assert p_los(theta["plos-near-1"], SUBURBAN) > 1.0 - 1e-9
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestZThreshold:
+    @given(
+        mu=st.one_of(st.floats(-1e3, 1e3, **finite), st.floats(-1e300, 1e300, **finite)),
+        sigma=st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e-6), st.floats(1e-6, 1e300)),
+        delta=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-1e3, 1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(mu=34.0, sigma=8.0, delta=0.001, seed=0)
+    @example(mu=34.0, sigma=8.0, delta=1e-7, seed=0)
+    @example(mu=1e300, sigma=1e-300, delta=0.0, seed=0)
+    @example(mu=-0.0, sigma=5e-324, delta=0.0, seed=0)
+    @settings(deadline=None, max_examples=400)
+    def test_threshold_is_exact_and_cheap(self, mu, sigma, delta, seed):
+        margin = mu + delta
+        evaluations = []
+
+        def passes(z):
+            evaluations.append(z)
+            return mu + sigma * z <= margin
+
+        z_star = _last_passing_double(passes, (margin - mu) / sigma)
+        assert len(evaluations) <= 66
+        assert z_star == _z_threshold(mu, sigma, margin)
+        assert passes(z_star) and not passes(math.nextafter(z_star, math.inf))
+
+        z = np.concatenate([
+            [z_star, math.nextafter(z_star, -math.inf), math.nextafter(z_star, math.inf),
+             0.0, -0.0, (margin - mu) / sigma],
+            np.random.default_rng(seed).standard_normal(256),
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expect = mu + sigma * z <= margin
+        np.testing.assert_array_equal(z <= z_star, expect)

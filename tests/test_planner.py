@@ -1,10 +1,12 @@
 """Sweep and grid-search planners, checked against independent brute-force scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uavcov import planner
 from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
     SUBURBAN,
@@ -22,10 +24,12 @@ from uavcov.planner import (
     DEFAULT_ALTITUDE_SWEEP,
     DEFAULT_ANGLE_SWEEP,
     DEFAULT_DISTANCE_SWEEP,
+    MAX_GRID_POINTS,
     SweepSpec,
     max_coverage_radius,
     optimal_altitude,
     run_sweep,
+    sweep_grid,
 )
 
 ALL_ENVS = tuple(BUILTIN_ENVIRONMENTS.values())
@@ -253,3 +257,59 @@ def test_default_grids():
     assert DEFAULT_ANGLE_SWEEP == (0.5, 90.0, 0.5)
     assert DEFAULT_DISTANCE_SWEEP == (15.0, 500.0, 5.0)
     assert DEFAULT_ALTITUDE_SWEEP == (50.0, 2000.0, 1.0)
+
+
+class TestGridCap:
+    """Grids larger than MAX_GRID_POINTS are refused before anything is allocated."""
+
+    CALLS = {
+        "step": lambda step: sweep_grid(
+            angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=1000.0, step=step)),
+        "resolution": lambda step: max_coverage_radius(
+            100.0, URBAN, RadioConfig(), target=0.9, r_max_scan=1000.0, resolution=step),
+    }
+
+    @pytest.mark.parametrize("field", sorted(CALLS))
+    @pytest.mark.parametrize("step", [1e-9, 5e-324, 1000.0 / MAX_GRID_POINTS])
+    def test_huge_grid_refused_without_allocating(self, field, step):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRangeError) as info:
+                self.CALLS[field](step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == field
+        assert peak < 1 << 20
+
+    def test_huge_steps_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidRangeError) as info:
+                optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 2000.0,
+                                 steps=MAX_GRID_POINTS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == "steps"
+        assert peak < 1 << 20
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_GRID_POINTS", 11)
+        values = sweep_grid(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=10.0, step=1.0))[0]
+        assert len(values) == 11
+        assert max_coverage_radius(100.0, URBAN, RadioConfig(p_min_dbm=-500.0), 0.5,
+                                   r_max_scan=10.0, resolution=1.0) == 10.0
+        optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 60.0, steps=11)
+        with pytest.raises(InvalidRangeError):
+            sweep_grid(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=11.0, step=1.0))
+        with pytest.raises(InvalidRangeError):
+            max_coverage_radius(100.0, URBAN, RadioConfig(), 0.5, r_max_scan=11.0,
+                                resolution=1.0)
+        with pytest.raises(InvalidRangeError):
+            optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 60.0, steps=12)
+
+    def test_benchmark_sized_grids_fit(self):
+        # the largest grid the CLI benchmarks run: coverage-radius over 2000 m at 0.001 m
+        radii = planner._grid(0.0, 2000.0, 0.001, "resolution")
+        assert len(radii) == 2_000_001 < MAX_GRID_POINTS

@@ -190,6 +190,13 @@ class TestEvaluateScenario:
         with pytest.raises(InvalidSpecError):
             make_spec(area_shape="triangle")
 
+    @pytest.mark.parametrize("field", ["uav_x_m", "uav_y_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_uav_position_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError) as info:
+            make_spec(**{field: value})
+        assert info.value.field == field
+
 
 def dense_covered_fractions(spec):
     """The shadowing draws as one (n_draws, n_users) array each: the reference layout."""
