@@ -42,16 +42,17 @@ class EnvironmentProfile:
     def __post_init__(self):
         for field in ("a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db"):
             if not math.isfinite(getattr(self, field)):
-                raise DomainError(f"environment {self.name!r}: {field} must be finite")
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError(f"environment {self.name!r}: sigmoid parameters must be positive")
+                raise DomainError(f"environment {self.name!r}: {field} must be finite",
+                                  field=field)
+        for field in ("a", "b", "sigma_los_db", "sigma_nlos_db"):
+            if getattr(self, field) <= 0:
+                raise DomainError(f"environment {self.name!r}: {field} must be > 0, "
+                                  f"got {getattr(self, field)}", field=field)
         if not 0.0 <= self.mu_los_db <= self.mu_nlos_db:
             raise DomainError(
                 f"environment {self.name!r}: need 0 <= mu_los_db <= mu_nlos_db, "
-                f"got {self.mu_los_db} / {self.mu_nlos_db}"
+                f"got {self.mu_los_db} / {self.mu_nlos_db}", field="mu_los_db",
             )
-        if self.sigma_los_db <= 0 or self.sigma_nlos_db <= 0:
-            raise DomainError(f"environment {self.name!r}: shadowing deviations must be positive")
 
 
 SUBURBAN = EnvironmentProfile("suburban", a=5.2, b=0.35, mu_los_db=0.1, mu_nlos_db=21.0)
@@ -87,12 +88,12 @@ class LinkGeometry:
     h_m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r0_m) and math.isfinite(self.h_m)):
-            raise InvalidGeometryError(f"geometry must be finite, got r0={self.r0_m}, h={self.h_m}")
-        if self.r0_m < 0:
-            raise InvalidGeometryError(f"ground distance must be >= 0, got {self.r0_m}")
-        if self.h_m <= 0:
-            raise InvalidGeometryError(f"altitude must be > 0, got {self.h_m}")
+        if not 0.0 <= self.r0_m < math.inf:
+            raise InvalidGeometryError(f"ground distance must be finite and >= 0, got {self.r0_m}",
+                                       field="r0_m")
+        if not 0.0 < self.h_m < math.inf:
+            raise InvalidGeometryError(f"altitude must be finite and > 0, got {self.h_m}",
+                                       field="h_m")
 
 
 def slant_distance(geom: LinkGeometry) -> float:
@@ -140,14 +141,18 @@ def fspl_db(f_c_hz, d_m):
     return float(out) if np.isscalar(f_c_hz) and np.isscalar(d_m) else out
 
 
-def _mean_path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
-    """Vectorized mean path loss over parallel (r0, h) arrays; no validation."""
+def _path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
+    """LoS probability, free-space loss and mean path loss over parallel (r0, h) arrays.
+
+    The one evaluation of the channel formula behind both the coverage kernel
+    and :func:`mean_path_loss_db`; no validation.
+    """
     r0 = np.asarray(r0_m, dtype=float)
     h = np.asarray(h_m, dtype=float)
     theta = np.degrees(np.arctan2(h, r0))
     pl = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
     fspl = 20.0 * np.log10(4.0 * np.pi * f_c_hz * np.hypot(r0, h) / SPEED_OF_LIGHT)
-    return fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
+    return pl, fspl, fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
 
 
 def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float) -> float:
@@ -156,5 +161,6 @@ def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float
     Always lies between FSPL + mu_los and FSPL + mu_nlos.
     """
     if not (np.isscalar(f_c_hz) and math.isfinite(f_c_hz) and f_c_hz > 0):
-        raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}")
-    return float(_mean_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz))
+        raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}",
+                          field="f_c_hz")
+    return float(_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz)[2])

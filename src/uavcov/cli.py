@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,15 +55,23 @@ _RADIO_FLAGS = {
 }
 _RADIO_KEYS = tuple(_RADIO_FLAGS)
 _MODES = tuple(m.value for m in FormulationMode)
-# specification field named by a library error -> the flag that sets it
-_FIELD_FLAGS = {
-    "step": "--step",
-    "steps": "--steps",
-    "resolution": "--resolution",
-    "uav_x_m": "--uav-x",
-    "uav_y_m": "--uav-y",
-}
 _ENV_KEYS = ("name", "a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db")
+# field named by a library error -> the flag that sets it; an environment
+# field without a flag of its own is set through --env
+_FIELD_FLAGS = {
+    **dict.fromkeys(_ENV_KEYS, "--env"),
+    "sigma_los_db": "--sigma-los", "sigma_nlos_db": "--sigma-nlos",
+    **{key: flag for key, (flag, _) in _RADIO_FLAGS.items()},
+    # LinkGeometry and sweep_grid
+    "r0_m": "--r0", "h_m": "--h", "start": "--start", "stop": "--stop", "step": "--step",
+    # optimal_altitude
+    "r_edge": "--r-edge", "h_min": "--h-min", "h_max": "--h-max", "steps": "--steps",
+    # max_coverage_radius
+    "h": "--h", "target": "--target", "r_max_scan": "--r-max", "resolution": "--resolution",
+    # ScenarioSpec
+    "n_users": "--n-users", "n_draws": "--n-draws", "area_side_m": "--area-side",
+    "uav_x_m": "--uav-x", "uav_y_m": "--uav-y", "uav_h_m": "--uav-h",
+}
 
 _CONFIG_SECTIONS = {
     "radio": set(_RADIO_KEYS),
@@ -268,24 +277,13 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
     else:
         envs = [_env_dict_from_name(name) for name in BUILTIN_ENVIRONMENTS]
 
-    if ns.sigma_los is not None:
-        if ns.sigma_los <= 0:
-            _fail("--sigma-los", f"must be > 0, got {ns.sigma_los}")
-        for env in envs:
-            env["sigma_los_db"] = ns.sigma_los
-    if ns.sigma_nlos is not None:
-        if ns.sigma_nlos <= 0:
-            _fail("--sigma-nlos", f"must be > 0, got {ns.sigma_nlos}")
-        for env in envs:
-            env["sigma_nlos_db"] = ns.sigma_nlos
-
     for env in envs:
+        if ns.sigma_los is not None:
+            env["sigma_los_db"] = ns.sigma_los
+        if ns.sigma_nlos is not None:
+            env["sigma_nlos_db"] = ns.sigma_nlos
         for key in _ENV_KEYS[1:]:
             env[key] = _as_float(f"--config: environment {key!r}", env[key])
-        try:
-            EnvironmentProfile(**env)
-        except ValueError as exc:
-            _fail("--env", str(exc))
     if command == "scenario" and len(envs) != 1:
         _fail("--env", f"scenario takes exactly one environment, got {len(envs)}")
     return envs
@@ -294,15 +292,11 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
 def _resolve_radio(ns, file_cfg: dict) -> dict:
     file_radio = file_cfg.get("radio", {})
     defaults = RadioConfig()
-    radio = {
+    return {
         key: _as_float(flag, _pick(getattr(ns, key, None), file_radio.get(key),
                                    getattr(defaults, key)))
         for key, (flag, _) in _RADIO_FLAGS.items()
     }
-    for key in ("f_c_hz", "bandwidth_hz"):
-        if radio[key] <= 0:
-            _fail(_RADIO_FLAGS[key][0], f"must be > 0, got {radio[key]}")
-    return radio
 
 
 def _resolve_seed(ns, section: dict) -> int:
@@ -315,8 +309,9 @@ def _resolve_seed(ns, section: dict) -> int:
 def parse_args(argv=None) -> RunConfig:
     """Resolve argv (plus any config file) into a canonical RunConfig.
 
-    Raises SystemExit(1) for usage errors and SystemExit(2) for values that
-    parse but are semantically invalid; the offending flag is named.
+    Raises SystemExit(1) for usage errors and SystemExit(2) for values the
+    library cannot even be handed (wrong JSON type, bad config structure); the
+    offending flag is named. Range checks are the library's, at execute time.
     """
     ns = build_parser().parse_args(argv)
     command = ns.command
@@ -345,20 +340,6 @@ def parse_args(argv=None) -> RunConfig:
         step = _as_float("--step", _pick(ns.step, sweep_cfg.get("step"), grid_default[2]))
         h = _as_float("--h", _pick(ns.h, geometry.get("h_m"), 100.0))
         r0 = _as_float("--r0", _pick(ns.r0, geometry.get("r0_m"), 200.0))
-        if h <= 0:
-            _fail("--h", f"altitude must be > 0, got {h}")
-        if r0 < 0:
-            _fail("--r0", f"ground distance must be >= 0, got {r0}")
-        if step <= 0:
-            _fail("--step", f"must be > 0, got {step}")
-        if start > stop:
-            _fail("--start", f"grid start {start} exceeds stop {stop}")
-        if axis == "angle" and (start <= 0 or stop > 90):
-            _fail("--start", "angle sweeps must lie within (0, 90] degrees")
-        if axis == "distance" and start < 0:
-            _fail("--start", f"distances must be >= 0, got {start}")
-        if axis == "altitude" and start <= 0:
-            _fail("--start", f"altitudes must be > 0, got {start}")
         params.update(
             axis=axis, start=start, stop=stop, step=step,
             baseline_r0_m=r0, baseline_h_m=h,
@@ -377,14 +358,6 @@ def parse_args(argv=None) -> RunConfig:
         h_min = float(_pick(ns.h_min, 50.0))
         h_max = float(_pick(ns.h_max, 2000.0))
         steps = _as_int("--steps", _pick(ns.steps, 1951))
-        if r_edge < 0:
-            _fail("--r-edge", f"must be >= 0, got {r_edge}")
-        if h_min <= 0:
-            _fail("--h-min", f"must be > 0, got {h_min}")
-        if h_max <= h_min:
-            _fail("--h-max", f"must exceed --h-min, got [{h_min}, {h_max}]")
-        if steps < 2:
-            _fail("--steps", f"must be >= 2, got {steps}")
         params.update(
             r_edge_m=r_edge, h_min_m=h_min, h_max_m=h_max, steps=steps,
             mode=_pick(ns.mode, "standard"), seed=_resolve_seed(ns, {}),
@@ -395,14 +368,6 @@ def parse_args(argv=None) -> RunConfig:
         target = float(_pick(ns.target, 0.9))
         r_max = float(_pick(ns.r_max, 2000.0))
         resolution = float(_pick(ns.resolution, 5.0))
-        if h <= 0:
-            _fail("--h", f"altitude must be > 0, got {h}")
-        if not 0.0 < target < 1.0:
-            _fail("--target", f"must lie in (0, 1), got {target}")
-        if r_max < 0:
-            _fail("--r-max", f"must be >= 0, got {r_max}")
-        if resolution <= 0:
-            _fail("--resolution", f"must be > 0, got {resolution}")
         params.update(
             h_m=h, target=target, r_max_m=r_max, resolution_m=resolution,
             mode=_pick(ns.mode, "standard"), seed=_resolve_seed(ns, {}),
@@ -420,14 +385,6 @@ def parse_args(argv=None) -> RunConfig:
         uav_x = _pick(ns.uav_x, scen_cfg.get("uav_x_m"))
         uav_y = _pick(ns.uav_y, scen_cfg.get("uav_y_m"))
         uav_h = _as_float("--uav-h", _pick(ns.uav_h, scen_cfg.get("uav_h_m"), 100.0))
-        if n_users < 1:
-            _fail("--n-users", f"must be >= 1, got {n_users}")
-        if n_draws < 1:
-            _fail("--n-draws", f"must be >= 1, got {n_draws}")
-        if area_side <= 0:
-            _fail("--area-side", f"must be > 0, got {area_side}")
-        if uav_h <= 0:
-            _fail("--uav-h", f"must be > 0, got {uav_h}")
         params.update(
             n_users=n_users, n_draws=n_draws, area_side_m=area_side, area_shape=area_shape,
             uav_x_m=None if uav_x is None else _as_float("--uav-x", uav_x),
@@ -489,8 +446,9 @@ def _sweep_table(config: RunConfig) -> OutputTable:
                 n_samples=mc_samples, seed=params["seed"] + 1_000_003 * cell,
             )
 
-        # cells are independent and each is deterministic, so threads change no byte
-        workers = min(config.workers, n_cells)
+        # cells are independent and each is deterministic, so threads change no byte;
+        # more threads than usable CPUs would only contend for them
+        workers = min(config.workers, n_cells, len(os.sched_getaffinity(0)))
         if workers == 1:
             estimates = [estimate(cell) for cell in range(n_cells)]
         else:
@@ -566,7 +524,7 @@ def _scenario_table(config: RunConfig) -> OutputTable:
         n_draws=params["n_draws"],
         mode=params["mode"],
     )
-    result = evaluate_scenario(spec, workers=config.workers)
+    result = evaluate_scenario(spec)
     # one column per UserRecord field, in field order
     columns = result.records.columns
     header = list(columns)

@@ -18,7 +18,7 @@ from scipy import special
 from .channel import (
     EnvironmentProfile,
     LinkGeometry,
-    SPEED_OF_LIGHT,
+    _path_loss_arrays,
     elevation_angle_deg,
     fspl_db,
     p_los,
@@ -79,11 +79,11 @@ class RadioConfig:
             "f_c_hz", "p_tx_dbm", "g_db", "p_min_dbm", "noise_density_dbm_hz", "bandwidth_hz",
         ):
             if not math.isfinite(getattr(self, field)):
-                raise DomainError(f"radio config: {field} must be finite")
-        if self.f_c_hz <= 0:
-            raise DomainError(f"radio config: carrier frequency must be > 0, got {self.f_c_hz}")
-        if self.bandwidth_hz <= 0:
-            raise DomainError(f"radio config: bandwidth must be > 0, got {self.bandwidth_hz}")
+                raise DomainError(f"radio config: {field} must be finite", field=field)
+        for field in ("f_c_hz", "bandwidth_hz"):
+            if getattr(self, field) <= 0:
+                raise DomainError(f"radio config: {field} must be > 0, got "
+                                  f"{getattr(self, field)}", field=field)
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,8 @@ def _coverage_arrays(r0_m, h_m, env: EnvironmentProfile, radio: RadioConfig,
 
     Returns (p_los, p_nlos, fspl, mean_pl, a, b, q_los, q_nlos, p_cov).
     """
-    r0 = np.asarray(r0_m, dtype=float)
-    h = np.asarray(h_m, dtype=float)
-    theta = np.degrees(np.arctan2(h, r0))
-    pl = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
+    pl, fspl, mean_pl = _path_loss_arrays(r0_m, h_m, env, radio.f_c_hz)
     pn = 1.0 - pl
-    fspl = 20.0 * np.log10(4.0 * np.pi * radio.f_c_hz * np.hypot(r0, h) / SPEED_OF_LIGHT)
-    mean_pl = fspl + env.mu_los_db * pl + env.mu_nlos_db * pn
     budget = radio.p_min_dbm - radio.p_tx_dbm - radio.g_db
     if mode is FormulationMode.PAPER_LITERAL:
         a = (budget + mean_pl + env.mu_los_db) / (env.sigma_los_db * env.sigma_los_db)

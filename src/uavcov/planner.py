@@ -93,28 +93,34 @@ def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
 def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a sweep and return its (axis values, r0, h) arrays."""
     if not spec.environments:
-        raise InvalidSpecError("sweep needs at least one environment")
-    if not (math.isfinite(spec.step) and spec.step > 0):
-        raise InvalidSpecError(f"step must be > 0, got {spec.step}")
-    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)) or spec.start > spec.stop:
-        raise InvalidSpecError(f"need start <= stop, got [{spec.start}, {spec.stop}]")
+        raise InvalidSpecError("sweep needs at least one environment", field="environments")
     if spec.axis not in AXES:
-        raise InvalidSpecError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}")
+        raise InvalidSpecError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}",
+                               field="axis")
+    if not 0.0 < spec.step < math.inf:
+        raise InvalidSpecError(f"step must be finite and > 0, got {spec.step}", field="step")
+    for name in ("start", "stop"):
+        if not math.isfinite(getattr(spec, name)):
+            raise InvalidSpecError(f"{name} must be finite, got {getattr(spec, name)}",
+                                   field=name)
+    if spec.start > spec.stop:
+        raise InvalidSpecError(f"need start <= stop, got [{spec.start}, {spec.stop}]",
+                               field="start")
+    # distances may start at 0; elevation angles and altitudes must not
+    if spec.start < 0.0 or (spec.start == 0.0 and spec.axis != AXIS_DISTANCE):
+        raise InvalidSpecError(f"{spec.axis} sweeps cannot start at {spec.start}", field="start")
+    if spec.axis == AXIS_ELEVATION and spec.stop > 90.0:
+        raise InvalidSpecError("elevation-angle sweeps must lie within (0, 90] degrees",
+                               field="stop")
 
     values = _grid(spec.start, spec.stop, spec.step, "step")
     if spec.axis == AXIS_ELEVATION:
-        if spec.start <= 0.0 or spec.stop > 90.0:
-            raise InvalidSpecError("elevation-angle sweeps must lie within (0, 90] degrees")
         h = np.full_like(values, spec.baseline.h_m)
         r0 = np.where(values >= 90.0, 0.0, spec.baseline.h_m / np.tan(np.radians(values)))
     elif spec.axis == AXIS_DISTANCE:
-        if spec.start < 0.0:
-            raise InvalidSpecError("user distances must be >= 0")
         r0 = values
         h = np.full_like(values, spec.baseline.h_m)
     else:
-        if spec.start <= 0.0:
-            raise InvalidSpecError("altitudes must be > 0")
         h = values
         r0 = np.full_like(values, spec.baseline.r0_m)
     return values, r0, h
@@ -166,15 +172,19 @@ def optimal_altitude(
 
     Ties break toward the lowest altitude (first grid maximum).
     """
-    if not (math.isfinite(h_min) and math.isfinite(h_max) and 0.0 < h_min < h_max):
-        raise InvalidRangeError(f"need 0 < h_min < h_max, got [{h_min}, {h_max}]")
+    if not 0.0 < h_min < math.inf:
+        raise InvalidRangeError(f"h_min must be finite and > 0, got {h_min}", field="h_min")
+    if not h_min < h_max < math.inf:
+        raise InvalidRangeError(f"need h_min < h_max < inf, got [{h_min}, {h_max}]",
+                                field="h_max")
     if steps < 2:
-        raise InvalidRangeError(f"need at least 2 grid steps, got {steps}")
+        raise InvalidRangeError(f"need at least 2 grid steps, got {steps}", field="steps")
     if steps > MAX_GRID_POINTS:
         raise InvalidRangeError(f"steps {steps} exceeds {MAX_GRID_POINTS} grid points",
                                 field="steps")
-    if not (math.isfinite(r_edge) and r_edge >= 0.0):
-        raise InvalidRangeError(f"edge distance must be >= 0, got {r_edge}")
+    if not 0.0 <= r_edge < math.inf:
+        raise InvalidRangeError(f"edge distance must be finite and >= 0, got {r_edge}",
+                                field="r_edge")
     mode = FormulationMode(mode)
     altitudes = np.linspace(h_min, h_max, steps)
     p_cov = _coverage_arrays(np.full_like(altitudes, r_edge), altitudes, env, radio, mode)[-1]
@@ -196,14 +206,17 @@ def max_coverage_radius(
     Scans the whole grid outward rather than bisecting, so no unimodality of
     the coverage curve is assumed; returns 0 when no grid point qualifies.
     """
-    if not (math.isfinite(target) and 0.0 < target < 1.0):
-        raise InvalidRangeError(f"coverage target must lie in (0, 1), got {target}")
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise InvalidRangeError(f"scan resolution must be > 0, got {resolution}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise InvalidRangeError(f"altitude must be > 0, got {h}")
-    if not (math.isfinite(r_max_scan) and r_max_scan >= 0.0):
-        raise InvalidRangeError(f"scan limit must be >= 0, got {r_max_scan}")
+    if not 0.0 < target < 1.0:
+        raise InvalidRangeError(f"coverage target must lie in (0, 1), got {target}",
+                                field="target")
+    if not 0.0 < resolution < math.inf:
+        raise InvalidRangeError(f"scan resolution must be finite and > 0, got {resolution}",
+                                field="resolution")
+    if not 0.0 < h < math.inf:
+        raise InvalidRangeError(f"altitude must be finite and > 0, got {h}", field="h")
+    if not 0.0 <= r_max_scan < math.inf:
+        raise InvalidRangeError(f"scan limit must be finite and >= 0, got {r_max_scan}",
+                                field="r_max_scan")
     mode = FormulationMode(mode)
     radii = _grid(0.0, r_max_scan, resolution, "resolution")
     p_cov = _coverage_arrays(radii, np.full_like(radii, h), env, radio, mode)[-1]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
@@ -28,6 +27,11 @@ AREA_SHAPES = ("square", "disk")
 # this many elements whatever n_draws is (a block holds at least one whole draw,
 # so one draw of n_users is the floor); 2**18 was a little faster than 2**20
 SHADOWING_BLOCK_ELEMENTS = 1 << 18
+
+# the most users one scenario may hold, checked before anything is allocated; a
+# CLI scenario run written to a file peaked at ~0.76 KB of RSS per user (10^5 to
+# 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 3.2 GB
+MAX_USERS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -52,22 +56,34 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", FormulationMode(self.mode))
-        if self.n_users < 1:
-            raise InvalidSpecError(f"need at least one user, got {self.n_users}")
+        if not 1 <= self.n_users <= MAX_USERS:
+            raise InvalidSpecError(f"need 1 to {MAX_USERS} users, got {self.n_users}",
+                                   field="n_users")
         if self.n_draws < 1:
-            raise InvalidSpecError(f"need at least one shadowing draw, got {self.n_draws}")
-        if not (math.isfinite(self.area_side_m) and self.area_side_m > 0):
-            raise InvalidSpecError(f"area side must be > 0, got {self.area_side_m}")
+            raise InvalidSpecError(f"need at least one shadowing draw, got {self.n_draws}",
+                                   field="n_draws")
+        if not 0.0 < self.area_side_m < math.inf:
+            raise InvalidSpecError(f"area side must be finite and > 0, got {self.area_side_m}",
+                                   field="area_side_m")
         for name in ("uav_x_m", "uav_y_m"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidSpecError(f"UAV position {name} must be finite, got {value}",
                                        field=name)
-        if not (math.isfinite(self.uav_h_m) and self.uav_h_m > 0):
-            raise InvalidSpecError(f"UAV altitude must be > 0, got {self.uav_h_m}")
+        if not 0.0 < self.uav_h_m < math.inf:
+            raise InvalidSpecError(f"UAV altitude must be finite and > 0, got {self.uav_h_m}",
+                                   field="uav_h_m")
         if self.area_shape not in AREA_SHAPES:
             raise InvalidSpecError(
-                f"unknown area shape {self.area_shape!r}; expected one of {AREA_SHAPES}"
+                f"unknown area shape {self.area_shape!r}; expected one of {AREA_SHAPES}",
+                field="area_shape",
+            )
+        # the summary divides by the transmit power in watts, 10 ** ((p_tx_dbm - 30) / 10),
+        # which overflows a double above ~3100 dBm and rounds to 0 below ~-3200 dBm
+        if not abs(self.radio.p_tx_dbm) <= 3000.0:
+            raise InvalidSpecError(
+                f"transmit power must lie within +-3000 dBm, got {self.radio.p_tx_dbm}",
+                field="p_tx_dbm",
             )
 
     @property
@@ -187,20 +203,6 @@ def _link_arrays(positions, uav, env, radio, mode):
     }
 
 
-def _link_arrays_sharded(positions, uav, env, radio, mode, workers):
-    n = len(positions)
-    if workers <= 1 or n < 2 * workers:
-        return _link_arrays(positions, uav, env, radio, mode)
-    # contiguous user-index shards; elementwise math makes the merge exact
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda s: _link_arrays(positions[s], uav, env, radio, mode), slices)
-        )
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
 def evaluate_links(
     positions: np.ndarray,
     uav: tuple[float, float, float],
@@ -209,11 +211,13 @@ def evaluate_links(
     mode: FormulationMode | str = FormulationMode.STANDARD,
     workers: int = 1,
 ) -> UserColumns:
-    """Analytic per-user link statistics for explicit positions and UAV site."""
+    """Analytic per-user link statistics for explicit positions and UAV site.
+
+    The links are evaluated on the calling thread; ``workers`` is accepted for
+    compatibility and has no effect.
+    """
     positions = np.asarray(positions, dtype=float)
-    return UserColumns(
-        _link_arrays_sharded(positions, uav, env, radio, FormulationMode(mode), workers)
-    )
+    return UserColumns(_link_arrays(positions, uav, env, radio, FormulationMode(mode)))
 
 
 def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
@@ -259,8 +263,7 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
     return tuple(fractions)
 
 
-
-def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
+def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Generate users, evaluate every link, and aggregate the area metrics.
 
     ``covered_fraction_draws`` holds one covered fraction per shadowing draw;
@@ -268,8 +271,7 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     user. All randomness derives from ``spec.seed``.
     """
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
-    cols = _link_arrays_sharded(positions, spec.uav_position, spec.env, spec.radio, spec.mode,
-                                workers)
+    cols = _link_arrays(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
     fractions = _covered_fractions(spec, cols["p_los"], cols["fspl_db"])
 
     radio = spec.radio

@@ -28,6 +28,7 @@ from uavcov.channel import (
     p_nlos,
     slant_distance,
 )
+from uavcov.coverage import FormulationMode, RadioConfig, _coverage_arrays
 from uavcov.errors import DomainError, InvalidGeometryError
 
 # mpmath oracles (50 dps), truncated to double precision
@@ -256,6 +257,14 @@ class TestMeanPathLoss:
         assert limit == pytest.approx(expect, abs=1e-12)
         near = mean_path_loss_db(LinkGeometry(1e-9, h), URBAN, 2e9)
         assert near == pytest.approx(limit, abs=1e-9)
+
+    def test_equals_the_coverage_kernel_bit_for_bit(self):
+        radio = RadioConfig(f_c_hz=2.4e9)
+        for env in BUILTIN_ENVIRONMENTS.values():
+            for r0 in (0.0, 15.0, 200.0, 1234.5):
+                for h in (1.0, 100.0, 750.0):
+                    kernel = _coverage_arrays(r0, h, env, radio, FormulationMode.STANDARD)[3]
+                    assert mean_path_loss_db(LinkGeometry(r0, h), env, 2.4e9) == float(kernel)
 
     def test_continuous_in_r0(self):
         h = 100.0

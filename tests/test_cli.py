@@ -10,6 +10,7 @@ import pytest
 import uavcov
 from uavcov import cli, reporting
 from uavcov.reporting import OutputTable, emit_table, render_csv
+from uavcov.scenario import MAX_USERS
 
 
 def run_cli(argv):
@@ -110,6 +111,49 @@ class TestParseArgs:
             (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-x", "nan"], "--uav-x"),
             (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-y", "inf"], "--uav-y"),
             (["scenario", "--n-users", "3", "--n-draws", "2", "--uav-y=-inf"], "--uav-y"),
+            (["scenario", "--n-users", str(MAX_USERS + 1), "--n-draws", "1"], "--n-users"),
+            (["scenario", "--n-users", "10000000000000", "--n-draws", "1"], "--n-users"),
+            (["scenario", "--n-users", "3", "--n-draws", "2", "--p-tx", "1e300"], "--p-tx"),
+            # non-finite values no range check of the CLI's own caught
+            (["sweep-plos", "--h", "nan"], "--h"),
+            (["sweep-plos", "--h", "inf"], "--h"),
+            (["sweep-pathloss", "--r0", "inf"], "--r0"),
+            (["sweep-plos", "--start", "nan"], "--start"),
+            (["sweep-plos", "--stop", "nan"], "--stop"),
+            (["sweep-plos", "--step", "inf"], "--step"),
+            (["sweep-plos", "--f-c", "nan"], "--f-c"),
+            (["sweep-plos", "--sigma-los", "nan"], "--sigma-los"),
+            (["sweep-plos", "--sigma-nlos", "inf"], "--sigma-nlos"),
+            (["coverage-radius", "--h", "inf"], "--h"),
+            (["coverage-radius", "--r-max", "inf"], "--r-max"),
+            (["optimize-altitude", "--r-edge", "nan"], "--r-edge"),
+            (["optimize-altitude", "--h-max", "inf"], "--h-max"),
+            (["scenario", "--area-side", "nan"], "--area-side"),
+            (["scenario", "--uav-h", "nan"], "--uav-h"),
+            # ranges the library checks, the CLI no longer a second time
+            (["sweep-pathloss", "--r0=-1"], "--r0"),
+            (["sweep-coverage", "--step", "0"], "--step"),
+            (["sweep-coverage", "--start", "200", "--stop", "100"], "--start"),
+            (["sweep-plos", "--start", "0"], "--start"),
+            (["sweep-plos", "--stop", "95"], "--stop"),
+            (["sweep-coverage", "--axis", "distance", "--start=-1"], "--start"),
+            (["sweep-coverage", "--axis", "altitude", "--start", "0"], "--start"),
+            (["sweep-plos", "--sigma-los", "0"], "--sigma-los"),
+            (["sweep-coverage", "--sigma-nlos=-1"], "--sigma-nlos"),
+            (["sweep-plos", "--f-c=-1"], "--f-c"),
+            (["scenario", "--bandwidth", "0"], "--bandwidth"),
+            (["optimize-altitude", "--r-edge=-1"], "--r-edge"),
+            (["optimize-altitude", "--h-min", "0"], "--h-min"),
+            (["optimize-altitude", "--h-min", "500", "--h-max", "100"], "--h-max"),
+            (["optimize-altitude", "--steps", "1"], "--steps"),
+            (["coverage-radius", "--h", "0"], "--h"),
+            (["coverage-radius", "--target", "1.5"], "--target"),
+            (["coverage-radius", "--r-max=-1"], "--r-max"),
+            (["coverage-radius", "--resolution", "0"], "--resolution"),
+            (["scenario", "--n-users", "0"], "--n-users"),
+            (["scenario", "--n-draws", "0"], "--n-draws"),
+            (["scenario", "--area-side", "0"], "--area-side"),
+            (["scenario", "--uav-h", "0"], "--uav-h"),
         ],
     )
     def test_library_refusals_exit_2_name_flag(self, tmp_path, capsys, argv, flag):
@@ -386,6 +430,35 @@ class TestCommands:
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
                         "--seed", "5", "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
         assert sorted(calls) == [5 + 1_000_003 * cell for cell in range(6)]
+
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100_000, 2, 2),  # capped at the usable CPUs
+        (3, 8, 3),
+        (100_000, 64, 6),  # capped at the 2 x 3 cells
+        (1, 8, None),  # one worker runs the cells without a pool
+    ])
+    def test_mc_pool_size_is_bounded(self, tmp_path, monkeypatch, workers, cpus, size):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
+                        "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
+                        "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
+        assert sizes == ([] if size is None else [size])
 
     def test_paper_literal_mode_flag(self, tmp_path):
         a, b = tmp_path / "std.csv", tmp_path / "lit.csv"

@@ -16,6 +16,7 @@ from uavcov.coverage import (
 )
 from uavcov.errors import DomainError, InvalidSpecError
 from uavcov.scenario import (
+    MAX_USERS,
     ScenarioSpec,
     UserColumns,
     UserRecord,
@@ -132,12 +133,6 @@ class TestEvaluateScenario:
         assert a.records == b.records
         assert a.summary == b.summary
 
-    def test_worker_count_does_not_change_outputs(self):
-        a = evaluate_scenario(make_spec(), workers=1)
-        b = evaluate_scenario(make_spec(), workers=4)
-        assert a.records == b.records
-        assert a.summary == b.summary
-
     def test_summary_aggregates(self):
         result = evaluate_scenario(make_spec())
         p_cov = [rec.p_cov for rec in result.records]
@@ -189,6 +184,18 @@ class TestEvaluateScenario:
             make_spec(uav_h_m=-10.0)
         with pytest.raises(InvalidSpecError):
             make_spec(area_shape="triangle")
+
+    def test_user_cap_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpecError) as info:
+                make_spec(n_users=MAX_USERS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == "n_users"
+        assert peak < 1 << 20
+        assert make_spec(n_users=MAX_USERS).n_users == MAX_USERS
 
     @pytest.mark.parametrize("field", ["uav_x_m", "uav_y_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
