@@ -106,6 +106,16 @@ def elevation_angle_deg(geom: LinkGeometry) -> float:
     return math.degrees(math.atan2(geom.h_m, geom.r0_m))
 
 
+def _los_sigmoid(theta, env: EnvironmentProfile):
+    # far below the knee exp overflows to inf, and 1 / (1 + a*inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
+
+
+def _fspl(f_c_hz, d_m):
+    return 20.0 * np.log10(4.0 * np.pi * f_c_hz * d_m / SPEED_OF_LIGHT)
+
+
 def _check_theta(theta_deg) -> np.ndarray:
     theta = np.asarray(theta_deg, dtype=float)
     if not np.all(np.isfinite(theta)) or np.any(theta < 0.0) or np.any(theta > 90.0):
@@ -119,8 +129,7 @@ def p_los(theta_deg, env: EnvironmentProfile):
     Sigmoid 1 / (1 + a*exp(-b*(theta - a))), strictly increasing in the angle:
     the steeper the look angle, the fewer obstructions cut the direct ray.
     """
-    theta = _check_theta(theta_deg)
-    out = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
+    out = _los_sigmoid(_check_theta(theta_deg), env)
     return float(out) if np.isscalar(theta_deg) else out
 
 
@@ -137,22 +146,22 @@ def fspl_db(f_c_hz, d_m):
         raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}")
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise DomainError(f"distance must be positive and finite, got {d_m!r}")
-    out = 20.0 * np.log10(4.0 * np.pi * f * d / SPEED_OF_LIGHT)
+    out = _fspl(f, d)
     return float(out) if np.isscalar(f_c_hz) and np.isscalar(d_m) else out
 
 
 def _path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
-    """LoS probability, free-space loss and mean path loss over parallel (r0, h) arrays.
+    """Elevation angle, LoS probability, FSPL and mean path loss over parallel (r0, h) arrays.
 
-    The one evaluation of the channel formula behind both the coverage kernel
-    and :func:`mean_path_loss_db`; no validation.
+    The one evaluation of the channel formula behind the coverage kernel, the
+    Monte Carlo estimator and :func:`mean_path_loss_db`; no validation.
     """
     r0 = np.asarray(r0_m, dtype=float)
     h = np.asarray(h_m, dtype=float)
     theta = np.degrees(np.arctan2(h, r0))
-    pl = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
-    fspl = 20.0 * np.log10(4.0 * np.pi * f_c_hz * np.hypot(r0, h) / SPEED_OF_LIGHT)
-    return pl, fspl, fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
+    pl = _los_sigmoid(theta, env)
+    fspl = _fspl(f_c_hz, np.hypot(r0, h))
+    return theta, pl, fspl, fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
 
 
 def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float) -> float:
@@ -163,4 +172,4 @@ def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float
     if not (np.isscalar(f_c_hz) and math.isfinite(f_c_hz) and f_c_hz > 0):
         raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}",
                           field="f_c_hz")
-    return float(_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz)[2])
+    return float(_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz)[-1])

@@ -11,11 +11,12 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
 from .coverage import FormulationMode, RadioConfig, coverage_monte_carlo
+from .errors import InvalidSpecError
 from .planner import (
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -44,6 +45,9 @@ _AXIS_GRID = {
 _AXIS_COLUMN = {"angle": "angle_deg", "distance": "distance_m", "altitude": "altitude_m"}
 _DEFAULT_AXIS = {"sweep-plos": "angle", "sweep-pathloss": "distance", "sweep-coverage": "distance"}
 _SWEEP_METRIC = {"sweep-plos": "p_los", "sweep-pathloss": "mean_pl_db", "sweep-coverage": "p_cov"}
+# the most Monte Carlo draws of one sweep, checked before any cell is drawn; at the
+# ~26 ns per draw measured with two worker threads (2 vCPU) a run at the cap takes ~110 s
+MAX_MC_DRAWS = 1 << 32
 
 _RADIO_FLAGS = {
     "f_c_hz": ("--f-c", "carrier frequency, Hz"),
@@ -71,6 +75,8 @@ _FIELD_FLAGS = {
     # ScenarioSpec
     "n_users": "--n-users", "n_draws": "--n-draws", "area_side_m": "--area-side",
     "uav_x_m": "--uav-x", "uav_y_m": "--uav-y", "uav_h_m": "--uav-h",
+    # the Monte Carlo draw cap of _sweep_table
+    "mc_samples": "--mc-samples",
 }
 
 _CONFIG_SECTIONS = {
@@ -420,10 +426,8 @@ def _sweep_table(config: RunConfig) -> OutputTable:
     metric = _SWEEP_METRIC[config.command]
     header = [_AXIS_COLUMN[params["axis"]]] + [f"{metric}[{name}]"
                                                for name in result.environment_names]
-    rows = [
-        (row.axis_value, *(getattr(cell, metric) for cell in row.cells))
-        for row in result.rows
-    ]
+    columns = [result.axis_values.tolist(),
+               *(getattr(cols, metric).tolist() for cols in result.columns)]
 
     notes = []
     if params["axis"] == "angle":
@@ -437,6 +441,9 @@ def _sweep_table(config: RunConfig) -> OutputTable:
         values, grid_r0, grid_h = sweep_grid(spec)
         n_rows = len(values)
         n_cells = len(envs) * n_rows
+        if n_cells * mc_samples > MAX_MC_DRAWS:
+            raise InvalidSpecError(f"{n_cells} cells x {mc_samples} samples exceeds "
+                                   f"{MAX_MC_DRAWS} draws", field="mc_samples")
 
         def estimate(cell: int):
             j, i = divmod(cell, n_rows)  # environment j, row i
@@ -454,20 +461,17 @@ def _sweep_table(config: RunConfig) -> OutputTable:
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 estimates = list(pool.map(estimate, range(n_cells)))
-        for name in result.environment_names:
+        for j, name in enumerate(result.environment_names):
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]
-        rows = [
-            # estimates[i::n_rows] holds row i of every environment, in order
-            row + tuple(value for mc in estimates[i::n_rows]
-                        for value in (mc.estimate, mc.std_error))
-            for i, row in enumerate(rows)
-        ]
+            cells = estimates[j * n_rows:(j + 1) * n_rows]
+            columns += [[mc.estimate for mc in cells], [mc.std_error for mc in cells]]
         notes.append(
             f"Monte Carlo columns use {mc_samples} draws per point; per-point seeds "
             "derive from the base seed, the environment index, and the row index"
         )
 
-    return OutputTable(header=header, rows=rows, metadata={"params": params, "notes": notes})
+    return OutputTable(header=header, rows=list(zip(*columns)),
+                       metadata={"params": params, "notes": notes})
 
 
 def _optimize_table(config: RunConfig) -> OutputTable:
@@ -511,33 +515,17 @@ def _radius_table(config: RunConfig) -> OutputTable:
 
 def _scenario_table(config: RunConfig) -> OutputTable:
     params = config.params
-    spec = ScenarioSpec(
-        n_users=params["n_users"],
-        env=EnvironmentProfile(**params["environments"][0]),
-        radio=RadioConfig(**params["radio"]),
-        seed=params["seed"],
-        area_side_m=params["area_side_m"],
-        area_shape=params["area_shape"],
-        uav_x_m=params["uav_x_m"],
-        uav_y_m=params["uav_y_m"],
-        uav_h_m=params["uav_h_m"],
-        n_draws=params["n_draws"],
-        mode=params["mode"],
-    )
+    spec = ScenarioSpec(env=EnvironmentProfile(**params["environments"][0]),
+                        radio=RadioConfig(**params["radio"]),
+                        **{f.name: params[f.name] for f in fields(ScenarioSpec)
+                           if f.name not in ("env", "radio")})
     result = evaluate_scenario(spec)
     # one column per UserRecord field, in field order
     columns = result.records.columns
     header = list(columns)
     rows = list(zip(*(col.tolist() for col in columns.values())))
-    summary = {
-        "mean_p_cov": result.summary.mean_p_cov,
-        "covered_fraction_draws": list(result.summary.covered_fraction_draws),
-        "sum_rate_bps": result.summary.sum_rate_bps,
-        "total_power_w": result.summary.total_power_w,
-        "energy_efficiency_bpj": result.summary.energy_efficiency_bpj,
-    }
     return OutputTable(header=header, rows=rows,
-                       metadata={"params": params, "summary": summary})
+                       metadata={"params": params, "summary": asdict(result.summary)})
 
 
 def _env_listing() -> str:

@@ -9,21 +9,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
-from .channel import (
-    EnvironmentProfile,
-    LinkGeometry,
-    _path_loss_arrays,
-    elevation_angle_deg,
-    fspl_db,
-    p_los,
-    slant_distance,
-)
+from .channel import EnvironmentProfile, LinkGeometry, _path_loss_arrays
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -100,6 +93,24 @@ class CoverageBreakdown:
     p_cov: float
 
 
+class CoverageColumns(NamedTuple):
+    """The coverage model over parallel (r0, h) arrays, one named array per quantity."""
+
+    theta_deg: np.ndarray
+    p_los: np.ndarray
+    fspl_db: np.ndarray
+    mean_pl_db: np.ndarray
+    deficit_los: np.ndarray
+    deficit_nlos: np.ndarray
+    q_los: np.ndarray
+    q_nlos: np.ndarray
+    p_cov: np.ndarray
+
+    @property
+    def p_nlos(self) -> np.ndarray:
+        return 1.0 - self.p_los
+
+
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     estimate: float
@@ -128,36 +139,29 @@ def branch_argument(
     """
     if not (math.isfinite(sigma_db) and sigma_db > 0):
         raise DomainError(f"shadowing deviation must be > 0, got {sigma_db}")
-    mode = FormulationMode(mode)
-    # same association as the vectorized coverage path, so breakdown deficits
-    # match this function bit for bit
-    numerator = (radio.p_min_dbm - radio.p_tx_dbm - radio.g_db) + path_loss_db + mu_db
+    return _deficit(radio, path_loss_db, mu_db, sigma_db, FormulationMode(mode))
+
+
+def _deficit(radio: RadioConfig, loss, mu: float, sigma: float, mode: FormulationMode):
+    numerator = (radio.p_min_dbm - radio.p_tx_dbm - radio.g_db) + loss + mu
     if mode is FormulationMode.PAPER_LITERAL:
-        return numerator / (sigma_db * sigma_db)
-    return numerator / sigma_db
+        return numerator / (sigma * sigma)
+    return numerator / sigma
 
 
 def _coverage_arrays(r0_m, h_m, env: EnvironmentProfile, radio: RadioConfig,
-                     mode: FormulationMode):
-    """Vectorized coverage evaluation over parallel (r0, h) arrays.
-
-    Returns (p_los, p_nlos, fspl, mean_pl, a, b, q_los, q_nlos, p_cov).
-    """
-    pl, fspl, mean_pl = _path_loss_arrays(r0_m, h_m, env, radio.f_c_hz)
-    pn = 1.0 - pl
-    budget = radio.p_min_dbm - radio.p_tx_dbm - radio.g_db
-    if mode is FormulationMode.PAPER_LITERAL:
-        a = (budget + mean_pl + env.mu_los_db) / (env.sigma_los_db * env.sigma_los_db)
-        b = (budget + mean_pl + env.mu_nlos_db) / (env.sigma_nlos_db * env.sigma_nlos_db)
-    else:
-        a = (budget + fspl + env.mu_los_db) / env.sigma_los_db
-        b = (budget + fspl + env.mu_nlos_db) / env.sigma_nlos_db
-    q_los = 0.5 * special.erfc(a / _SQRT2)
-    q_nlos = 0.5 * special.erfc(b / _SQRT2)
-    # q_nlos + pl*(q_los - q_nlos) == pl*q_los + pn*q_nlos, but collapses
+                     mode: FormulationMode) -> CoverageColumns:
+    """Vectorized coverage evaluation over parallel (r0, h) arrays."""
+    theta, pl, fspl, mean_pl = _path_loss_arrays(r0_m, h_m, env, radio.f_c_hz)
+    loss = mean_pl if mode is FormulationMode.PAPER_LITERAL else fspl
+    a = _deficit(radio, loss, env.mu_los_db, env.sigma_los_db, mode)
+    b = _deficit(radio, loss, env.mu_nlos_db, env.sigma_nlos_db, mode)
+    q_los = q_function(a)
+    q_nlos = q_function(b)
+    # q_nlos + pl*(q_los - q_nlos) == pl*q_los + (1 - pl)*q_nlos, but collapses
     # bit-exactly to the common tail when both branches coincide
     p_cov = q_nlos + pl * (q_los - q_nlos)
-    return pl, pn, fspl, mean_pl, a, b, q_los, q_nlos, p_cov
+    return CoverageColumns(theta, pl, fspl, mean_pl, a, b, q_los, q_nlos, p_cov)
 
 
 def coverage_probability(
@@ -167,20 +171,9 @@ def coverage_probability(
     mode: FormulationMode | str = FormulationMode.STANDARD,
 ) -> CoverageBreakdown:
     """Probability that received power meets the threshold, with full breakdown."""
-    mode = FormulationMode(mode)
-    pl, pn, fspl, _, a, b, q_l, q_n, p_cov = _coverage_arrays(
-        geom.r0_m, geom.h_m, env, radio, mode
-    )
-    return CoverageBreakdown(
-        p_los=float(pl),
-        p_nlos=float(pn),
-        fspl_db=float(fspl),
-        deficit_los=float(a),
-        deficit_nlos=float(b),
-        q_los=float(q_l),
-        q_nlos=float(q_n),
-        p_cov=float(p_cov),
-    )
+    cols = _coverage_arrays(geom.r0_m, geom.h_m, env, radio, FormulationMode(mode))
+    return CoverageBreakdown(**{f.name: float(getattr(cols, f.name))
+                                for f in fields(CoverageBreakdown)})
 
 
 def _double_key(x: float) -> int:
@@ -248,10 +241,10 @@ def coverage_monte_carlo(
         raise DomainError(f"need at least one sample, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
-    pl = p_los(elevation_angle_deg(geom), env)
-    fspl = fspl_db(radio.f_c_hz, slant_distance(geom))
+    # the same p_los and free-space loss bits as the analytic kernel's columns
+    _, pl, fspl, _ = _path_loss_arrays(geom.r0_m, geom.h_m, env, radio.f_c_hz)
     # covered iff excess loss X <= link margin
-    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    margin = float(received_power_dbm(radio, fspl) - radio.p_min_dbm)
     # X = mu + sigma*z <= margin  <=>  z <= z*, exactly, per class
     z_los = _z_threshold(env.mu_los_db, env.sigma_los_db, margin)
     z_nlos = _z_threshold(env.mu_nlos_db, env.sigma_nlos_db, margin)

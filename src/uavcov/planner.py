@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EnvironmentProfile, LinkGeometry
-from .coverage import FormulationMode, RadioConfig, _coverage_arrays
+from .coverage import CoverageColumns, FormulationMode, RadioConfig, _coverage_arrays
 from .errors import InvalidRangeError, InvalidSpecError
 
 AXIS_ELEVATION = "elevation-angle-deg"
@@ -68,15 +68,27 @@ class SweepRow:
     cells: tuple[SweepCell, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep as columns; ``rows`` builds the row objects from them on each access."""
+
     axis: str
     environment_names: tuple[str, ...]
-    rows: tuple[SweepRow, ...] = field(repr=False)
+    axis_values: np.ndarray = field(repr=False)
+    columns: tuple[CoverageColumns, ...] = field(repr=False)
 
     @property
-    def axis_values(self) -> list[float]:
-        return [row.axis_value for row in self.rows]
+    def rows(self) -> tuple[SweepRow, ...]:
+        cells = (zip(c.p_los.tolist(), c.p_nlos.tolist(), c.mean_pl_db.tolist(),
+                     c.p_cov.tolist()) for c in self.columns)
+        return tuple(SweepRow(value, tuple(SweepCell(*cell) for cell in row))
+                     for value, *row in zip(self.axis_values.tolist(), *cells))
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return ((self.axis, self.environment_names, self.rows)
+                == (other.axis, other.environment_names, other.rows))
 
 
 def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
@@ -129,27 +141,12 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate LoS probability, mean path loss, and coverage on the grid."""
     values, r0, h = sweep_grid(spec)
-    columns = []
-    for env in spec.environments:
-        pl, pn, _, mean_pl, _, _, _, _, p_cov = _coverage_arrays(
-            r0, h, env, spec.radio, spec.mode
-        )
-        columns.append((pl, pn, mean_pl, p_cov))
-
-    rows = tuple(
-        SweepRow(
-            axis_value=float(values[i]),
-            cells=tuple(
-                SweepCell(float(pl[i]), float(pn[i]), float(mean_pl[i]), float(p_cov[i]))
-                for pl, pn, mean_pl, p_cov in columns
-            ),
-        )
-        for i in range(len(values))
-    )
     return SweepResult(
         axis=spec.axis,
         environment_names=tuple(env.name for env in spec.environments),
-        rows=rows,
+        axis_values=values,
+        columns=tuple(_coverage_arrays(r0, h, env, spec.radio, spec.mode)
+                      for env in spec.environments),
     )
 
 
@@ -187,7 +184,8 @@ def optimal_altitude(
                                 field="r_edge")
     mode = FormulationMode(mode)
     altitudes = np.linspace(h_min, h_max, steps)
-    p_cov = _coverage_arrays(np.full_like(altitudes, r_edge), altitudes, env, radio, mode)[-1]
+    edge = np.full_like(altitudes, r_edge)
+    p_cov = _coverage_arrays(edge, altitudes, env, radio, mode).p_cov
     best = int(np.argmax(p_cov))
     return AltitudeOptimum(h_star_m=float(altitudes[best]), p_cov_star=float(p_cov[best]))
 
@@ -219,6 +217,6 @@ def max_coverage_radius(
                                 field="r_max_scan")
     mode = FormulationMode(mode)
     radii = _grid(0.0, r_max_scan, resolution, "resolution")
-    p_cov = _coverage_arrays(radii, np.full_like(radii, h), env, radio, mode)[-1]
+    p_cov = _coverage_arrays(radii, np.full_like(radii, h), env, radio, mode).p_cov
     qualifying = radii[p_cov >= target]
     return float(qualifying[-1]) if qualifying.size else 0.0

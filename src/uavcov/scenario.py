@@ -18,7 +18,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel import EnvironmentProfile
-from .coverage import FormulationMode, RadioConfig, _coverage_arrays, noise_power_dbm
+from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, noise_power_dbm,
+                       received_power_dbm)
 from .errors import DomainError, InvalidSpecError
 
 AREA_SHAPES = ("square", "disk")
@@ -32,6 +33,10 @@ SHADOWING_BLOCK_ELEMENTS = 1 << 18
 # CLI scenario run written to a file peaked at ~0.76 KB of RSS per user (10^5 to
 # 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 3.2 GB
 MAX_USERS = 1 << 22
+
+# the most user-draws one scenario may shadow, checked first; at the ~37 ns per
+# user-draw measured for shadowing (numpy 2.4, x86-64) a run at the cap takes ~160 s
+MAX_USER_DRAWS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,9 @@ class ScenarioSpec:
         if self.n_draws < 1:
             raise InvalidSpecError(f"need at least one shadowing draw, got {self.n_draws}",
                                    field="n_draws")
+        if self.n_users * self.n_draws > MAX_USER_DRAWS:
+            raise InvalidSpecError(f"{self.n_users} users x {self.n_draws} draws exceeds "
+                                   f"{MAX_USER_DRAWS} user-draws", field="n_draws")
         if not 0.0 < self.area_side_m < math.inf:
             raise InvalidSpecError(f"area side must be finite and > 0, got {self.area_side_m}",
                                    field="area_side_m")
@@ -192,14 +200,13 @@ def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square")
 def _link_arrays(positions, uav, env, radio, mode):
     x, y = positions[:, 0], positions[:, 1]
     r0 = np.hypot(x - uav[0], y - uav[1])
-    h = np.full_like(r0, uav[2])
-    theta = np.degrees(np.arctan2(h, r0))
-    pl, _, fspl, mean_pl, _, _, _, _, p_cov = _coverage_arrays(r0, h, env, radio, mode)
-    snr_db = (radio.p_tx_dbm + radio.g_db - mean_pl) - noise_power_dbm(radio)
+    cols = _coverage_arrays(r0, np.full_like(r0, uav[2]), env, radio, mode)
+    snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
     rate = radio.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
     return {
-        "x_m": x, "y_m": y, "r0_m": r0, "theta_deg": theta, "p_los": pl, "fspl_db": fspl,
-        "mean_pl_db": mean_pl, "p_cov": p_cov, "snr_db": snr_db, "rate_bps": rate,
+        "x_m": x, "y_m": y, "r0_m": r0, "theta_deg": cols.theta_deg, "p_los": cols.p_los,
+        "fspl_db": cols.fspl_db, "mean_pl_db": cols.mean_pl_db, "p_cov": cols.p_cov,
+        "snr_db": snr_db, "rate_bps": rate,
     }
 
 
@@ -247,7 +254,7 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
     uniforms = np.random.Generator(uniform_bits)
     normals = np.random.Generator(normal_bits)
 
-    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+    margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
     rows = max(1, SHADOWING_BLOCK_ELEMENTS // spec.n_users)
     fractions = []
     for first in range(0, spec.n_draws, rows):

@@ -1,0 +1,85 @@
+"""The package surface that the benchmark's tracer (perfbench/tracer.py) relies on.
+
+The tracer wraps functions under the names their calling modules bind, so a
+wrapper set on ``cli`` or on ``planner``/``scenario`` sees every call, and it
+reads a few result shapes. A rename or a changed shape here breaks the
+benchmark while every other test still passes.
+"""
+
+import numpy as np
+import pytest
+
+from uavcov import cli, coverage, planner, reporting, scenario
+from uavcov.channel import URBAN, LinkGeometry
+from uavcov.coverage import FormulationMode, RadioConfig
+from uavcov.planner import AXIS_DISTANCE, SweepSpec
+
+CLI_BINDINGS = {
+    "run_sweep": planner,
+    "sweep_grid": planner,
+    "optimal_altitude": planner,
+    "max_coverage_radius": planner,
+    "coverage_monte_carlo": coverage,
+    "evaluate_scenario": scenario,
+    "emit_table": reporting,
+    "render_csv": reporting,
+}
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BINDINGS))
+def test_cli_binds_the_traced_functions(name):
+    assert getattr(cli, name) is getattr(CLI_BINDINGS[name], name)
+
+
+@pytest.mark.parametrize("module", [planner, scenario], ids=lambda m: m.__name__)
+def test_kernel_bindings_return_p_cov_last(module):
+    result = module._coverage_arrays(np.array([0.0, 50.0, 300.0]), np.full(3, 100.0), URBAN,
+                                     RadioConfig(), FormulationMode.STANDARD)
+    assert result[-1] is result.p_cov
+    assert result[-1].size == 3
+
+
+def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):
+    planner_kernel = counting(monkeypatch, planner, "_coverage_arrays")
+    scenario_kernel = counting(monkeypatch, scenario, "_coverage_arrays")
+    cells = counting(monkeypatch, cli, "coverage_monte_carlo")
+    sweeps = counting(monkeypatch, cli, "run_sweep")
+    out = str(tmp_path / "out.csv")
+    assert cli.main(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start", "15",
+                     "--stop", "35", "--step", "10", "--mc-samples", "10", "--out", out]) == 0
+    assert len(sweeps) == 1 and len(planner_kernel) == 2 and len(cells) == 6
+    assert len(sweeps[0].rows) * len(sweeps[0].environment_names) == 6
+    assert cli.main(["optimize-altitude", "--env", "urban", "--steps", "20", "--out", out]) == 0
+    assert cli.main(["coverage-radius", "--env", "urban", "--out", out]) == 0
+    assert len(planner_kernel) == 4
+    assert cli.main(["scenario", "--n-users", "30", "--n-draws", "2", "--out", out]) == 0
+    assert len(scenario_kernel) == 1 and scenario_kernel[0][-1].size == 30
+
+
+def test_len_of_sweep_rows():
+    spec = SweepSpec(AXIS_DISTANCE, 15.0, 500.0, 5.0, environments=(URBAN,),
+                     baseline=LinkGeometry(200.0, 100.0), radio=RadioConfig())
+    assert len(planner.run_sweep(spec).rows) == 98
+
+
+def test_workers_keyword_still_accepted():
+    geom, radio = LinkGeometry(200.0, 100.0), RadioConfig()
+    assert (coverage.coverage_monte_carlo(geom, URBAN, radio, n_samples=100, seed=1, workers=2)
+            == coverage.coverage_monte_carlo(geom, URBAN, radio, n_samples=100, seed=1))
+    positions = scenario.generate_users(10, 100.0, seed=1)
+    assert (scenario.evaluate_links(positions, (50.0, 50.0, 100.0), URBAN, radio,
+                                    FormulationMode.STANDARD, workers=2)
+            == scenario.evaluate_links(positions, (50.0, 50.0, 100.0), URBAN, radio))

@@ -6,6 +6,7 @@ the tests never depend on the code path they check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestLosProbability:
             with pytest.raises(DomainError):
                 p_nlos(bad, URBAN)
 
+    def test_exact_zero_far_below_the_knee_without_warning(self):
+        # exp overflows to inf below ~24.5 degrees here; 1 / (1 + a*inf) is exactly 0
+        steep = EnvironmentProfile("steep", a=60.0, b=20.0, mu_los_db=1.0, mu_nlos_db=20.0)
+        theta = np.arange(0.0, 90.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pl = p_los(theta, steep)
+            assert p_los(0.0, steep) == 0.0 and p_nlos(0.0, steep) == 1.0
+            mean_pl = mean_path_loss_db(LinkGeometry(1e4, 1.0), steep, 2e9)
+        assert np.all(pl[theta < 24.5] == 0.0) and np.all(pl[theta >= 25.0] > 0.0)
+        assert pl[-1] == 1.0
+        assert mean_pl == fspl_db(2e9, math.hypot(1e4, 1.0)) + 20.0
+
     def test_complement_identity_on_grid(self):
         theta = np.arange(0.0, 90.5, 0.5)
         for env in BUILTIN_ENVIRONMENTS.values():
@@ -263,7 +277,8 @@ class TestMeanPathLoss:
         for env in BUILTIN_ENVIRONMENTS.values():
             for r0 in (0.0, 15.0, 200.0, 1234.5):
                 for h in (1.0, 100.0, 750.0):
-                    kernel = _coverage_arrays(r0, h, env, radio, FormulationMode.STANDARD)[3]
+                    kernel = _coverage_arrays(r0, h, env, radio,
+                                              FormulationMode.STANDARD).mean_pl_db
                     assert mean_path_loss_db(LinkGeometry(r0, h), env, 2.4e9) == float(kernel)
 
     def test_continuous_in_r0(self):

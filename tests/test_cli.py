@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import uavcov
 from uavcov import cli, reporting
 from uavcov.reporting import OutputTable, emit_table, render_csv
-from uavcov.scenario import MAX_USERS
+from uavcov.scenario import MAX_USER_DRAWS, MAX_USERS
 
 
 def run_cli(argv):
@@ -212,6 +214,42 @@ class TestParseArgs:
         cfg.write_text(json.dumps({"sweeep": {"start": 1}}))
         assert run_cli(["sweep-plos", "--config", str(cfg)]) == 2
         assert "sweeep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["scenario", "--n-users", "65536", "--n-draws", "65537"], "--n-draws"),
+            (["scenario", "--n-users", "1", "--n-draws", str(MAX_USER_DRAWS + 1)], "--n-draws"),
+            (["scenario", "--n-users", "1", "--n-draws", "100000000000"], "--n-draws"),
+            (["sweep-coverage", "--env", "urban", "--start", "15", "--stop", "15", "--step", "1",
+              "--mc-samples", str(cli.MAX_MC_DRAWS + 1)], "--mc-samples"),
+            # the default distance grid: 4 environments x 98 rows = 392 cells
+            (["sweep-coverage", "--mc-samples", str(cli.MAX_MC_DRAWS // 392 + 1)],
+             "--mc-samples"),
+            (["sweep-coverage", "--env", "urban", "--step", "200",
+              "--mc-samples", "100000000000000"], "--mc-samples"),
+        ],
+    )
+    def test_work_cap_refused_before_any_work(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(argv + ["--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err and "Traceback" not in err
+        assert not out.exists()
+        assert peak < 1 << 20
+
+    def test_mc_draw_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_MC_DRAWS", 20)
+        argv = ["sweep-coverage", "--env", "urban", "--start", "15", "--stop", "25",
+                "--step", "10", "--out", tmp_path / "out.csv", "--mc-samples"]
+        assert run_cli(argv + ["10"]) == 0
+        assert run_cli(argv + ["11"]) == 2
 
     def test_custom_environment_object(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -459,6 +497,21 @@ class TestCommands:
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
                         "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
         assert sizes == ([] if size is None else [size])
+
+    def test_steep_sigmoid_sweeps_without_warning(self, tmp_path, capsys):
+        cfg, out = tmp_path / "steep.json", tmp_path / "plos.csv"
+        cfg.write_text(json.dumps({"environment": {"name": "steep", "a": 60, "b": 20,
+                                                   "mu_los_db": 1, "mu_nlos_db": 20}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["sweep-plos", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, header, rows = read_csv(out)
+        assert header == ["angle_deg", "p_los[steep]"]
+        values = {float(angle): float(p) for angle, p in rows}
+        assert all(p == 0.0 for angle, p in values.items() if angle < 24.5)
+        assert all(p > 0.0 for angle, p in values.items() if angle >= 25.0)
+        assert values[90.0] == 1.0
 
     def test_paper_literal_mode_flag(self, tmp_path):
         a, b = tmp_path / "std.csv", tmp_path / "lit.csv"

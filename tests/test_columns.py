@@ -1,0 +1,197 @@
+"""The named coverage kernel: every result path reads the same bits from its columns.
+
+``_coverage_arrays`` returns one ``CoverageColumns`` array per model quantity.
+``coverage_probability``, ``run_sweep``, ``evaluate_links`` and the Monte Carlo
+estimator must show exactly those bits, so the comparisons here are on the
+raw bytes of the doubles, not on values within a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from uavcov import coverage, planner, scenario
+from uavcov.channel import (
+    BUILTIN_ENVIRONMENTS,
+    URBAN,
+    LinkGeometry,
+    _path_loss_arrays,
+    mean_path_loss_db,
+    p_nlos,
+)
+from uavcov.coverage import (
+    _MC_CHUNK,
+    CoverageBreakdown,
+    CoverageColumns,
+    FormulationMode,
+    RadioConfig,
+    _coverage_arrays,
+    coverage_monte_carlo,
+    coverage_probability,
+    noise_power_dbm,
+    received_power_dbm,
+)
+from uavcov.planner import (
+    AXES,
+    AXIS_ALTITUDE,
+    AXIS_DISTANCE,
+    AXIS_ELEVATION,
+    SweepCell,
+    SweepRow,
+    SweepSpec,
+    run_sweep,
+    sweep_grid,
+)
+from uavcov.scenario import evaluate_links, generate_users
+
+ENVS = tuple(BUILTIN_ENVIRONMENTS.values())
+MODES = tuple(FormulationMode)
+RADIO = RadioConfig(f_c_hz=2.4e9, p_min_dbm=-75.0)
+R0 = np.array([0.0, 1.0, 15.0, 200.0, 1234.5, 5000.0, 1e-300])
+H = np.array([1.0, 100.0, 100.0, 750.0, 30.0, 2000.0, 50.0])
+FIELDS = ("theta_deg", "p_los", "fspl_db", "mean_pl_db", "deficit_los", "deficit_nlos",
+          "q_los", "q_nlos", "p_cov")
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def sweep_spec(axis, mode=FormulationMode.STANDARD, **overrides):
+    grid = {AXIS_ELEVATION: (0.5, 90.0, 0.5), AXIS_DISTANCE: (0.0, 500.0, 5.0),
+            AXIS_ALTITUDE: (50.0, 2000.0, 7.0)}[axis]
+    return SweepSpec(axis, *grid, environments=ENVS, baseline=LinkGeometry(200.0, 100.0),
+                     radio=overrides.get("radio", RADIO), mode=mode)
+
+
+class TestCoverageColumns:
+    def test_fields_by_name_with_p_cov_last(self):
+        cols = _coverage_arrays(R0, H, URBAN, RADIO, FormulationMode.STANDARD)
+        assert isinstance(cols, CoverageColumns)
+        assert cols._fields == FIELDS
+        assert cols[-1] is cols.p_cov
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
+    def test_p_nlos_is_the_complement_bit_for_bit(self, env, mode):
+        cols = _coverage_arrays(R0, H, env, RADIO, mode)
+        assert bits(cols.p_nlos) == bits(1.0 - cols.p_los)
+        assert bits(cols.p_nlos) == bits(p_nlos(cols.theta_deg, env))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
+    def test_breakdown_and_scalar_kernel_match_the_columns(self, env, mode):
+        cols = _coverage_arrays(R0, H, env, RADIO, mode)
+        for i, (r0, h) in enumerate(zip(R0.tolist(), H.tolist())):
+            point = _coverage_arrays(r0, h, env, RADIO, mode)
+            for name in FIELDS:
+                assert bits(getattr(point, name)) == bits(getattr(cols, name)[i]), name
+            breakdown = coverage_probability(LinkGeometry(r0, h), env, RADIO, mode)
+            for name in CoverageBreakdown.__dataclass_fields__:
+                got = getattr(breakdown, name)
+                assert type(got) is float
+                assert bits(got) == bits(getattr(cols, name)[i]), name
+            assert bits(mean_path_loss_db(LinkGeometry(r0, h), env, RADIO.f_c_hz)) == bits(
+                cols.mean_pl_db[i])
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("axis", AXES)
+    def test_columns_are_the_kernel_on_the_grid(self, axis, mode):
+        spec = sweep_spec(axis, mode)
+        values, r0, h = sweep_grid(spec)
+        result = run_sweep(spec)
+        assert bits(result.axis_values) == bits(values)
+        assert len(result.columns) == len(ENVS)
+        for env, cols in zip(ENVS, result.columns):
+            expect = _coverage_arrays(r0, h, env, RADIO, mode)
+            for name in FIELDS:
+                assert bits(getattr(cols, name)) == bits(getattr(expect, name)), name
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_rows_are_built_from_the_columns(self, axis):
+        result = run_sweep(sweep_spec(axis))
+        rows = result.rows
+        assert type(rows) is tuple and len(rows) == len(result.axis_values)
+        for i, row in enumerate(rows):
+            assert type(row) is SweepRow and type(row.axis_value) is float
+            assert bits(row.axis_value) == bits(result.axis_values[i])
+            assert len(row.cells) == len(result.columns)
+            for cell, cols in zip(row.cells, result.columns):
+                assert type(cell) is SweepCell
+                for name in SweepCell.__dataclass_fields__:
+                    value = getattr(cell, name)
+                    assert type(value) is float
+                    assert bits(value) == bits(getattr(cols, name)[i]), name
+
+    def test_run_sweep_builds_no_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-row object was built")
+
+        monkeypatch.setattr(planner, "SweepRow", refuse)
+        monkeypatch.setattr(planner, "SweepCell", refuse)
+        result = run_sweep(sweep_spec(AXIS_DISTANCE))
+        assert len(result.axis_values) == 101
+        with pytest.raises(AssertionError):
+            result.rows
+
+    def test_equality_compares_values(self):
+        spec = sweep_spec(AXIS_DISTANCE)
+        first, second = run_sweep(spec), run_sweep(spec)
+        assert first is not second and first == second
+        assert first != run_sweep(sweep_spec(AXIS_DISTANCE, radio=RadioConfig()))
+        assert first != run_sweep(sweep_spec(AXIS_ELEVATION))
+        assert first != "not a sweep"
+
+
+class TestLinkColumns:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
+    def test_link_columns_are_the_kernel(self, env, mode):
+        positions = generate_users(400, 1000.0, seed=3)
+        uav = (420.0, 610.0, 120.0)
+        records = evaluate_links(positions, uav, env, RADIO, mode)
+        links = scenario._link_arrays(positions, uav, env, RADIO, mode)
+        r0 = records.columns["r0_m"]
+        cols = _coverage_arrays(r0, np.full_like(r0, uav[2]), env, RADIO, mode)
+        for name in ("theta_deg", "p_los", "mean_pl_db", "p_cov"):
+            assert bits(records.columns[name]) == bits(getattr(cols, name)), name
+        assert bits(links["fspl_db"]) == bits(cols.fspl_db)
+        snr = (RADIO.p_tx_dbm + RADIO.g_db - cols.mean_pl_db) - noise_power_dbm(RADIO)
+        assert bits(records.columns["snr_db"]) == bits(snr)
+
+
+def covered_draws(pl, margin, env, n_samples, seed):
+    """Covered draws of the chunk sampler for a given p_los and link margin."""
+    covered = 0
+    for k in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        size = min(_MC_CHUNK, n_samples - k * _MC_CHUNK)
+        rng = np.random.Generator(np.random.Philox(seed).jumped(k))
+        u = rng.random(size)
+        z = rng.standard_normal(size)
+        x = np.where(u < pl, env.mu_los_db + env.sigma_los_db * z,
+                     env.mu_nlos_db + env.sigma_nlos_db * z)
+        covered += int(np.count_nonzero(x <= margin))
+    return covered
+
+
+class TestMonteCarloColumns:
+    @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
+    def test_matches_a_sampler_fed_from_the_kernel_columns(self, env):
+        radio = RadioConfig(p_min_dbm=-70.0)
+        cols = _coverage_arrays(R0, H, env, radio, FormulationMode.STANDARD)
+        for i, (r0, h) in enumerate(zip(R0.tolist(), H.tolist())):
+            margin = received_power_dbm(radio, cols.fspl_db[i]) - radio.p_min_dbm
+            mc = coverage_monte_carlo(LinkGeometry(r0, h), env, radio, n_samples=5000,
+                                      seed=i)
+            assert mc.estimate == covered_draws(cols.p_los[i], margin, env, 5000, i) / 5000
+
+    @pytest.mark.parametrize("forced_p_los", [0.0, 1.0])
+    def test_p_los_comes_from_the_channel_kernel(self, monkeypatch, forced_p_los):
+        geom, radio = LinkGeometry(200.0, 100.0), RadioConfig(p_min_dbm=-60.0)
+        theta, _, fspl, mean_pl = _path_loss_arrays(geom.r0_m, geom.h_m, URBAN, radio.f_c_hz)
+        monkeypatch.setattr(coverage, "_path_loss_arrays",
+                            lambda *args: (theta, forced_p_los, fspl, mean_pl))
+        mc = coverage_monte_carlo(geom, URBAN, radio, n_samples=20_000, seed=4)
+        margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
+        assert mc.estimate == covered_draws(forced_p_los, margin, URBAN, 20_000, 4) / 20_000

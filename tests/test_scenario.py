@@ -16,6 +16,7 @@ from uavcov.coverage import (
 )
 from uavcov.errors import DomainError, InvalidSpecError
 from uavcov.scenario import (
+    MAX_USER_DRAWS,
     MAX_USERS,
     ScenarioSpec,
     UserColumns,
@@ -196,6 +197,23 @@ class TestEvaluateScenario:
         assert info.value.field == "n_users"
         assert peak < 1 << 20
         assert make_spec(n_users=MAX_USERS).n_users == MAX_USERS
+
+    @pytest.mark.parametrize("n_users, n_draws", [
+        (1, MAX_USER_DRAWS + 1), (1 << 16, (1 << 16) + 1), (MAX_USERS, 1025), (1, 10**11),
+    ])
+    def test_user_draw_cap_refused_without_allocating(self, n_users, n_draws):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpecError) as info:
+                make_spec(n_users=n_users, n_draws=n_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.field == "n_draws"
+        assert peak < 1 << 20
+        # at the cap the spec is accepted; nothing is run
+        assert make_spec(n_users=1 << 16, n_draws=1 << 16).n_draws == 1 << 16
+        assert make_spec(n_users=MAX_USERS, n_draws=1024).n_users == MAX_USERS
 
     @pytest.mark.parametrize("field", ["uav_x_m", "uav_y_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
