@@ -11,8 +11,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
 from .coverage import FormulationMode, RadioConfig, coverage_monte_carlo
@@ -34,7 +35,8 @@ from .reporting import OutputTable, emit_table, format_number, render_csv
 from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
 SWEEP_COMMANDS = ("sweep-plos", "sweep-pathloss", "sweep-coverage")
-COMMANDS = SWEEP_COMMANDS + ("optimize-altitude", "coverage-radius", "scenario", "show-envs")
+_RUN_COMMANDS = SWEEP_COMMANDS + ("optimize-altitude", "coverage-radius", "scenario")
+COMMANDS = _RUN_COMMANDS + ("show-envs",)
 
 _AXIS_TO_PLANNER = {"angle": AXIS_ELEVATION, "distance": AXIS_DISTANCE, "altitude": AXIS_ALTITUDE}
 _AXIS_GRID = {
@@ -45,51 +47,141 @@ _AXIS_GRID = {
 _AXIS_COLUMN = {"angle": "angle_deg", "distance": "distance_m", "altitude": "altitude_m"}
 _DEFAULT_AXIS = {"sweep-plos": "angle", "sweep-pathloss": "distance", "sweep-coverage": "distance"}
 _SWEEP_METRIC = {"sweep-plos": "p_los", "sweep-pathloss": "mean_pl_db", "sweep-coverage": "p_cov"}
+_COMMAND_HELP = {
+    **{command: f"{metric} sweep" for command, metric in _SWEEP_METRIC.items()},
+    "optimize-altitude": "grid-search the best UAV altitude",
+    "coverage-radius": "largest served radius meeting a target",
+    "scenario": "populate an area and evaluate every user",
+    "show-envs": "print the built-in environment parameters",
+}
 # the most Monte Carlo draws of one sweep, checked before any cell is drawn; at the
 # ~26 ns per draw measured with two worker threads (2 vCPU) a run at the cap takes ~110 s
 MAX_MC_DRAWS = 1 << 32
 
-_RADIO_FLAGS = {
-    "f_c_hz": ("--f-c", "carrier frequency, Hz"),
-    "p_tx_dbm": ("--p-tx", "transmit power, dBm"),
-    "g_db": ("--g-db", "antenna gain, dB"),
-    "p_min_dbm": ("--p-min", "receiver threshold, dBm"),
-    "noise_density_dbm_hz": ("--noise-density", "noise density, dBm/Hz"),
-    "bandwidth_hz": ("--bandwidth", "channel bandwidth, Hz"),
-}
-_RADIO_KEYS = tuple(_RADIO_FLAGS)
+_ENV_KEYS = tuple(f.name for f in fields(EnvironmentProfile))
+# the defaults that the library's dataclasses declare
+_ENV_DEFAULTS, _RADIO_DEFAULTS, _SCENARIO_DEFAULTS = (
+    {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    for cls in (EnvironmentProfile, RadioConfig, ScenarioSpec))
 _MODES = tuple(m.value for m in FormulationMode)
-_ENV_KEYS = ("name", "a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db")
+
+
+class _Option(NamedTuple):
+    """One command-line option: the parser, the config schema and the resolution read it."""
+
+    flag: str
+    key: str | None  # params key, "radio.<key>" inside params["radio"]; None: no param
+    kind: object  # float, int or a tuple of choices; str, bool or list: a flag-only option
+    default: object  # a value, or with default_by a mapping keyed by params[default_by]
+    help: str
+    config: str | None = None  # the "section.key" of a config file that may set it
+    field: str | None = None  # the library error field, where it is not the key's last part
+    default_by: str | None = None
+    non_negative: bool = False  # a CLI-only rule; the library takes any integer
+    commands: tuple = _RUN_COMMANDS
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _for(commands: tuple, *options: _Option) -> tuple[_Option, ...]:
+    return tuple(option._replace(commands=commands) for option in options)
+
+
+def _radio(flag: str, key: str, help_text: str) -> _Option:
+    return _Option(flag, f"radio.{key}", float, _RADIO_DEFAULTS[key], help_text, f"radio.{key}")
+
+
+def _scenario(flag: str, key: str, kind, help_text: str, default=None) -> _Option:
+    return _Option(flag, key, kind, _SCENARIO_DEFAULTS.get(key, default), help_text,
+                   f"scenario.{key}", commands=("scenario",))
+
+
+def _per_section(option: _Option) -> tuple[_Option, ...]:
+    # a sweep reads it from section "sweep", a scenario from "scenario", a planner not at all
+    return (*_for(SWEEP_COMMANDS, option._replace(config=f"sweep.{option.key}")),
+            *_for(("optimize-altitude", "coverage-radius"), option),
+            *_for(("scenario",), option._replace(config=f"scenario.{option.key}")))
+
+
+# every command's UAV altitude defaults to the scenario's
+_UAV_H_M = _SCENARIO_DEFAULTS["uav_h_m"]
+# optimize-altitude searches the grid of the default altitude sweep
+_H_MIN, _H_MAX, _H_STEP = DEFAULT_ALTITUDE_SWEEP
+_STARTS, _STOPS, _STEPS = ({axis: grid[i] for axis, grid in _AXIS_GRID.items()} for i in range(3))
+
+# each option once, in the order the parser lists them and values are resolved
+_OPTIONS = (
+    _Option("--config", None, str, None, "JSON config file"),
+    _Option("--out", None, str, None, "output CSV path (default: stdout)"),
+    _Option("--plot", None, bool, False, "also write an SVG chart beside the CSV"),
+    _Option("--workers", None, int, 1, "worker threads; results do not depend on it"),
+    _Option("--env", None, list, None,
+            "environment name, repeatable; 'all' selects every built-in"),
+    _Option("--sigma-los", None, float, None, "override LoS shadowing deviation, dB",
+            field="sigma_los_db"),
+    _Option("--sigma-nlos", None, float, None, "override NLoS shadowing deviation, dB",
+            field="sigma_nlos_db"),
+    _radio("--f-c", "f_c_hz", "carrier frequency, Hz"),
+    _radio("--p-tx", "p_tx_dbm", "transmit power, dBm"),
+    _radio("--g-db", "g_db", "antenna gain, dB"),
+    _radio("--p-min", "p_min_dbm", "receiver threshold, dBm"),
+    _radio("--noise-density", "noise_density_dbm_hz", "noise density, dBm/Hz"),
+    _radio("--bandwidth", "bandwidth_hz", "channel bandwidth, Hz"),
+    *_for(SWEEP_COMMANDS,
+          _Option("--axis", "axis", tuple(_AXIS_GRID), _DEFAULT_AXIS, "sweep axis", "sweep.axis",
+                  default_by="command"),
+          # start, stop and step default to the grid of the resolved axis
+          _Option("--start", "start", float, _STARTS, "grid start", "sweep.start",
+                  default_by="axis"),
+          _Option("--stop", "stop", float, _STOPS, "grid stop", "sweep.stop", default_by="axis"),
+          _Option("--step", "step", float, _STEPS, "grid step", "sweep.step", default_by="axis"),
+          _Option("--h", "baseline_h_m", float, _UAV_H_M, "baseline UAV altitude, m",
+                  "geometry.h_m", "h_m"),
+          _Option("--r0", "baseline_r0_m", float, 200.0, "baseline ground distance, m",
+                  "geometry.r0_m", "r0_m")),
+    *_for(("optimize-altitude",),
+          _Option("--r-edge", "r_edge_m", float, 500.0, "served edge distance, m", None, "r_edge"),
+          _Option("--h-min", "h_min_m", float, _H_MIN, "lowest altitude, m", None, "h_min"),
+          _Option("--h-max", "h_max_m", float, _H_MAX, "highest altitude, m", None, "h_max"),
+          _Option("--steps", "steps", int, round((_H_MAX - _H_MIN) / _H_STEP) + 1, "grid points")),
+    *_for(("coverage-radius",),
+          _Option("--h", "h_m", float, _UAV_H_M, "UAV altitude, m", "geometry.h_m", "h"),
+          _Option("--target", "target", float, 0.9, "coverage target in (0,1)"),
+          _Option("--r-max", "r_max_m", float, 2000.0, "scan limit, m", None, "r_max_scan"),
+          _Option("--resolution", "resolution_m", float, 5.0, "scan step, m", None, "resolution")),
+    _scenario("--n-users", "n_users", int, "user count", 1000),
+    _scenario("--n-draws", "n_draws", int, "shadowing draws"),
+    _scenario("--area-side", "area_side_m", float, "area side, m"),
+    _scenario("--area-shape", "area_shape", AREA_SHAPES, "service area shape"),
+    _scenario("--uav-h", "uav_h_m", float, "UAV altitude, m"),
+    _scenario("--uav-x", "uav_x_m", float, "UAV x, m (default: area centre)"),
+    _scenario("--uav-y", "uav_y_m", float, "UAV y, m (default: area centre)"),
+    *_per_section(_Option("--mode", "mode", _MODES, FormulationMode.STANDARD.value,
+                          "coverage formulation")),
+    *_per_section(_Option("--seed", "seed", int, 0, "seed for stochastic draws",
+                          non_negative=True)),
+    _Option("--mc-samples", "mc_samples", int, 0,
+            "add Monte Carlo columns with this many draws per point", "sweep.mc_samples",
+            non_negative=True, commands=("sweep-coverage",)),
+)
 # field named by a library error -> the flag that sets it; an environment
 # field without a flag of its own is set through --env
-_FIELD_FLAGS = {
-    **dict.fromkeys(_ENV_KEYS, "--env"),
-    "sigma_los_db": "--sigma-los", "sigma_nlos_db": "--sigma-nlos",
-    **{key: flag for key, (flag, _) in _RADIO_FLAGS.items()},
-    # LinkGeometry and sweep_grid
-    "r0_m": "--r0", "h_m": "--h", "start": "--start", "stop": "--stop", "step": "--step",
-    # optimal_altitude
-    "r_edge": "--r-edge", "h_min": "--h-min", "h_max": "--h-max", "steps": "--steps",
-    # max_coverage_radius
-    "h": "--h", "target": "--target", "r_max_scan": "--r-max", "resolution": "--resolution",
-    # ScenarioSpec
-    "n_users": "--n-users", "n_draws": "--n-draws", "area_side_m": "--area-side",
-    "uav_x_m": "--uav-x", "uav_y_m": "--uav-y", "uav_h_m": "--uav-h",
-    # the Monte Carlo draw cap of _sweep_table
-    "mc_samples": "--mc-samples",
-}
+_FIELD_FLAGS = {**dict.fromkeys(_ENV_KEYS, "--env"),
+                **{option.field or option.key.rpartition(".")[2]: option.flag
+                   for option in _OPTIONS if option.field or option.key}}
 
-_CONFIG_SECTIONS = {
-    "radio": set(_RADIO_KEYS),
-    "environment": None,  # string or object, validated separately
-    "environments": None,
-    "geometry": {"r0_m", "h_m"},
-    "sweep": {"axis", "start", "stop", "step", "mode", "seed", "mc_samples"},
-    "scenario": {
-        "n_users", "area_side_m", "area_shape", "uav_x_m", "uav_y_m", "uav_h_m",
-        "n_draws", "seed", "mode",
-    },
-}
+
+def _config_sections() -> dict:
+    # an environment is a name, an object or a list of them, checked by _resolve_environments
+    sections = dict.fromkeys(("environment", "environments"))
+    for section, _, key in (option.config.partition(".") for option in _OPTIONS if option.config):
+        sections.setdefault(section, set()).add(key)
+    return sections
+
+
+_CONFIG_SECTIONS = _config_sections()
 
 
 @dataclass
@@ -116,98 +208,43 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_radio_flags(sub):
-    for key, (flag, help_text) in _RADIO_FLAGS.items():
-        sub.add_argument(flag, dest=key, type=float, help=help_text)
+# argparse keywords per kind; any other kind is a tuple of choices
+_ARGPARSE_KIND = {float: {"type": float}, int: {"type": int}, str: {},
+                  bool: {"action": "store_true"}, list: {"action": "append"}}
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument("--plot", action="store_true", help="also write an SVG chart beside the CSV")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads; results do not depend on it")
-    sub.add_argument("--mode", choices=_MODES,
-                     help="coverage formulation (default standard)")
-    sub.add_argument("--seed", type=int, help="seed for stochastic draws")
-    sub.add_argument("--env", action="append",
-                     help="environment name, repeatable; 'all' selects every built-in")
-    sub.add_argument("--sigma-los", type=float, help="override LoS shadowing deviation, dB")
-    sub.add_argument("--sigma-nlos", type=float, help="override NLoS shadowing deviation, dB")
-    _add_radio_flags(sub)
+def _help(option: _Option, command: str) -> str:
+    # of the defaults that follow another option, only those keyed by the command are known
+    default = option.default.get(command) if option.default_by else option.default
+    if default is None or default is False:
+        return option.help
+    return f"{option.help} (default {format_number(default)})"
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="uavcov",
                      description="UAV-to-ground coverage modelling for disaster deployments")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for command in SWEEP_COMMANDS:
-        sub = subs.add_parser(command, help=f"{_SWEEP_METRIC[command]} sweep")
-        _add_common_flags(sub)
-        sub.add_argument("--axis", choices=["angle", "distance", "altitude"],
-                         help=f"sweep axis (default {_DEFAULT_AXIS[command]})")
-        sub.add_argument("--start", type=float, help="grid start")
-        sub.add_argument("--stop", type=float, help="grid stop")
-        sub.add_argument("--step", type=float, help="grid step")
-        sub.add_argument("--h", type=float, help="baseline UAV altitude, m")
-        sub.add_argument("--r0", type=float, help="baseline ground distance, m")
-        if command == "sweep-coverage":
-            sub.add_argument("--mc-samples", type=int,
-                             help="add Monte Carlo columns with this many draws per point")
-
-    sub = subs.add_parser("optimize-altitude", help="grid-search the best UAV altitude")
-    _add_common_flags(sub)
-    sub.add_argument("--r-edge", type=float, help="served edge distance, m (default 500)")
-    sub.add_argument("--h-min", type=float, help="lowest altitude, m (default 50)")
-    sub.add_argument("--h-max", type=float, help="highest altitude, m (default 2000)")
-    sub.add_argument("--steps", type=int, help="grid points (default 1951)")
-
-    sub = subs.add_parser("coverage-radius", help="largest served radius meeting a target")
-    _add_common_flags(sub)
-    sub.add_argument("--h", type=float, help="UAV altitude, m (default 100)")
-    sub.add_argument("--target", type=float, help="coverage target in (0,1) (default 0.9)")
-    sub.add_argument("--r-max", type=float, help="scan limit, m (default 2000)")
-    sub.add_argument("--resolution", type=float, help="scan step, m (default 5)")
-
-    sub = subs.add_parser("scenario", help="populate an area and evaluate every user")
-    _add_common_flags(sub)
-    sub.add_argument("--n-users", type=int, help="user count (default 1000)")
-    sub.add_argument("--n-draws", type=int, help="shadowing draws (default 100)")
-    sub.add_argument("--area-side", type=float, help="area side, m (default 1000)")
-    sub.add_argument("--area-shape", choices=["square", "disk"], help="service area shape")
-    sub.add_argument("--uav-x", type=float, help="UAV x, m (default: area centre)")
-    sub.add_argument("--uav-y", type=float, help="UAV y, m (default: area centre)")
-    sub.add_argument("--uav-h", type=float, help="UAV altitude, m (default 100)")
-
-    subs.add_parser("show-envs", help="print the built-in environment parameters")
+    for command, help_text in _COMMAND_HELP.items():
+        sub = subs.add_parser(command, help=help_text)
+        for option in _OPTIONS:
+            if command in option.commands:
+                # a parameter's flag left unset falls through to the config file
+                sub.add_argument(option.flag, help=_help(option, command),
+                                 default=None if option.key else option.default,
+                                 **_ARGPARSE_KIND.get(option.kind, {"choices": option.kind}))
     return parser
 
 
-def _pick(*candidates):
-    for value in candidates:
-        if value is not None:
-            return value
-    return None
-
-
-# config-file values arrive as any JSON type; flags arrive already typed
-def _as_int(flag: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(flag, f"must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(flag: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(flag, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_choice(flag: str, value, choices) -> str:
-    if not isinstance(value, str) or value not in choices:
-        _fail(flag, f"must be one of {', '.join(choices)}; got {value!r}")
-    return value
+def _as_kind(flag: str, value, kind):
+    # config-file values arrive as any JSON type; flags arrive already typed
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            _fail(flag, f"must be one of {', '.join(kind)}; got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        _fail(flag, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
 
 
 def _load_config_file(path: str) -> dict:
@@ -239,37 +276,28 @@ def _env_dict_from_name(name: str) -> dict:
         env = builtin_environment(name)
     except KeyError as exc:
         _fail("--env", str(exc))
-    return {key: getattr(env, key if key != "name" else "name") for key in _ENV_KEYS}
+    return asdict(env)
 
 
 def _env_dict_from_object(obj: dict) -> dict:
     for key in obj:
         if key not in _ENV_KEYS:
             _fail("--config", f"unknown environment key {key!r}")
-    missing = [key for key in ("name", "a", "b", "mu_los_db", "mu_nlos_db") if key not in obj]
+    missing = [key for key in _ENV_KEYS if key not in obj and key not in _ENV_DEFAULTS]
     if missing:
         _fail("--config", f"environment object missing keys: {', '.join(missing)}")
     if not isinstance(obj["name"], str):
         _fail("--config", f"environment name must be a string, got {obj['name']!r}")
-    out = dict(obj)
-    out.setdefault("sigma_los_db", 3.0)
-    out.setdefault("sigma_nlos_db", 8.0)
-    return {key: out[key] for key in _ENV_KEYS}
+    return {key: obj.get(key, _ENV_DEFAULTS.get(key)) for key in _ENV_KEYS}
 
 
 def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
     if ns.env:
-        names = []
-        for item in ns.env:
-            if item == "all":
-                names.extend(BUILTIN_ENVIRONMENTS)
-            else:
-                names.append(item)
-        envs = [_env_dict_from_name(name) for name in names]
+        envs = [_env_dict_from_name(name) for item in ns.env
+                for name in (BUILTIN_ENVIRONMENTS if item == "all" else (item,))]
     elif "environment" in file_cfg or "environments" in file_cfg:
-        items = file_cfg.get("environments", None)
-        if items is None:
-            items = [file_cfg["environment"]]
+        items = (file_cfg["environments"] if "environments" in file_cfg
+                 else [file_cfg["environment"]])
         if not isinstance(items, list):
             _fail("--config", "'environments' must be a list")
         if not all(isinstance(item, (str, dict)) for item in items):
@@ -283,33 +311,32 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
     else:
         envs = [_env_dict_from_name(name) for name in BUILTIN_ENVIRONMENTS]
 
+    # the flags that override one field of every environment
+    overrides = {option.field: getattr(ns, option.dest) for option in _OPTIONS
+                 if option.field in _ENV_KEYS and getattr(ns, option.dest) is not None}
     for env in envs:
-        if ns.sigma_los is not None:
-            env["sigma_los_db"] = ns.sigma_los
-        if ns.sigma_nlos is not None:
-            env["sigma_nlos_db"] = ns.sigma_nlos
+        env.update(overrides)
         for key in _ENV_KEYS[1:]:
-            env[key] = _as_float(f"--config: environment {key!r}", env[key])
+            env[key] = _as_kind(f"--config: environment {key!r}", env[key], float)
     if command == "scenario" and len(envs) != 1:
         _fail("--env", f"scenario takes exactly one environment, got {len(envs)}")
     return envs
 
 
-def _resolve_radio(ns, file_cfg: dict) -> dict:
-    file_radio = file_cfg.get("radio", {})
-    defaults = RadioConfig()
-    return {
-        key: _as_float(flag, _pick(getattr(ns, key, None), file_radio.get(key),
-                                   getattr(defaults, key)))
-        for key, (flag, _) in _RADIO_FLAGS.items()
-    }
-
-
-def _resolve_seed(ns, section: dict) -> int:
-    seed = _as_int("--seed", _pick(ns.seed, section.get("seed"), 0))
-    if seed < 0:
-        _fail("--seed", f"must be a non-negative integer, got {seed}")
-    return seed
+def _resolve(option: _Option, ns, file_cfg: dict, params: dict):
+    # an option without a config key reads section "", which no config file has
+    section, _, key = (option.config or "").partition(".")
+    default = option.default[params[option.default_by]] if option.default_by else option.default
+    # the flag, else the config file, else the default; JSON null leaves a value unset
+    for value in (getattr(ns, option.dest), file_cfg.get(section, {}).get(key), default):
+        if value is not None:
+            break
+    else:  # an option whose default is None stays unset
+        return None
+    value = _as_kind(option.flag, value, option.kind)
+    if option.non_negative and value < 0:
+        _fail(option.flag, f"must be a non-negative integer, got {value}")
+    return value
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -331,75 +358,13 @@ def parse_args(argv=None) -> RunConfig:
     if ns.workers < 1:
         _fail("--workers", f"must be >= 1, got {ns.workers}")
 
-    envs = _resolve_environments(ns, file_cfg, command)
-    radio = _resolve_radio(ns, file_cfg)
-    geometry = file_cfg.get("geometry", {})
-    params: dict = {"command": command, "environments": envs, "radio": radio}
-
-    if command in SWEEP_COMMANDS:
-        sweep_cfg = file_cfg.get("sweep", {})
-        axis = _as_choice("--axis", _pick(ns.axis, sweep_cfg.get("axis"), _DEFAULT_AXIS[command]),
-                          tuple(_AXIS_TO_PLANNER))
-        grid_default = _AXIS_GRID[axis]
-        start = _as_float("--start", _pick(ns.start, sweep_cfg.get("start"), grid_default[0]))
-        stop = _as_float("--stop", _pick(ns.stop, sweep_cfg.get("stop"), grid_default[1]))
-        step = _as_float("--step", _pick(ns.step, sweep_cfg.get("step"), grid_default[2]))
-        h = _as_float("--h", _pick(ns.h, geometry.get("h_m"), 100.0))
-        r0 = _as_float("--r0", _pick(ns.r0, geometry.get("r0_m"), 200.0))
-        params.update(
-            axis=axis, start=start, stop=stop, step=step,
-            baseline_r0_m=r0, baseline_h_m=h,
-            mode=_as_choice("--mode", _pick(ns.mode, sweep_cfg.get("mode"), "standard"), _MODES),
-            seed=_resolve_seed(ns, sweep_cfg),
-        )
-        if command == "sweep-coverage":
-            mc = _as_int("--mc-samples",
-                         _pick(getattr(ns, "mc_samples", None), sweep_cfg.get("mc_samples"), 0))
-            if mc < 0:
-                _fail("--mc-samples", f"must be a non-negative integer, got {mc}")
-            params["mc_samples"] = mc
-
-    elif command == "optimize-altitude":
-        r_edge = float(_pick(ns.r_edge, 500.0))
-        h_min = float(_pick(ns.h_min, 50.0))
-        h_max = float(_pick(ns.h_max, 2000.0))
-        steps = _as_int("--steps", _pick(ns.steps, 1951))
-        params.update(
-            r_edge_m=r_edge, h_min_m=h_min, h_max_m=h_max, steps=steps,
-            mode=_pick(ns.mode, "standard"), seed=_resolve_seed(ns, {}),
-        )
-
-    elif command == "coverage-radius":
-        h = _as_float("--h", _pick(ns.h, geometry.get("h_m"), 100.0))
-        target = float(_pick(ns.target, 0.9))
-        r_max = float(_pick(ns.r_max, 2000.0))
-        resolution = float(_pick(ns.resolution, 5.0))
-        params.update(
-            h_m=h, target=target, r_max_m=r_max, resolution_m=resolution,
-            mode=_pick(ns.mode, "standard"), seed=_resolve_seed(ns, {}),
-        )
-
-    elif command == "scenario":
-        scen_cfg = file_cfg.get("scenario", {})
-        n_users = _as_int("--n-users", _pick(ns.n_users, scen_cfg.get("n_users"), 1000))
-        n_draws = _as_int("--n-draws", _pick(ns.n_draws, scen_cfg.get("n_draws"), 100))
-        area_side = _as_float("--area-side",
-                              _pick(ns.area_side, scen_cfg.get("area_side_m"), 1000.0))
-        area_shape = _as_choice("--area-shape",
-                                _pick(ns.area_shape, scen_cfg.get("area_shape"), "square"),
-                                AREA_SHAPES)
-        uav_x = _pick(ns.uav_x, scen_cfg.get("uav_x_m"))
-        uav_y = _pick(ns.uav_y, scen_cfg.get("uav_y_m"))
-        uav_h = _as_float("--uav-h", _pick(ns.uav_h, scen_cfg.get("uav_h_m"), 100.0))
-        params.update(
-            n_users=n_users, n_draws=n_draws, area_side_m=area_side, area_shape=area_shape,
-            uav_x_m=None if uav_x is None else _as_float("--uav-x", uav_x),
-            uav_y_m=None if uav_y is None else _as_float("--uav-y", uav_y),
-            uav_h_m=uav_h,
-            mode=_as_choice("--mode", _pick(ns.mode, scen_cfg.get("mode"), "standard"), _MODES),
-            seed=_resolve_seed(ns, scen_cfg),
-        )
-
+    params: dict = {"command": command,
+                    "environments": _resolve_environments(ns, file_cfg, command)}
+    for option in _OPTIONS:
+        if option.key and command in option.commands:
+            section, _, key = option.key.rpartition(".")
+            target = params.setdefault(section, {}) if section else params
+            target[key] = _resolve(option, ns, file_cfg, params)
     return RunConfig(command=command, params=params, out=ns.out, plot=ns.plot,
                      workers=ns.workers)
 
@@ -529,13 +494,10 @@ def _scenario_table(config: RunConfig) -> OutputTable:
 
 
 def _env_listing() -> str:
-    header = ("name", "a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db")
-    table = [header]
+    table = [_ENV_KEYS]
     for env in BUILTIN_ENVIRONMENTS.values():
-        table.append((env.name,) + tuple(
-            format_number(getattr(env, key)) for key in header[1:]
-        ))
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+        table.append(tuple(format_number(value) for value in asdict(env).values()))
+    widths = [max(len(row[i]) for row in table) for i in range(len(_ENV_KEYS))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in table]
     lines.append("")
     lines.append("sigma columns are library defaults, not part of the environment parameter "

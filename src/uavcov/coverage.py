@@ -34,6 +34,8 @@ _SIGN = 1 << 63
 _KEY_INF = _INT64.unpack(_DOUBLE.pack(math.inf))[0]
 # the threshold search first probes this many doubles either side of its guess
 _GUESS_ULPS = 64
+# the largest magnitude of a dB field of RadioConfig
+MAX_ABS_DB = 3000.0
 
 
 class FormulationMode(str, Enum):
@@ -68,12 +70,16 @@ class RadioConfig:
     bandwidth_hz: float = 5e6
 
     def __post_init__(self):
-        for field in (
-            "f_c_hz", "p_tx_dbm", "g_db", "p_min_dbm", "noise_density_dbm_hz", "bandwidth_hz",
-        ):
+        # +-3000 dB is a factor of 10**300: the transmit power in watts,
+        # 10 ** ((p_tx_dbm - 30) / 10), overflows a double above ~3100 dBm and
+        # rounds to 0 below ~-3200 dBm
+        for field in ("p_tx_dbm", "g_db", "p_min_dbm", "noise_density_dbm_hz"):
+            if not abs(getattr(self, field)) <= MAX_ABS_DB:
+                raise DomainError(f"radio config: {field} must lie within +-{MAX_ABS_DB:g} dB, "
+                                  f"got {getattr(self, field)}", field=field)
+        for field in ("f_c_hz", "bandwidth_hz"):
             if not math.isfinite(getattr(self, field)):
                 raise DomainError(f"radio config: {field} must be finite", field=field)
-        for field in ("f_c_hz", "bandwidth_hz"):
             if getattr(self, field) <= 0:
                 raise DomainError(f"radio config: {field} must be > 0, got "
                                   f"{getattr(self, field)}", field=field)

@@ -38,16 +38,11 @@ class OutputTable:
 
 def format_number(value) -> str:
     """Locale-independent cell formatting: 9 significant digits for floats."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+    return _cell_format(type(value)) % (value,)
 
 
 def _cell_format(cell_type: type) -> str:
-    # the %-format that prints a cell exactly as format_number does: "%.9g" and
-    # format(value, ".9g") give the same bytes for every double, -0, inf and nan too
+    # the %-format of one cell, so that render_csv can join a row's formats into one
     if issubclass(cell_type, bool):
         return "%d"
     if issubclass(cell_type, float):

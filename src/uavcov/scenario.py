@@ -86,13 +86,6 @@ class ScenarioSpec:
                 f"unknown area shape {self.area_shape!r}; expected one of {AREA_SHAPES}",
                 field="area_shape",
             )
-        # the summary divides by the transmit power in watts, 10 ** ((p_tx_dbm - 30) / 10),
-        # which overflows a double above ~3100 dBm and rounds to 0 below ~-3200 dBm
-        if not abs(self.radio.p_tx_dbm) <= 3000.0:
-            raise InvalidSpecError(
-                f"transmit power must lie within +-3000 dBm, got {self.radio.p_tx_dbm}",
-                field="p_tx_dbm",
-            )
 
     @property
     def uav_position(self) -> tuple[float, float, float]:
@@ -202,7 +195,12 @@ def _link_arrays(positions, uav, env, radio, mode):
     r0 = np.hypot(x - uav[0], y - uav[1])
     cols = _coverage_arrays(r0, np.full_like(r0, uav[2]), env, radio, mode)
     snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
-    rate = radio.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
+    # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10
+    with np.errstate(over="ignore"):
+        snr = 10.0 ** (snr_db / 10.0)
+        rate = radio.bandwidth_hz * np.where(np.isfinite(snr), np.log2(1.0 + snr),
+                                             snr_db * (math.log2(10.0) / 10.0))
     return {
         "x_m": x, "y_m": y, "r0_m": r0, "theta_deg": cols.theta_deg, "p_los": cols.p_los,
         "fspl_db": cols.fspl_db, "mean_pl_db": cols.mean_pl_db, "p_cov": cols.p_cov,
@@ -282,14 +280,22 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:
     fractions = _covered_fractions(spec, cols["p_los"], cols["fspl_db"])
 
     radio = spec.radio
-    sum_rate = float(np.sum(cols["rate_bps"]))
+    with np.errstate(over="ignore"):
+        sum_rate = float(np.sum(cols["rate_bps"]))
     total_power_w = 10.0 ** ((radio.p_tx_dbm - 30.0) / 10.0)
+    efficiency = energy_efficiency(sum_rate, total_power_w)
+    # legal but extreme radio values and geometry can still carry these past a double
+    if not math.isfinite(sum_rate):
+        raise InvalidSpecError("sum rate overflows a double", field="bandwidth_hz")
+    if not math.isfinite(efficiency):
+        raise InvalidSpecError(f"energy efficiency {sum_rate} bps / {total_power_w} W "
+                               "overflows a double", field="p_tx_dbm")
     summary = ScenarioSummary(
         mean_p_cov=float(np.mean(cols["p_cov"])),
         covered_fraction_draws=fractions,
         sum_rate_bps=sum_rate,
         total_power_w=total_power_w,
-        energy_efficiency_bpj=energy_efficiency(sum_rate, total_power_w),
+        energy_efficiency_bpj=efficiency,
     )
     return ScenarioResult(records=UserColumns(cols), summary=summary)
 

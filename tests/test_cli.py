@@ -584,3 +584,54 @@ class TestNumberFormatting:
                             metadata={})
         body = render_csv(table).split("\n")[-len(rows) - 1:-1]
         assert body == [",".join(reporting.format_number(c) for c in row) for row in rows]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize(
+        "extra, code, flag",
+        [
+            (["--noise-density=-1e300"], 2, "--noise-density"),
+            (["--bandwidth", "1e-300"], 0, None),
+            (["--f-c", "1e-300"], 0, None),
+            (["--area-side", "1e-300", "--uav-h", "1e-300"], 0, None),
+            # within the radio bounds, but the summary would leave a double
+            (["--p-tx=-3000", "--g-db", "3000"], 2, "--p-tx"),
+            (["--bandwidth", "1e305", "--p-tx", "3000", "--g-db", "3000",
+              "--noise-density=-3000", "--f-c", "1e-300"], 2, "--bandwidth"),
+        ],
+    )
+    def test_scenario_rates_finite_or_refused(self, tmp_path, capsys, extra, code, flag):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["scenario", "--n-users", "2", "--n-draws", "1", *extra,
+                            "--out", out]) == code
+        err = capsys.readouterr().err
+        if flag is not None:
+            assert f"error: {flag}: " in err and "Traceback" not in err
+            assert not out.exists()
+            return
+        _, comments, header, rows = read_csv(out)
+        summary = [line for line in comments if line.startswith("# summary: ")]
+        assert len(summary) == 1
+        json.loads(summary[0][len("# summary: "):], parse_constant=_reject_constant)
+        rates = np.array([float(row[header.index("rate_bps")]) for row in rows])
+        assert np.all(np.isfinite(rates)) and np.all(rates > 0.0)
+
+    @pytest.mark.parametrize("field, flag", [("g_db", "--g-db"), ("p_min_dbm", "--p-min")])
+    def test_radio_db_fields_bounded(self, tmp_path, capsys, field, flag):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"radio": {field: 3000.5}}), encoding="utf-8")
+        assert run_cli(["sweep-plos", "--env", "urban", "--config", cfg]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+
+    def test_null_environments_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"environments": null}', encoding="utf-8")
+        assert run_cli(["sweep-plos", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: --config: " in err and "Traceback" not in err

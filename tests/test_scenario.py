@@ -127,6 +127,16 @@ class TestEvaluateLinks:
         assert serial == threaded
 
 
+    def test_rate_past_the_overflow_of_the_linear_snr(self):
+        # 10 ** (snr_db / 10) overflows past ~3082 dB; the rate is then the log form
+        radio = RadioConfig(f_c_hz=1e-300)
+        records = evaluate_links(np.array([[0.0, 0.0], [300.0, 400.0]]), (0.0, 0.0, 100.0),
+                                 URBAN, radio)
+        for rec in records:
+            assert rec.snr_db > 3100.0
+            assert rec.rate_bps == radio.bandwidth_hz * (rec.snr_db * (math.log2(10.0) / 10.0))
+
+
 class TestEvaluateScenario:
     def test_bit_identical_reruns(self):
         a = evaluate_scenario(make_spec())
