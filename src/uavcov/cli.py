@@ -244,7 +244,11 @@ def _as_kind(flag: str, value, kind):
         return value
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         _fail(flag, f"must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer past the largest double
+        _fail(flag, f"must be a number within the range of a double, got an integer of "
+                    f"{len(str(abs(value)))} digits")
 
 
 def _load_config_file(path: str) -> dict:
@@ -252,7 +256,7 @@ def _load_config_file(path: str) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         _fail("--config", f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of too many digits
         _fail("--config", f"invalid JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         _fail("--config", "top level must be a JSON object")
@@ -375,6 +379,13 @@ def config_from_params(params: dict, out=None, plot=False, workers=1) -> RunConf
                      workers=workers)
 
 
+def _usable_cpus() -> int:
+    # sched_getaffinity exists only on some platforms (Linux, not macOS or Windows)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_table(config: RunConfig) -> OutputTable:
     params = config.params
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
@@ -391,8 +402,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
     metric = _SWEEP_METRIC[config.command]
     header = [_AXIS_COLUMN[params["axis"]]] + [f"{metric}[{name}]"
                                                for name in result.environment_names]
-    columns = [result.axis_values.tolist(),
-               *(getattr(cols, metric).tolist() for cols in result.columns)]
+    columns = [result.axis_values.tolist(), *(col.tolist() for col in getattr(result, metric))]
 
     notes = []
     if params["axis"] == "angle":
@@ -420,12 +430,8 @@ def _sweep_table(config: RunConfig) -> OutputTable:
 
         # cells are independent and each is deterministic, so threads change no byte;
         # more threads than usable CPUs would only contend for them
-        workers = min(config.workers, n_cells, len(os.sched_getaffinity(0)))
-        if workers == 1:
-            estimates = [estimate(cell) for cell in range(n_cells)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                estimates = list(pool.map(estimate, range(n_cells)))
+        with ThreadPoolExecutor(min(config.workers, n_cells, _usable_cpus())) as pool:
+            estimates = list(pool.map(estimate, range(n_cells)))
         for j, name in enumerate(result.environment_names):
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]
             cells = estimates[j * n_rows:(j + 1) * n_rows]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,22 +85,12 @@ class RadioConfig:
                                   f"{getattr(self, field)}", field=field)
 
 
-@dataclass(frozen=True)
-class CoverageBreakdown:
-    """Per-link coverage decomposition: weights, losses, deficits, tails."""
-
-    p_los: float
-    p_nlos: float
-    fspl_db: float
-    deficit_los: float
-    deficit_nlos: float
-    q_los: float
-    q_nlos: float
-    p_cov: float
-
-
 class CoverageColumns(NamedTuple):
-    """The coverage model over parallel (r0, h) arrays, one named array per quantity."""
+    """The coverage model over broadcast (r0, h) arrays, one named array per quantity.
+
+    :func:`coverage_probability` returns the same record at one point, with a
+    float in every field.
+    """
 
     theta_deg: np.ndarray
     p_los: np.ndarray
@@ -157,7 +147,7 @@ def _deficit(radio: RadioConfig, loss, mu: float, sigma: float, mode: Formulatio
 
 def _coverage_arrays(r0_m, h_m, env: EnvironmentProfile, radio: RadioConfig,
                      mode: FormulationMode) -> CoverageColumns:
-    """Vectorized coverage evaluation over parallel (r0, h) arrays."""
+    """Vectorized coverage evaluation over (r0, h) arrays; a constant one may be a scalar."""
     theta, pl, fspl, mean_pl = _path_loss_arrays(r0_m, h_m, env, radio.f_c_hz)
     loss = mean_pl if mode is FormulationMode.PAPER_LITERAL else fspl
     a = _deficit(radio, loss, env.mu_los_db, env.sigma_los_db, mode)
@@ -175,11 +165,10 @@ def coverage_probability(
     env: EnvironmentProfile,
     radio: RadioConfig,
     mode: FormulationMode | str = FormulationMode.STANDARD,
-) -> CoverageBreakdown:
-    """Probability that received power meets the threshold, with full breakdown."""
+) -> CoverageColumns:
+    """Probability that received power meets the threshold, with every kernel quantity."""
     cols = _coverage_arrays(geom.r0_m, geom.h_m, env, radio, FormulationMode(mode))
-    return CoverageBreakdown(**{f.name: float(getattr(cols, f.name))
-                                for f in fields(CoverageBreakdown)})
+    return CoverageColumns._make(map(float, cols))
 
 
 def _double_key(x: float) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import EnvironmentProfile, LinkGeometry
-from .coverage import CoverageColumns, FormulationMode, RadioConfig, _coverage_arrays
+from .coverage import FormulationMode, RadioConfig, _coverage_arrays
 from .errors import InvalidRangeError, InvalidSpecError
 
 AXIS_ELEVATION = "elevation-angle-deg"
@@ -70,25 +70,33 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """A sweep as columns; ``rows`` builds the row objects from them on each access."""
+    """A sweep as columns: per quantity, one kernel array per environment.
+
+    ``rows`` builds the row objects from the columns on each access.
+    """
 
     axis: str
     environment_names: tuple[str, ...]
     axis_values: np.ndarray = field(repr=False)
-    columns: tuple[CoverageColumns, ...] = field(repr=False)
+    p_los: tuple[np.ndarray, ...] = field(repr=False)
+    mean_pl_db: tuple[np.ndarray, ...] = field(repr=False)
+    p_cov: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def rows(self) -> tuple[SweepRow, ...]:
-        cells = (zip(c.p_los.tolist(), c.p_nlos.tolist(), c.mean_pl_db.tolist(),
-                     c.p_cov.tolist()) for c in self.columns)
+        cells = (zip(p_los.tolist(), (1.0 - p_los).tolist(), mean_pl.tolist(), p_cov.tolist())
+                 for p_los, mean_pl, p_cov in zip(self.p_los, self.mean_pl_db, self.p_cov))
         return tuple(SweepRow(value, tuple(SweepCell(*cell) for cell in row))
                      for value, *row in zip(self.axis_values.tolist(), *cells))
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.axis_values, *self.p_los, *self.mean_pl_db, *self.p_cov)
 
     def __eq__(self, other):
         if not isinstance(other, SweepResult):
             return NotImplemented
-        return ((self.axis, self.environment_names, self.rows)
-                == (other.axis, other.environment_names, other.rows))
+        return ((self.axis, self.environment_names) == (other.axis, other.environment_names)
+                and all(map(np.array_equal, self._arrays(), other._arrays())))
 
 
 def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
@@ -126,28 +134,25 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                                field="stop")
 
     values = _grid(spec.start, spec.stop, spec.step, "step")
+    # the constant coordinate is a read-only view of one double, not a copy per point
+    h = np.broadcast_to(float(spec.baseline.h_m), values.shape)
     if spec.axis == AXIS_ELEVATION:
-        h = np.full_like(values, spec.baseline.h_m)
         r0 = np.where(values >= 90.0, 0.0, spec.baseline.h_m / np.tan(np.radians(values)))
     elif spec.axis == AXIS_DISTANCE:
         r0 = values
-        h = np.full_like(values, spec.baseline.h_m)
     else:
-        h = values
-        r0 = np.full_like(values, spec.baseline.r0_m)
+        h, r0 = values, np.broadcast_to(float(spec.baseline.r0_m), values.shape)
     return values, r0, h
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate LoS probability, mean path loss, and coverage on the grid."""
     values, r0, h = sweep_grid(spec)
-    return SweepResult(
-        axis=spec.axis,
-        environment_names=tuple(env.name for env in spec.environments),
-        axis_values=values,
-        columns=tuple(_coverage_arrays(r0, h, env, spec.radio, spec.mode)
-                      for env in spec.environments),
-    )
+    columns = (_coverage_arrays(r0, h, env, spec.radio, spec.mode) for env in spec.environments)
+    # each environment keeps three columns; its others go before the next is evaluated
+    p_los, mean_pl_db, p_cov = zip(*((c.p_los, c.mean_pl_db, c.p_cov) for c in columns))
+    return SweepResult(spec.axis, tuple(env.name for env in spec.environments), values,
+                       p_los, mean_pl_db, p_cov)
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,7 @@ def optimal_altitude(
                                 field="r_edge")
     mode = FormulationMode(mode)
     altitudes = np.linspace(h_min, h_max, steps)
-    edge = np.full_like(altitudes, r_edge)
-    p_cov = _coverage_arrays(edge, altitudes, env, radio, mode).p_cov
+    p_cov = _coverage_arrays(r_edge, altitudes, env, radio, mode).p_cov
     best = int(np.argmax(p_cov))
     return AltitudeOptimum(h_star_m=float(altitudes[best]), p_cov_star=float(p_cov[best]))
 
@@ -217,6 +221,6 @@ def max_coverage_radius(
                                 field="r_max_scan")
     mode = FormulationMode(mode)
     radii = _grid(0.0, r_max_scan, resolution, "resolution")
-    p_cov = _coverage_arrays(radii, np.full_like(radii, h), env, radio, mode).p_cov
+    p_cov = _coverage_arrays(radii, h, env, radio, mode).p_cov
     qualifying = radii[p_cov >= target]
     return float(qualifying[-1]) if qualifying.size else 0.0

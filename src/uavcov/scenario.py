@@ -193,7 +193,7 @@ def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square")
 def _link_arrays(positions, uav, env, radio, mode):
     x, y = positions[:, 0], positions[:, 1]
     r0 = np.hypot(x - uav[0], y - uav[1])
-    cols = _coverage_arrays(r0, np.full_like(r0, uav[2]), env, radio, mode)
+    cols = _coverage_arrays(r0, uav[2], env, radio, mode)
     snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
     # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
     # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10

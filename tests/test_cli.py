@@ -93,6 +93,11 @@ class TestParseArgs:
                                             "mu_los_db": 1, "mu_nlos_db": 20}}, "--config"),
             ("sweep-plos", {"environment": {"name": 4, "a": 9.0, "b": 0.1,
                                             "mu_los_db": 1, "mu_nlos_db": 20}}, "--config"),
+            # integers past the largest double
+            ("scenario", {"scenario": {"area_side_m": 10**400}}, "--area-side"),
+            ("scenario", {"radio": {"f_c_hz": -10**309}}, "--f-c"),
+            ("sweep-plos", {"environment": {"name": "x", "a": 10**400, "b": 0.1,
+                                            "mu_los_db": 1, "mu_nlos_db": 20}}, "--config"),
         ],
     )
     def test_wrong_json_types_exit_2_name_flag(self, tmp_path, capsys, command, config, flag):
@@ -101,6 +106,18 @@ class TestParseArgs:
         assert run_cli([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"error: {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", [
+        b'{"scenario": {"area_side_m": 1' + b"0" * 5000 + b"}}",  # past int's digit limit
+        b'\xff\xfe{"scenario": {}}',  # not UTF-8
+    ], ids=["long-integer", "not-utf8"])
+    def test_unreadable_config_values_exit_2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(raw)
+        assert run_cli(["scenario", "--n-users", "2", "--n-draws", "1", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: --config: invalid JSON in" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -473,7 +490,7 @@ class TestCommands:
         (100_000, 2, 2),  # capped at the usable CPUs
         (3, 8, 3),
         (100_000, 64, 6),  # capped at the 2 x 3 cells
-        (1, 8, None),  # one worker runs the cells without a pool
+        (1, 8, 1),
     ])
     def test_mc_pool_size_is_bounded(self, tmp_path, monkeypatch, workers, cpus, size):
         sizes = []
@@ -496,7 +513,26 @@ class TestCommands:
         assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
                         "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
-        assert sizes == ([] if size is None else [size])
+        assert sizes == [size]
+
+    def test_mc_pool_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # platforms other than Linux have no os.sched_getaffinity; the CPU count stands in
+        argv = ["sweep-coverage", "--env", "urban", "--start", "100", "--stop", "300",
+                "--step", "100", "--mc-samples", "10", "--workers", "2", "--out"]
+        assert run_cli(argv + [tmp_path / "with.csv"]) == 0
+        sizes = []
+        pool = cli.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        assert run_cli(argv + [tmp_path / "without.csv"]) == 0
+        assert sizes == [1]
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     def test_steep_sigmoid_sweeps_without_warning(self, tmp_path, capsys):
         cfg, out = tmp_path / "steep.json", tmp_path / "plos.csv"

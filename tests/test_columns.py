@@ -3,8 +3,12 @@
 ``_coverage_arrays`` returns one ``CoverageColumns`` array per model quantity.
 ``coverage_probability``, ``run_sweep``, ``evaluate_links`` and the Monte Carlo
 estimator must show exactly those bits, so the comparisons here are on the
-raw bytes of the doubles, not on values within a tolerance.
+raw bytes of the doubles, not on values within a tolerance. A coordinate that
+is constant over a call goes to the kernel as a scalar (or a read-only
+broadcast view) and must give the bits of a full-size copy.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +24,6 @@ from uavcov.channel import (
 )
 from uavcov.coverage import (
     _MC_CHUNK,
-    CoverageBreakdown,
     CoverageColumns,
     FormulationMode,
     RadioConfig,
@@ -38,6 +41,8 @@ from uavcov.planner import (
     SweepCell,
     SweepRow,
     SweepSpec,
+    max_coverage_radius,
+    optimal_altitude,
     run_sweep,
     sweep_grid,
 )
@@ -50,6 +55,7 @@ R0 = np.array([0.0, 1.0, 15.0, 200.0, 1234.5, 5000.0, 1e-300])
 H = np.array([1.0, 100.0, 100.0, 750.0, 30.0, 2000.0, 50.0])
 FIELDS = ("theta_deg", "p_los", "fspl_db", "mean_pl_db", "deficit_los", "deficit_nlos",
           "q_los", "q_nlos", "p_cov")
+SWEEP_FIELDS = ("p_los", "mean_pl_db", "p_cov")
 
 
 def bits(x) -> bytes:
@@ -85,9 +91,10 @@ class TestCoverageColumns:
             point = _coverage_arrays(r0, h, env, RADIO, mode)
             for name in FIELDS:
                 assert bits(getattr(point, name)) == bits(getattr(cols, name)[i]), name
-            breakdown = coverage_probability(LinkGeometry(r0, h), env, RADIO, mode)
-            for name in CoverageBreakdown.__dataclass_fields__:
-                got = getattr(breakdown, name)
+            at_point = coverage_probability(LinkGeometry(r0, h), env, RADIO, mode)
+            assert type(at_point) is CoverageColumns
+            for name in (*CoverageColumns._fields, "p_nlos"):
+                got = getattr(at_point, name)
                 assert type(got) is float
                 assert bits(got) == bits(getattr(cols, name)[i]), name
             assert bits(mean_path_loss_db(LinkGeometry(r0, h), env, RADIO.f_c_hz)) == bits(
@@ -102,22 +109,25 @@ class TestSweepColumns:
         values, r0, h = sweep_grid(spec)
         result = run_sweep(spec)
         assert bits(result.axis_values) == bits(values)
-        assert len(result.columns) == len(ENVS)
-        for env, cols in zip(ENVS, result.columns):
+        for j, env in enumerate(ENVS):
             expect = _coverage_arrays(r0, h, env, RADIO, mode)
-            for name in FIELDS:
-                assert bits(getattr(cols, name)) == bits(getattr(expect, name)), name
+            for name in SWEEP_FIELDS:
+                assert len(getattr(result, name)) == len(ENVS)
+                assert bits(getattr(result, name)[j]) == bits(getattr(expect, name)), name
 
     @pytest.mark.parametrize("axis", AXES)
     def test_rows_are_built_from_the_columns(self, axis):
-        result = run_sweep(sweep_spec(axis))
+        spec = sweep_spec(axis)
+        _, r0, h = sweep_grid(spec)
+        kernel = [_coverage_arrays(r0, h, env, RADIO, spec.mode) for env in ENVS]
+        result = run_sweep(spec)
         rows = result.rows
         assert type(rows) is tuple and len(rows) == len(result.axis_values)
         for i, row in enumerate(rows):
             assert type(row) is SweepRow and type(row.axis_value) is float
             assert bits(row.axis_value) == bits(result.axis_values[i])
-            assert len(row.cells) == len(result.columns)
-            for cell, cols in zip(row.cells, result.columns):
+            assert len(row.cells) == len(ENVS)
+            for cell, cols in zip(row.cells, kernel):
                 assert type(cell) is SweepCell
                 for name in SweepCell.__dataclass_fields__:
                     value = getattr(cell, name)
@@ -142,6 +152,79 @@ class TestSweepColumns:
         assert first != run_sweep(sweep_spec(AXIS_DISTANCE, radio=RadioConfig()))
         assert first != run_sweep(sweep_spec(AXIS_ELEVATION))
         assert first != "not a sweep"
+
+
+class TestConstantGeometry:
+    # sweep_grid returns (values, r0, h)
+    @pytest.mark.parametrize("axis, constant", [(AXIS_ELEVATION, 2), (AXIS_DISTANCE, 2),
+                                                (AXIS_ALTITUDE, 1)])
+    def test_sweep_grid_broadcasts_its_constant_coordinate(self, axis, constant):
+        grid = sweep_grid(sweep_spec(axis))
+        fixed = grid[constant]
+        assert fixed.shape == grid[0].shape and fixed.strides == (0,)
+        assert fixed.dtype == np.float64 and not fixed.flags.writeable
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_integer_grid_keeps_a_fractional_baseline(self, axis):
+        # a constant copied with the integer grid's dtype would lose its fraction
+        spec = SweepSpec(axis, 45, 45, 5, environments=(URBAN,),
+                         baseline=LinkGeometry(200.7, 100.5), radio=RADIO)
+        _, r0, h = sweep_grid(spec)
+        fixed, baseline = (r0, 200.7) if axis == AXIS_ALTITUDE else (h, 100.5)
+        assert fixed[0] == baseline
+        point = coverage_probability(LinkGeometry(float(r0[0]), float(h[0])), URBAN, RADIO)
+        assert bits(run_sweep(spec).p_cov[0]) == bits(point.p_cov)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_constant_coordinate_reaches_the_kernel_as_a_scalar(self, monkeypatch, mode):
+        calls = []
+
+        def recorded(r0, h, env, radio, mode):
+            result = _coverage_arrays(r0, h, env, radio, mode)
+            calls.append((r0, h, env, radio, mode, result))
+            return result
+
+        monkeypatch.setattr(planner, "_coverage_arrays", recorded)
+        monkeypatch.setattr(scenario, "_coverage_arrays", recorded)
+        positions = generate_users(500, 1000.0, seed=2)
+        for env in ENVS:
+            optimal_altitude(450.0, env, RADIO, h_min=10.0, h_max=3000.0, steps=997, mode=mode)
+            max_coverage_radius(120.0, env, RADIO, target=0.5, r_max_scan=4000.0,
+                                resolution=3.0, mode=mode)
+            evaluate_links(positions, (300.0, 700.0, 80.0), env, RADIO, mode)
+        # optimal_altitude fixes r0; max_coverage_radius and the links fix h
+        assert [(np.ndim(r0), np.ndim(h)) for r0, h, *_ in calls] == [(0, 1), (1, 0),
+                                                                      (1, 0)] * len(ENVS)
+        for axis in AXES:
+            run_sweep(sweep_spec(axis, mode))
+        # a sweep's constant coordinate arrives as sweep_grid's view of one double
+        assert all(0 in r0.strides + h.strides for r0, h, *_ in calls[-len(AXES) * len(ENVS):])
+
+        # the broadcast columns are the columns of full-size copies, bit for bit
+        for r0, h, env, radio, mode, result in calls:
+            shape = result.p_cov.shape
+            copied = _coverage_arrays(np.broadcast_to(r0, shape).copy(),
+                                      np.broadcast_to(h, shape).copy(), env, radio, mode)
+            for name in FIELDS:
+                assert bits(getattr(result, name)) == bits(getattr(copied, name)), name
+
+    @pytest.mark.parametrize("axis, grid", [(AXIS_ELEVATION, (0.5, 90.0, 1e-3)),
+                                            (AXIS_DISTANCE, (0.0, 99_999.0, 1.0)),
+                                            (AXIS_ALTITUDE, (50.0, 100_049.0, 1.0))])
+    def test_run_sweep_holds_three_arrays_per_environment(self, axis, grid):
+        spec = SweepSpec(axis, *grid, environments=ENVS, baseline=LinkGeometry(200.0, 100.0),
+                         radio=RADIO)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(spec)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = len(result.axis_values)
+        assert n > 89_000
+        # p_los, mean_pl_db and p_cov per environment, the axis, and small objects
+        assert held <= (3 * len(ENVS) + 1) * 8 * n + 64 * 1024
 
 
 class TestLinkColumns:
