@@ -386,6 +386,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _map_on_pool(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` on a thread pool of at most ``workers``; results in item order.
+
+    Items are independent and each is deterministic, so threads change no byte.
+    More threads than items or usable CPUs would only idle or contend for them.
+    The first item to raise, in item order, raises here.
+    """
+    # no items (a config of no environments) still makes a pool, and one of 0 is refused
+    with ThreadPoolExecutor(max(1, min(workers, len(items), _usable_cpus()))) as pool:
+        return list(pool.map(fn, items))
+
+
 def _sweep_table(config: RunConfig) -> OutputTable:
     params = config.params
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
@@ -428,10 +440,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
                 n_samples=mc_samples, seed=params["seed"] + 1_000_003 * cell,
             )
 
-        # cells are independent and each is deterministic, so threads change no byte;
-        # more threads than usable CPUs would only contend for them
-        with ThreadPoolExecutor(min(config.workers, n_cells, _usable_cpus())) as pool:
-            estimates = list(pool.map(estimate, range(n_cells)))
+        estimates = _map_on_pool(estimate, range(n_cells), config.workers)
         for j, name in enumerate(result.environment_names):
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]
             cells = estimates[j * n_rows:(j + 1) * n_rows]
@@ -448,18 +457,21 @@ def _sweep_table(config: RunConfig) -> OutputTable:
 def _optimize_table(config: RunConfig) -> OutputTable:
     params = config.params
     radio = RadioConfig(**params["radio"])
-    rows = []
-    for env_dict in params["environments"]:
-        env = EnvironmentProfile(**env_dict)
+    # every environment is checked before any scan starts on the pool
+    envs = [EnvironmentProfile(**e) for e in params["environments"]]
+
+    def row(env: EnvironmentProfile) -> tuple:
+        # a global looked up per call, so a wrapper set on this module sees every scan
         best = optimal_altitude(
             params["r_edge_m"], env, radio,
             h_min=params["h_min_m"], h_max=params["h_max_m"], steps=params["steps"],
             mode=params["mode"],
         )
-        rows.append((env.name, best.h_star_m, best.p_cov_star))
+        return env.name, best.h_star_m, best.p_cov_star
+
     return OutputTable(
         header=["environment", "h_star_m", "p_cov_star"],
-        rows=rows,
+        rows=_map_on_pool(row, envs, config.workers),
         metadata={"params": params,
                   "notes": ["altitude grid search; ties break toward the lowest altitude"]},
     )
@@ -468,18 +480,18 @@ def _optimize_table(config: RunConfig) -> OutputTable:
 def _radius_table(config: RunConfig) -> OutputTable:
     params = config.params
     radio = RadioConfig(**params["radio"])
-    rows = []
-    for env_dict in params["environments"]:
-        env = EnvironmentProfile(**env_dict)
-        radius = max_coverage_radius(
+    envs = [EnvironmentProfile(**e) for e in params["environments"]]
+
+    def row(env: EnvironmentProfile) -> tuple:
+        return env.name, max_coverage_radius(
             params["h_m"], env, radio, target=params["target"],
             r_max_scan=params["r_max_m"], resolution=params["resolution_m"],
             mode=params["mode"],
         )
-        rows.append((env.name, radius))
+
     return OutputTable(
         header=["environment", "max_radius_m"],
-        rows=rows,
+        rows=_map_on_pool(row, envs, config.workers),
         metadata={"params": params},
     )
 

@@ -30,6 +30,10 @@ DEFAULT_ALTITUDE_SWEEP = (50.0, 2000.0, 1.0)
 # float64 array of this many points takes 128 MiB
 MAX_GRID_POINTS = 1 << 24
 
+# the planners run the kernel on blocks of this many points, whose temporaries stay
+# in cache; 2**12 to 2**16 ran alike
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -99,7 +103,7 @@ class SweepResult:
                 and all(map(np.array_equal, self._arrays(), other._arrays())))
 
 
-def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
+def _grid_points(start: float, stop: float, step: float, field: str) -> int:
     # tolerance keeps exact multiples of step from dropping the last point
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:  # the grid holds floor(span) + 1 points
@@ -107,7 +111,17 @@ def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
             f"{field} {step} over [{start}, {stop}] gives more than {MAX_GRID_POINTS} "
             "grid points", field=field,
         )
-    return start + step * np.arange(math.floor(span) + 1)
+    return math.floor(span) + 1
+
+
+def _grid_block(start: float, step: float, lo: int, hi: int) -> np.ndarray:
+    # a float arange keeps integer start and step from giving an integer grid; point k
+    # is start + step*k with the same bits whichever block it falls in
+    return start + step * np.arange(lo, hi, dtype=float)
+
+
+def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
+    return _grid_block(start, step, 0, _grid_points(start, stop, step, field))
 
 
 def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,6 +169,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                        p_los, mean_pl_db, p_cov)
 
 
+def _p_cov_blocks(n: int, coordinates, env: EnvironmentProfile, radio: RadioConfig,
+                  mode: FormulationMode):
+    """Yield ``(lo, p_cov)`` for each block ``[lo, hi)`` of an ``n``-point scan.
+
+    ``coordinates(lo, hi)`` gives the block's (r0, h). The kernel's columns live
+    for one block only, so a scan holds its axis array plus one block of them.
+    """
+    for lo in range(0, n, _BLOCK):
+        r0, h = coordinates(lo, min(lo + _BLOCK, n))
+        yield lo, _coverage_arrays(r0, h, env, radio, mode).p_cov
+
+
 @dataclass(frozen=True)
 class AltitudeOptimum:
     h_star_m: float
@@ -189,9 +215,16 @@ def optimal_altitude(
                                 field="r_edge")
     mode = FormulationMode(mode)
     altitudes = np.linspace(h_min, h_max, steps)
-    p_cov = _coverage_arrays(r_edge, altitudes, env, radio, mode).p_cov
-    best = int(np.argmax(p_cov))
-    return AltitudeOptimum(h_star_m=float(altitudes[best]), p_cov_star=float(p_cov[best]))
+    # the first maximum of each block; the first maximum among those is np.argmax over
+    # the whole grid, a NaN included
+    firsts, maxima = [], []
+    for lo, p_cov in _p_cov_blocks(steps, lambda lo, hi: (r_edge, altitudes[lo:hi]),
+                                   env, radio, mode):
+        i = int(np.argmax(p_cov))
+        firsts.append(lo + i)
+        maxima.append(p_cov[i])
+    k = int(np.argmax(maxima))
+    return AltitudeOptimum(h_star_m=float(altitudes[firsts[k]]), p_cov_star=float(maxima[k]))
 
 
 def max_coverage_radius(
@@ -220,7 +253,11 @@ def max_coverage_radius(
         raise InvalidRangeError(f"scan limit must be finite and >= 0, got {r_max_scan}",
                                 field="r_max_scan")
     mode = FormulationMode(mode)
-    radii = _grid(0.0, r_max_scan, resolution, "resolution")
-    p_cov = _coverage_arrays(radii, h, env, radio, mode).p_cov
-    qualifying = radii[p_cov >= target]
-    return float(qualifying[-1]) if qualifying.size else 0.0
+    n = _grid_points(0.0, r_max_scan, resolution, "resolution")
+    last = None
+    for lo, p_cov in _p_cov_blocks(n, lambda lo, hi: (_grid_block(0.0, resolution, lo, hi), h),
+                                   env, radio, mode):
+        qualifying = np.flatnonzero(p_cov >= target)
+        if qualifying.size:
+            last = lo + int(qualifying[-1])
+    return 0.0 if last is None else float(_grid_block(0.0, resolution, last, last + 1)[0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import uavcov
-from uavcov import cli, reporting
+from uavcov import cli, planner, reporting
 from uavcov.reporting import OutputTable, emit_table, render_csv
 from uavcov.scenario import MAX_USER_DRAWS, MAX_USERS
 
@@ -533,6 +533,87 @@ class TestCommands:
         assert run_cli(argv + [tmp_path / "without.csv"]) == 0
         assert sizes == [1]
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+    # planner grids of three blocks and a part, with every built-in environment
+    PLANNERS = {
+        "optimize-altitude": ["optimize-altitude", "--env", "all", "--steps",
+                              str(3 * planner._BLOCK + 5)],
+        "coverage-radius": ["coverage-radius", "--env", "all", "--target", "0.5",
+                            "--resolution", str(2000.0 / (3 * planner._BLOCK + 4))],
+    }
+
+    @pytest.mark.parametrize("command", sorted(PLANNERS))
+    def test_planner_tables_worker_invariant(self, tmp_path, command):
+        paths = {w: tmp_path / f"p{w}.csv" for w in (1, 2, 3, 4)}
+        for workers, path in paths.items():
+            assert run_cli(self.PLANNERS[command] + ["--workers", workers, "--out", path]) == 0
+        assert len({path.read_bytes() for path in paths.values()}) == 1
+        _, _, _, rows = read_csv(paths[1])
+        assert [row[0] for row in rows] == ["suburban", "urban", "dense-urban", "high-rise-urban"]
+
+    @pytest.mark.parametrize("command", sorted(PLANNERS))
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100_000, 2, 2),  # capped at the usable CPUs
+        (3, 8, 3),
+        (100_000, 64, 4),  # capped at the 4 environments
+        (1, 8, 1),
+    ])
+    def test_planner_pool_size_is_bounded(self, tmp_path, monkeypatch, command, workers, cpus,
+                                          size):
+        sizes = []
+        pool = cli.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        argv = ["optimize-altitude", "--steps", "50"] if command == "optimize-altitude" else [
+            "coverage-radius"]
+        assert run_cli(argv + ["--env", "all", "--workers", workers,
+                               "--out", tmp_path / "p.csv"]) == 0
+        assert sizes == [size]
+
+    @pytest.mark.parametrize("command", sorted(PLANNERS))
+    def test_planner_without_environments_writes_an_empty_table(self, tmp_path, command):
+        cfg, out = tmp_path / "none.json", tmp_path / "p.csv"
+        cfg.write_text('{"environments": []}', encoding="utf-8")
+        assert run_cli([command, "--config", cfg, "--workers", "2", "--out", out]) == 0
+        assert read_csv(out)[3] == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["optimize-altitude", "--steps", "1"], "--steps"),
+        (["coverage-radius", "--resolution", "0"], "--resolution"),
+    ])
+    def test_planner_refusal_on_the_pool_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.csv"
+        assert run_cli(argv + ["--env", "all", "--workers", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, scan", [("optimize-altitude", "optimal_altitude"),
+                                               ("coverage-radius", "max_coverage_radius")])
+    def test_planner_bad_environment_refused_before_any_scan(self, tmp_path, capsys,
+                                                             monkeypatch, command, scan):
+        calls = []
+        real = getattr(cli, scan)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, scan, counted)
+        bad = {"name": "bad", "a": 9.6, "b": 0.16, "mu_los_db": 1.0, "mu_nlos_db": 20.0,
+               "sigma_los_db": 0.0}
+        cfg, out = tmp_path / "c.json", tmp_path / "p.csv"
+        cfg.write_text(json.dumps({"environments": ["urban", "suburban", bad]}),
+                       encoding="utf-8")
+        assert run_cli([command, "--config", cfg, "--workers", "2", "--out", out]) == 2
+        assert "error: --sigma-los: " in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_steep_sigmoid_sweeps_without_warning(self, tmp_path, capsys):
         cfg, out = tmp_path / "steep.json", tmp_path / "plos.csv"

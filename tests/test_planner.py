@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -313,3 +314,145 @@ class TestGridCap:
         # the largest grid the CLI benchmarks run: coverage-radius over 2000 m at 0.001 m
         radii = planner._grid(0.0, 2000.0, 0.001, "resolution")
         assert len(radii) == 2_000_001 < MAX_GRID_POINTS
+
+
+def test_integer_grid_inputs_give_a_float_grid():
+    spec = angle_spec(axis=AXIS_DISTANCE, start=0, stop=10, step=5, environments=(URBAN,))
+    result = run_sweep(spec)
+    assert result.axis_values.dtype == np.float64
+    assert [type(row.axis_value) for row in result.rows] == [float, float, float]
+    assert result.axis_values.tolist() == [0.0, 5.0, 10.0]
+    assert result == run_sweep(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=10.0, step=5.0,
+                                          environments=(URBAN,)))
+
+
+def test_float_grid_keeps_its_bits():
+    for start, stop, step in (DEFAULT_ANGLE_SWEEP, DEFAULT_DISTANCE_SWEEP, (0.0, 2000.0, 0.001)):
+        n = math.floor((stop - start) / step + 1e-9) + 1
+        expect = start + step * np.arange(n)
+        assert planner._grid(start, stop, step, "step").tobytes() == expect.tobytes()
+
+
+# block sizes: single points, sizes that do not divide the grid, the default, one block
+BLOCKS = [1, 3, 7, planner._BLOCK, 10_000]
+
+
+class _PCov(NamedTuple):
+    p_cov: np.ndarray
+
+
+class _Kernel:
+    """A stand-in kernel: point k of the scan gets ``values[k]``.
+
+    optimal_altitude scans altitudes 1, 2, ..., n and max_coverage_radius radii
+    0, 1, ..., n - 1, so a point's coordinate gives its index.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def __call__(self, r0, h, env, radio, mode):
+        coordinate, offset = (h, 1) if np.ndim(h) else (r0, 0)
+        return _PCov(self.values[np.asarray(coordinate, dtype=int) - offset])
+
+
+NAN = math.nan
+CRAFTED = {
+    "flat": [0.5] * 20,
+    "ties-across-boundaries": [0.1] * 6 + [0.9, 0.9] + [0.2] * 5 + [0.9, 0.9] + [0.3] * 5,
+    "later-strictly-larger": [0.4, 0.6, 0.6, 0.5, 0.6, 0.7, 0.7, 0.1, 0.7],
+    "first-nan-wins": [0.1, 0.95, 0.3, 0.2, 0.1, 0.0, 0.5, NAN, 0.99, 1.0, NAN, 0.2],
+    "nan-first": [NAN, 1.0, 1.0, NAN],
+    "nan-after-boundary": [0.2] * 7 + [NAN] + [0.9] * 6,
+    "signed-zeros": [-0.0, 0.0, -0.0, 0.0, -1.0, 0.0, -0.0],
+    "last-point-qualifies": [0.95] + [0.1] * 12 + [0.95],
+    "none-qualify": [0.1, NAN, 0.3, -math.inf, 0.89],
+    "random": np.random.default_rng(8).choice([0.1, 0.5, 0.9, 0.95, NAN], size=57),
+}
+
+
+def _same(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+class TestBlockedScans:
+    """The planners scan in blocks and must give what one whole-grid scan gives."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_p_cov_matches_whole_grid(self, monkeypatch, block, name):
+        values = np.asarray(CRAFTED[name], dtype=float)
+        n = len(values)
+        monkeypatch.setattr(planner, "_BLOCK", block)
+        monkeypatch.setattr(planner, "_coverage_arrays", _Kernel(values))
+
+        best = int(np.argmax(values))
+        got = optimal_altitude(500.0, URBAN, RadioConfig(), 1.0, float(n), n)
+        assert got.h_star_m == best + 1.0
+        assert _same(got.p_cov_star, values[best])
+
+        qualifying = np.flatnonzero(values >= 0.9)
+        got = max_coverage_radius(100.0, URBAN, RadioConfig(), 0.9, float(n - 1), 1.0)
+        assert got == (float(qualifying[-1]) if qualifying.size else 0.0)
+
+    @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_real_kernel_same_bits_as_one_call(self, monkeypatch, block, mode):
+        n = 5003
+        radio = RadioConfig(p_min_dbm=-75.0)
+        altitudes = np.linspace(20.0, 3000.0, n)
+        radii = 0.5 * np.arange(n)
+        whole_h = planner._coverage_arrays(400.0, altitudes, URBAN, radio,
+                                           planner.FormulationMode(mode)).p_cov
+        whole_r = planner._coverage_arrays(radii, 150.0, URBAN, radio,
+                                           planner.FormulationMode(mode)).p_cov
+
+        monkeypatch.setattr(planner, "_BLOCK", block)
+        kernel = planner._coverage_arrays
+        sizes, blocks = [], []
+
+        def wrapped(*args, **kwargs):
+            result = kernel(*args, **kwargs)
+            sizes.append(result[-1].size)
+            blocks.append(result.p_cov)
+            return result
+
+        monkeypatch.setattr(planner, "_coverage_arrays", wrapped)
+        got = optimal_altitude(400.0, URBAN, radio, 20.0, 3000.0, n, mode)
+        # the tracer's coverage.kernel_points sums the sizes of the wrapped calls
+        assert sum(sizes) == n and len(sizes) == -(-n // block)
+        assert np.concatenate(blocks).tobytes() == whole_h.tobytes()
+        best = int(np.argmax(whole_h))
+        assert (got.h_star_m, got.p_cov_star) == (altitudes[best], whole_h[best])
+
+        sizes.clear()
+        blocks.clear()
+        got = max_coverage_radius(150.0, URBAN, radio, 0.6, 0.5 * (n - 1), 0.5, mode)
+        assert sum(sizes) == n
+        assert np.concatenate(blocks).tobytes() == whole_r.tobytes()
+        qualifying = radii[whole_r >= 0.6]
+        assert 0 < qualifying.size < n
+        assert got == qualifying[-1]
+
+
+# the traced peak of a scan above its 8 B/point axis array: one block of the
+# kernel's columns and temporaries, whatever the grid size
+SCAN_PEAK_BOUND = 4 << 20
+
+
+@pytest.mark.parametrize("n", [1 << 16, 1 << 20, 1 << 22])
+@pytest.mark.parametrize("scan", ["optimal_altitude", "max_coverage_radius"])
+def test_scan_memory_is_the_axis_plus_one_block(scan, n):
+    calls = {
+        "optimal_altitude": lambda: optimal_altitude(500.0, URBAN, RadioConfig(), 50.0,
+                                                     2000.0, n),
+        "max_coverage_radius": lambda: max_coverage_radius(100.0, URBAN, RadioConfig(), 0.9,
+                                                           float(n - 1), 1.0),
+    }
+    tracemalloc.start()
+    try:
+        calls[scan]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n < SCAN_PEAK_BOUND
