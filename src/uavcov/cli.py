@@ -31,7 +31,8 @@ from .planner import (
     run_sweep,
     sweep_grid,
 )
-from .reporting import OutputTable, emit_table, format_number, render_csv
+# render_csv is bound here, unused, so that a wrapper set on this module sees any call
+from .reporting import OutputTable, _csv_chunks, emit_table, format_number, render_csv
 from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
 SWEEP_COMMANDS = ("sweep-plos", "sweep-pathloss", "sweep-coverage")
@@ -414,7 +415,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
     metric = _SWEEP_METRIC[config.command]
     header = [_AXIS_COLUMN[params["axis"]]] + [f"{metric}[{name}]"
                                                for name in result.environment_names]
-    columns = [result.axis_values.tolist(), *(col.tolist() for col in getattr(result, metric))]
+    columns = [result.axis_values, *getattr(result, metric)]
 
     notes = []
     if params["axis"] == "angle":
@@ -450,7 +451,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
             "derive from the base seed, the environment index, and the row index"
         )
 
-    return OutputTable(header=header, rows=list(zip(*columns)),
+    return OutputTable(header=header, columns=columns,
                        metadata={"params": params, "notes": notes})
 
 
@@ -460,18 +461,19 @@ def _optimize_table(config: RunConfig) -> OutputTable:
     # every environment is checked before any scan starts on the pool
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
 
-    def row(env: EnvironmentProfile) -> tuple:
+    def scan(env: EnvironmentProfile):
         # a global looked up per call, so a wrapper set on this module sees every scan
-        best = optimal_altitude(
+        return optimal_altitude(
             params["r_edge_m"], env, radio,
             h_min=params["h_min_m"], h_max=params["h_max_m"], steps=params["steps"],
             mode=params["mode"],
         )
-        return env.name, best.h_star_m, best.p_cov_star
 
+    best = _map_on_pool(scan, envs, config.workers)
     return OutputTable(
         header=["environment", "h_star_m", "p_cov_star"],
-        rows=_map_on_pool(row, envs, config.workers),
+        columns=[[env.name for env in envs], [b.h_star_m for b in best],
+                 [b.p_cov_star for b in best]],
         metadata={"params": params,
                   "notes": ["altitude grid search; ties break toward the lowest altitude"]},
     )
@@ -482,8 +484,8 @@ def _radius_table(config: RunConfig) -> OutputTable:
     radio = RadioConfig(**params["radio"])
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
 
-    def row(env: EnvironmentProfile) -> tuple:
-        return env.name, max_coverage_radius(
+    def scan(env: EnvironmentProfile) -> float:
+        return max_coverage_radius(
             params["h_m"], env, radio, target=params["target"],
             r_max_scan=params["r_max_m"], resolution=params["resolution_m"],
             mode=params["mode"],
@@ -491,7 +493,7 @@ def _radius_table(config: RunConfig) -> OutputTable:
 
     return OutputTable(
         header=["environment", "max_radius_m"],
-        rows=_map_on_pool(row, envs, config.workers),
+        columns=[[env.name for env in envs], _map_on_pool(scan, envs, config.workers)],
         metadata={"params": params},
     )
 
@@ -505,9 +507,7 @@ def _scenario_table(config: RunConfig) -> OutputTable:
     result = evaluate_scenario(spec)
     # one column per UserRecord field, in field order
     columns = result.records.columns
-    header = list(columns)
-    rows = list(zip(*(col.tolist() for col in columns.values())))
-    return OutputTable(header=header, rows=rows,
+    return OutputTable(header=list(columns), columns=list(columns.values()),
                        metadata={"params": params, "summary": asdict(result.summary)})
 
 
@@ -553,7 +553,16 @@ def main(argv=None) -> int:
         print(result)
         return 0
     if config.out is None:
-        sys.stdout.write(render_csv(result))
+        try:
+            for chunk in _csv_chunks(result):
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (``| head``), which is not an error of this run;
+            # stdout goes to devnull so that the flush at exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     try:
         emit_table(result, config.out, plot=config.plot)
@@ -565,3 +574,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

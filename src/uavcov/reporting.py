@@ -10,11 +10,19 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 TOOL_NAME = "uavcov"
 TOOL_VERSION = "0.1.0"
+
+# rows per CSV chunk: each chunk is one %-format applied to its flat tuple of cells,
+# so writing a table holds one chunk's Python cells and text, not the whole table's
+_CHUNK_ROWS = 1 << 14
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -24,16 +32,21 @@ _PALETTE = (
 
 @dataclass
 class OutputTable:
-    """Header + numeric rows + the metadata that reproduces them.
+    """Header + one column per header entry + the metadata that reproduces them.
 
-    ``metadata`` keys: ``params`` (canonical command parameters, required),
-    ``notes`` (optional list of human-readable caveats), ``summary`` (optional
-    aggregate dict, e.g. scenario totals).
+    A column is a numpy array or a list. ``metadata`` keys: ``params`` (canonical
+    command parameters, required), ``notes`` (optional list of human-readable
+    caveats), ``summary`` (optional aggregate dict, e.g. scenario totals).
     """
 
     header: list[str]
-    rows: list[tuple]
+    columns: list
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table as row tuples, built from the columns each time it is read."""
+        return list(zip(*(_cells(column, 0, len(column)) for column in self.columns)))
 
 
 def format_number(value) -> str:
@@ -42,7 +55,7 @@ def format_number(value) -> str:
 
 
 def _cell_format(cell_type: type) -> str:
-    # the %-format of one cell, so that render_csv can join a row's formats into one
+    # the %-format of one cell, so that a chunk's formats join into one
     if issubclass(cell_type, bool):
         return "%d"
     if issubclass(cell_type, float):
@@ -50,7 +63,12 @@ def _cell_format(cell_type: type) -> str:
     return "%s"
 
 
-def render_csv(table: OutputTable) -> str:
+def _cells(column, lo: int, hi: int) -> list:
+    # an array's cells are read as Python scalars, so np.bool_ prints as a bool does
+    return column[lo:hi].tolist() if isinstance(column, np.ndarray) else list(column[lo:hi])
+
+
+def _metadata_block(table: OutputTable) -> str:
     params = table.metadata.get("params", {})
     lines = [f"# {TOOL_NAME} {TOOL_VERSION}"]
     if "command" in params:
@@ -76,18 +94,47 @@ def render_csv(table: OutputTable) -> str:
         lines.append("# summary: " + json.dumps(table.metadata["summary"], sort_keys=True))
     lines.append("# config: " + json.dumps(params, sort_keys=True, separators=(",", ":")))
     lines.append(",".join(table.header))
-    # one %-format string per row type signature, so a row is formatted in one call
-    row_formats = {}
-    for i, row in enumerate(table.rows):
-        if len(row) != len(table.header):
-            raise ValueError(f"row {i} has {len(row)} cells for {len(table.header)} columns")
-        row = tuple(row)
-        signature = tuple(map(type, row))
-        fmt = row_formats.get(signature)
-        if fmt is None:
-            fmt = row_formats[signature] = ",".join(map(_cell_format, signature))
-        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
+
+
+def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
+    # a typed array column has one cell format per chunk; a list or object-array
+    # column has one per cell, so a chunk holding one has one row format per row
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_rows)
+        cells = [_cells(column, lo, hi) for column in columns]
+        formats = tuple(
+            _cell_format(type(col_cells[0]))
+            if isinstance(column, np.ndarray) and column.dtype != object
+            else tuple(_cell_format(type(cell)) for cell in col_cells)
+            for column, col_cells in zip(columns, cells)
+        )
+        if all(isinstance(fmt, str) for fmt in formats):
+            fmt = (",".join(formats) + "\n") * (hi - lo)
+        else:
+            per_row = zip(*(fmt if isinstance(fmt, tuple) else (fmt,) * (hi - lo)
+                            for fmt in formats))
+            fmt = "".join(",".join(row) + "\n" for row in per_row)
+        yield fmt % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _csv_chunks(table: OutputTable) -> Iterator[str]:
+    """Check ``table``, then iterate its CSV text: the metadata block, then one string per chunk.
+
+    A malformed table raises ``ValueError`` here, before any string is produced.
+    """
+    columns = table.columns
+    if len(columns) != len(table.header):
+        raise ValueError(f"{len(columns)} columns for {len(table.header)} header entries")
+    n_rows = len(columns[0]) if columns else 0
+    for j, column in enumerate(columns):
+        if len(column) != n_rows:
+            raise ValueError(f"column {j} has {len(column)} rows, column 0 has {n_rows}")
+    return chain((_metadata_block(table),), _body_chunks(columns, n_rows))
+
+
+def render_csv(table: OutputTable) -> str:
+    return "".join(_csv_chunks(table))
 
 
 def parse_metadata(csv_text: str) -> dict:
@@ -98,15 +145,15 @@ def parse_metadata(csv_text: str) -> dict:
     raise ValueError("no '# config:' metadata line found")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    # write-then-rename so a failure never leaves a partial target; the temp file
-    # is created with mode 0o666 so the umask decides the final mode, as it would
-    # for a plain open()
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    # write-then-rename so a failure, including one while the chunks are produced,
+    # never leaves a partial target; the temp file is created with mode 0o666 so the
+    # umask decides the final mode, as it would for a plain open()
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -117,11 +164,11 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def emit_table(table: OutputTable, path, plot: bool = False) -> None:
-    """Write the CSV (and optionally an SVG chart beside it) atomically."""
+    """Write the CSV (and optionally an SVG chart beside it) atomically, a chunk at a time."""
     target = Path(path)
-    _atomic_write(target, render_csv(table))
+    _atomic_write(target, _csv_chunks(table))
     if plot:
-        _atomic_write(target.with_suffix(".svg"), render_svg(table))
+        _atomic_write(target.with_suffix(".svg"), (render_svg(table),))
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -136,9 +183,10 @@ def render_svg(table: OutputTable) -> str:
     ml, mr, mt, mb = 70, 175, 20, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
+    rows = table.rows
     numeric_cols = [
         j for j in range(len(table.header))
-        if table.rows and all(isinstance(row[j], (int, float)) for row in table.rows)
+        if rows and all(isinstance(row[j], (int, float)) for row in rows)
     ]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -149,8 +197,8 @@ def render_svg(table: OutputTable) -> str:
     ]
     if numeric_cols and len(numeric_cols) >= 2:
         x_col, series_cols = numeric_cols[0], numeric_cols[1:]
-        xs = [float(row[x_col]) for row in table.rows]
-        ys = [float(row[j]) for j in series_cols for row in table.rows]
+        xs = [float(row[x_col]) for row in rows]
+        ys = [float(row[j]) for j in series_cols for row in rows]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if y_hi == y_lo:
@@ -192,7 +240,7 @@ def render_svg(table: OutputTable) -> str:
         for k, j in enumerate(series_cols):
             colour = _PALETTE[k % len(_PALETTE)]
             points = " ".join(
-                f"{sx(float(row[x_col])):.2f},{sy(float(row[j])):.2f}" for row in table.rows
+                f"{sx(float(row[x_col])):.2f},{sy(float(row[j])):.2f}" for row in rows
             )
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{colour}" stroke-width="1.5"/>'

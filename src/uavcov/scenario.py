@@ -30,8 +30,8 @@ AREA_SHAPES = ("square", "disk")
 SHADOWING_BLOCK_ELEMENTS = 1 << 18
 
 # the most users one scenario may hold, checked before anything is allocated; a
-# CLI scenario run written to a file peaked at ~0.76 KB of RSS per user (10^5 to
-# 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 3.2 GB
+# CLI scenario run written to a file peaked at ~66 MB plus ~0.14 KB of RSS per user
+# (10^5 to 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 0.65 GB
 MAX_USERS = 1 << 22
 
 # the most user-draws one scenario may shadow, checked first; at the ~37 ns per

@@ -3,8 +3,11 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,7 +364,7 @@ class TestCsvFormat:
 
     def test_empty_table_header_and_metadata_only(self, tmp_path):
         table = OutputTable(
-            header=["x", "y"], rows=[], metadata={"params": {"command": "sweep-plos"}}
+            header=["x", "y"], columns=[[], []], metadata={"params": {"command": "sweep-plos"}}
         )
         out = tmp_path / "empty.csv"
         emit_table(table, str(out))
@@ -371,7 +374,7 @@ class TestCsvFormat:
         assert comments
 
     def test_ragged_rows_rejected(self):
-        table = OutputTable(header=["x", "y"], rows=[(1.0, 2.0, 3.0)], metadata={})
+        table = OutputTable(header=["x", "y"], columns=[[1.0, 2.0], [3.0]], metadata={})
         with pytest.raises(ValueError):
             render_csv(table)
 
@@ -655,7 +658,7 @@ class TestOutputFiles:
 
     def test_version_is_the_header_version(self):
         assert uavcov.__version__ is reporting.TOOL_VERSION
-        table = OutputTable(header=["x"], rows=[], metadata={})
+        table = OutputTable(header=["x"], columns=[[]], metadata={})
         assert render_csv(table).startswith(f"# uavcov {uavcov.__version__}\n")
 
 
@@ -697,10 +700,41 @@ class TestNumberFormatting:
                  np.float32(0.1), np.int64(3), None]
         rows = [tuple(cells), tuple(reversed(cells)), tuple(cells)]
         rows.append([2] * len(cells))  # a list row and a second type signature
-        table = OutputTable(header=[f"c{i}" for i in range(len(cells))], rows=rows,
-                            metadata={})
+        table = OutputTable(header=[f"c{i}" for i in range(len(cells))],
+                            columns=[list(column) for column in zip(*rows)], metadata={})
         body = render_csv(table).split("\n")[-len(rows) - 1:-1]
         assert body == [",".join(reporting.format_number(c) for c in row) for row in rows]
+
+
+def _module_env():
+    src = str(Path(uavcov.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["uavcov", "uavcov.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        done = subprocess.run([sys.executable, "-m", module, "show-envs"], env=_module_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == cli._env_listing() + "\n"
+        assert done.stderr == ""
+
+    def test_reader_closing_stdout_early_is_quiet(self):
+        # ~4 MB of CSV, far more than a pipe buffers, so writes go on after the close
+        proc = subprocess.Popen([sys.executable, "-m", "uavcov", "scenario", "--n-users",
+                                 "40000", "--n-draws", "1"], env=_module_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"# uavcov 0.1.0\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 def _reject_constant(name):

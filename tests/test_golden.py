@@ -15,7 +15,7 @@ from uavcov import cli
 
 # name -> argv; ``--out`` is appended. Sizes are small but every code path runs:
 # MC columns, both formulations, both area shapes, a scenario whose shadowing
-# spans more than one draw block, and one SVG chart.
+# spans more than one draw block, one whose CSV spans several chunks, and one SVG chart.
 CASES = {
     "sweep-plos": ["sweep-plos", "--env", "all", "--step", "2.5"],
     "sweep-plos-literal": ["sweep-plos", "--env", "urban", "--step", "5",
@@ -45,6 +45,9 @@ CASES = {
                          "paper-literal"],
     "scenario-blocks": ["scenario", "--env", "urban", "--n-users", "11000", "--n-draws", "100",
                         "--seed", "13", "--workers", "2"],
+    # more rows than two CSV chunks of 2**14, and a part chunk
+    "scenario-chunks": ["scenario", "--env", "dense-urban", "--n-users", "40000", "--n-draws",
+                        "2", "--seed", "17"],
 }
 
 # frozen from the outputs of uavcov 0.1.0 before the columnar scenario path
@@ -78,6 +81,9 @@ GOLDEN = {
         {"csv": "02216482fb9ea688f01d52e01fbad922e9e5d57da635abba5e0be81f8636add8"},
     "scenario-blocks":
         {"csv": "2f2967535d577d4c71fea1b4505fd60b01677cfeb43b0dbca044bb54e5d99b23"},
+    # frozen from the row-at-a-time CSV writer, before the chunked one
+    "scenario-chunks":
+        {"csv": "af2509ed152b414a5ac2441e348ad39928a7f97ee74f652125977e33474970f6"},
 }
 
 
