@@ -96,14 +96,20 @@ class LinkGeometry:
                                        field="h_m")
 
 
+def _elevation_and_slant(r0_m, h_m):
+    r0 = np.asarray(r0_m, dtype=float)
+    h = np.asarray(h_m, dtype=float)
+    return np.degrees(np.arctan2(h, r0)), np.hypot(r0, h)
+
+
 def slant_distance(geom: LinkGeometry) -> float:
     """3-D UAV-to-user distance sqrt(r0^2 + h^2) in meters."""
-    return math.hypot(geom.r0_m, geom.h_m)
+    return float(_elevation_and_slant(geom.r0_m, geom.h_m)[1])
 
 
 def elevation_angle_deg(geom: LinkGeometry) -> float:
     """Elevation angle at the user in degrees; 90 when the UAV is overhead."""
-    return math.degrees(math.atan2(geom.h_m, geom.r0_m))
+    return float(_elevation_and_slant(geom.r0_m, geom.h_m)[0])
 
 
 def _los_sigmoid(theta, env: EnvironmentProfile):
@@ -112,8 +118,24 @@ def _los_sigmoid(theta, env: EnvironmentProfile):
         return 1.0 / (1.0 + env.a * np.exp(-env.b * (theta - env.a)))
 
 
+_LOG10_4PI_OVER_C = np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+_TINY = np.finfo(float).tiny
+
+
 def _fspl(f_c_hz, d_m):
-    return 20.0 * np.log10(4.0 * np.pi * f_c_hz * d_m / SPEED_OF_LIGHT)
+    # the frequency goes in as a numpy scalar, so that every step of the product sets the
+    # floating-point flags; an unflagged product neither overflowed nor lost bits or reached 0
+    try:
+        with np.errstate(over="raise", under="raise", divide="raise"):
+            return 20.0 * np.log10(4.0 * np.pi * np.asarray(f_c_hz) * d_m / SPEED_OF_LIGHT)
+    except FloatingPointError:
+        pass
+    # a ratio that overflowed, lost its low bits or reached 0 takes the sum of the three
+    # logarithms, which stays finite; every normal ratio keeps the product form
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        ratio = 4.0 * np.pi * f_c_hz * d_m / SPEED_OF_LIGHT
+        return np.where((ratio >= _TINY) & (ratio < np.inf), 20.0 * np.log10(ratio),
+                        20.0 * (_LOG10_4PI_OVER_C + np.log10(f_c_hz) + np.log10(d_m)))
 
 
 def _check_theta(theta_deg) -> np.ndarray:
@@ -156,11 +178,9 @@ def _path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
     The one evaluation of the channel formula behind the coverage kernel, the
     Monte Carlo estimator and :func:`mean_path_loss_db`; no validation.
     """
-    r0 = np.asarray(r0_m, dtype=float)
-    h = np.asarray(h_m, dtype=float)
-    theta = np.degrees(np.arctan2(h, r0))
+    theta, d = _elevation_and_slant(r0_m, h_m)
     pl = _los_sigmoid(theta, env)
-    fspl = _fspl(f_c_hz, np.hypot(r0, h))
+    fspl = _fspl(f_c_hz, d)
     return theta, pl, fspl, fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
 
 

@@ -270,7 +270,7 @@ def _load_config_file(path: str) -> dict:
                 _fail("--config", f"{key!r} must be an object")
             for sub_key in value:
                 if sub_key not in allowed:
-                    _fail("--config", f"unknown key {key}.{sub_key!r}")
+                    _fail("--config", f"unknown key {f'{key}.{sub_key}'!r}")
     if "environment" in raw and "environments" in raw:
         _fail("--config", "give either 'environment' or 'environments', not both")
     return raw

@@ -98,31 +98,20 @@ def _metadata_block(table: OutputTable) -> str:
 
 
 def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
-    # a typed array column has one cell format per chunk; a list or object-array
-    # column has one per cell, so a chunk holding one has one row format per row
+    # one row format per chunk: a typed array column keeps its first cell's format, a list
+    # or object-array column has each cell put through format_number and prints with %s
+    typed = [isinstance(column, np.ndarray) and column.dtype != object for column in columns]
     for lo in range(0, n_rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_rows)
-        cells = [_cells(column, lo, hi) for column in columns]
-        formats = tuple(
-            _cell_format(type(col_cells[0]))
-            if isinstance(column, np.ndarray) and column.dtype != object
-            else tuple(_cell_format(type(cell)) for cell in col_cells)
-            for column, col_cells in zip(columns, cells)
-        )
-        if all(isinstance(fmt, str) for fmt in formats):
-            fmt = (",".join(formats) + "\n") * (hi - lo)
-        else:
-            per_row = zip(*(fmt if isinstance(fmt, tuple) else (fmt,) * (hi - lo)
-                            for fmt in formats))
-            fmt = "".join(",".join(row) + "\n" for row in per_row)
-        yield fmt % tuple(chain.from_iterable(zip(*cells)))
+        cells = [_cells(column, lo, hi) if is_typed else list(map(format_number, column[lo:hi]))
+                 for column, is_typed in zip(columns, typed)]
+        row = ",".join(_cell_format(type(col_cells[0])) if is_typed else "%s"
+                       for col_cells, is_typed in zip(cells, typed))
+        yield ((row + "\n") * (hi - lo)) % tuple(chain.from_iterable(zip(*cells)))
 
 
-def _csv_chunks(table: OutputTable) -> Iterator[str]:
-    """Check ``table``, then iterate its CSV text: the metadata block, then one string per chunk.
-
-    A malformed table raises ``ValueError`` here, before any string is produced.
-    """
+def _n_rows(table: OutputTable) -> int:
+    # the one check of a table's shape, for the CSV and the SVG writer alike
     columns = table.columns
     if len(columns) != len(table.header):
         raise ValueError(f"{len(columns)} columns for {len(table.header)} header entries")
@@ -130,7 +119,15 @@ def _csv_chunks(table: OutputTable) -> Iterator[str]:
     for j, column in enumerate(columns):
         if len(column) != n_rows:
             raise ValueError(f"column {j} has {len(column)} rows, column 0 has {n_rows}")
-    return chain((_metadata_block(table),), _body_chunks(columns, n_rows))
+    return n_rows
+
+
+def _csv_chunks(table: OutputTable) -> Iterator[str]:
+    """Check ``table``, then iterate its CSV text: the metadata block, then one string per chunk.
+
+    A malformed table raises ``ValueError`` here, before any string is produced.
+    """
+    return chain((_metadata_block(table),), _body_chunks(table.columns, _n_rows(table)))
 
 
 def render_csv(table: OutputTable) -> str:
@@ -178,16 +175,15 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def render_svg(table: OutputTable) -> str:
-    """Standalone 800x500 line chart: first column on x, one series per column."""
+    """Standalone 800x500 line chart: first numeric column on x, one series per other one."""
     width, height = 800, 500
     ml, mr, mt, mb = 70, 175, 20, 50
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
-    rows = table.rows
-    numeric_cols = [
-        j for j in range(len(table.header))
-        if rows and all(isinstance(row[j], (int, float)) for row in rows)
-    ]
+    n_rows = _n_rows(table)
+    cells = [_cells(column, 0, n_rows) for column in table.columns]
+    numeric_cols = [j for j, column in enumerate(cells)
+                    if n_rows and all(isinstance(cell, (int, float)) for cell in column)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -195,10 +191,10 @@ def render_svg(table: OutputTable) -> str:
         f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
-    if numeric_cols and len(numeric_cols) >= 2:
+    if len(numeric_cols) >= 2:
         x_col, series_cols = numeric_cols[0], numeric_cols[1:]
-        xs = [float(row[x_col]) for row in rows]
-        ys = [float(row[j]) for j in series_cols for row in rows]
+        xs = [float(x) for x in cells[x_col]]
+        ys = [float(y) for j in series_cols for y in cells[j]]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if y_hi == y_lo:
@@ -239,9 +235,7 @@ def render_svg(table: OutputTable) -> str:
         )
         for k, j in enumerate(series_cols):
             colour = _PALETTE[k % len(_PALETTE)]
-            points = " ".join(
-                f"{sx(float(row[x_col])):.2f},{sy(float(row[j])):.2f}" for row in rows
-            )
+            points = " ".join(f"{sx(x):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, cells[j]))
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{colour}" stroke-width="1.5"/>'
             )

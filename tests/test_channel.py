@@ -29,7 +29,7 @@ from uavcov.channel import (
     p_nlos,
     slant_distance,
 )
-from uavcov.coverage import FormulationMode, RadioConfig, _coverage_arrays
+from uavcov.coverage import FormulationMode, RadioConfig, _coverage_arrays, coverage_probability
 from uavcov.errors import DomainError, InvalidGeometryError
 
 # mpmath oracles (50 dps), truncated to double precision
@@ -119,6 +119,21 @@ class TestGeometry:
     def test_invalid_geometry_rejected(self, r0, h):
         with pytest.raises(InvalidGeometryError):
             LinkGeometry(r0, h)
+
+    @pytest.mark.parametrize("mode", list(FormulationMode))
+    def test_scalar_helpers_are_the_kernel_bits(self, mode):
+        # 10**4 seeded links over eight decades of distance and six of altitude, plus r0 = 0
+        rng = np.random.default_rng(2014)
+        r0s = [0.0, *(10.0 ** rng.uniform(-3.0, 5.0, 10_000)).tolist()]
+        hs = [120.0, *(10.0 ** rng.uniform(-2.0, 4.0, 10_000)).tolist()]
+        radio = RadioConfig()
+        angle_diffs = fspl_diffs = 0
+        for r0, h in zip(r0s, hs):
+            geom = LinkGeometry(r0, h)
+            kernel = coverage_probability(geom, URBAN, radio, mode)
+            angle_diffs += elevation_angle_deg(geom) != kernel.theta_deg
+            fspl_diffs += fspl_db(radio.f_c_hz, slant_distance(geom)) != kernel.fspl_db
+        assert (angle_diffs, fspl_diffs) == (0, 0)
 
     @given(
         r0=st.floats(0.0, 1e5, allow_nan=False),
@@ -233,6 +248,40 @@ class TestPathLoss:
             with pytest.raises(DomainError):
                 fspl_db(f_c, d)
 
+    @pytest.mark.parametrize("f_c, d", [
+        (1e300, 1e300),  # 4*pi*f*d overflows
+        (2e9, 1e300),
+        (1e-300, 1e-20),  # the ratio underflows to 0
+        (5e-324, 5e-324),
+        (1e-160, 1e-150),  # the ratio is subnormal
+    ])
+    def test_finite_where_the_ratio_is_not_a_normal_double(self, f_c, d):
+        logs = math.log10(4 * math.pi / 299792458.0) + math.log10(f_c) + math.log10(d)
+        got = fspl_db(f_c, d)
+        assert math.isfinite(got)
+        assert got == pytest.approx(20 * logs, rel=1e-14)
+
+    def test_normal_ratios_keep_the_product_form_bit_for_bit(self):
+        # one array mixing normal and overflowing ratios: only the latter take the log sum;
+        # at f = 1e-310 the product underflows on the way to a normal ratio, which keeps it
+        f = np.array([2e9, 1e300, 5.8e9, 1e-300, 7e8, 1e-310])
+        d = np.array([100.0, 1e300, 1e-3, 1e-20, 12345.678, 1e300])
+        got = fspl_db(f, d)
+        normal = [0, 2, 4, 5]
+        expect = 20.0 * np.log10(4.0 * np.pi * f[normal] * d[normal] / 299792458.0)
+        assert np.array_equal(got[normal], expect)
+        assert np.all(np.isfinite(got))
+        assert fspl_db(1e-310, 1e300) == expect[-1]
+        assert fspl_db(2e9, 100.0) == expect[0]
+
+    def test_mean_path_loss_finite_at_the_largest_frequency(self):
+        # 4*pi*f overflows before the distance is applied
+        f_c = 1.5e308
+        logs = math.log10(4 * math.pi / 299792458.0) + math.log10(f_c) + math.log10(200.0)
+        pl = mean_path_loss_db(LinkGeometry(0.0, 200.0), URBAN, f_c)
+        assert math.isfinite(pl)
+        assert pl == pytest.approx(20 * logs, abs=URBAN.mu_nlos_db + 1e-9)
+
     def test_monotonic_in_distance_and_frequency(self):
         d = np.linspace(1.0, 5000.0, 200)
         assert np.all(np.diff(fspl_db(2e9, d)) > 0)
@@ -280,6 +329,12 @@ class TestMeanPathLoss:
                     kernel = _coverage_arrays(r0, h, env, radio,
                                               FormulationMode.STANDARD).mean_pl_db
                     assert mean_path_loss_db(LinkGeometry(r0, h), env, 2.4e9) == float(kernel)
+
+    @pytest.mark.parametrize("f_c", [float("nan"), np.float64("nan"), 0.0, -2e9, float("inf")])
+    def test_bad_frequency_names_its_field(self, f_c):
+        with pytest.raises(DomainError) as info:
+            mean_path_loss_db(LinkGeometry(100.0, 100.0), URBAN, f_c)
+        assert info.value.field == "f_c_hz"
 
     def test_continuous_in_r0(self):
         h = 100.0

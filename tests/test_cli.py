@@ -14,6 +14,7 @@ import pytest
 
 import uavcov
 from uavcov import cli, planner, reporting
+from uavcov.channel import BUILTIN_ENVIRONMENTS
 from uavcov.reporting import OutputTable, emit_table, render_csv
 from uavcov.scenario import MAX_USER_DRAWS, MAX_USERS
 
@@ -236,6 +237,41 @@ class TestParseArgs:
         assert "sweeep" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "config, argv, flag, message",
+        [
+            (None, ["--config", "missing.json"], "--config", "cannot read"),
+            ([1, 2], [], "--config", "top level must be a JSON object"),
+            ({"radio": 5}, [], "--config", "'radio' must be an object"),
+            ({"radio": {"nope": 1}}, [], "--config", "unknown key 'radio.nope'"),
+            ({"environment": "urban", "environments": ["urban"]}, [], "--config",
+             "not both"),
+            ({"environment": {"name": "x", "a": 9.6, "b": 0.28, "mu_los_db": 1,
+                              "mu_nlos_db": 20, "zzz": 1}}, [], "--config",
+             "unknown environment key 'zzz'"),
+            ({"environment": {"name": "x", "a": 9.6}}, [], "--config",
+             "missing keys: b, mu_los_db, mu_nlos_db"),
+            (None, ["--env", "urban", "--env", "suburban"], "--env",
+             "exactly one environment, got 2"),
+            (None, ["--workers", "0"], "--workers", "must be >= 1, got 0"),
+        ],
+        ids=["unreadable", "top-level-list", "section-not-object", "unknown-sub-key",
+             "both-environment-keys", "unknown-environment-key", "missing-environment-keys",
+             "two-scenario-environments", "no-workers"],
+    )
+    def test_structural_refusals_exit_2(self, tmp_path, monkeypatch, capsys, config, argv,
+                                        flag, message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("c.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", "c.json", *argv]
+        assert run_cli(["scenario", "--n-users", "2", "--n-draws", "1", *argv,
+                        "--out", "out.csv"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag}: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(os.listdir()) == (["c.json"] if config is not None else [])
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["scenario", "--n-users", "65536", "--n-draws", "65537"], "--n-draws"),
@@ -350,6 +386,15 @@ class TestCsvFormat:
         params = reporting.parse_metadata(text)
         rebuilt = cli.execute(cli.config_from_params(params))
         assert render_csv(rebuilt) == text
+
+    def test_unknown_command_in_metadata_raises(self):
+        text = '# config: {"command":"sweep-nothing","environments":[]}\nx\n'
+        with pytest.raises(ValueError, match="unknown command 'sweep-nothing'"):
+            cli.execute(cli.config_from_params(reporting.parse_metadata(text)))
+
+    def test_metadata_without_config_line_raises(self):
+        with pytest.raises(ValueError, match="no '# config:' metadata line"):
+            reporting.parse_metadata("# uavcov 0.1.0\n# command: sweep-plos\nangle_deg\n1\n")
 
     def test_nine_significant_digits(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -772,6 +817,34 @@ class TestExtremeValues:
         json.loads(summary[0][len("# summary: "):], parse_constant=_reject_constant)
         rates = np.array([float(row[header.index("rate_bps")]) for row in rows])
         assert np.all(np.isfinite(rates)) and np.all(rates > 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["coverage-radius", "--env", "urban", "--h=1e300"],
+        ["optimize-altitude", "--env", "urban", "--r-edge=1e300", "--steps", "50"],
+        ["scenario", "--env", "urban", "--n-users", "20", "--n-draws", "2", "--uav-h=1e300"],
+        ["scenario", "--env", "urban", "--n-users", "20", "--n-draws", "2",
+         "--area-side=1e300"],
+        ["sweep-pathloss", "--env", "urban", "--f-c", "1e-300", "--axis", "altitude",
+         "--start", "1e-20", "--stop", "1e-20", "--step", "1", "--r0", "0"],
+        ["scenario", "--n-users", "2", "--n-draws", "1", "--f-c", "5e-324", "--uav-h", "5e-324",
+         "--area-side", "5e-324"],
+    ], ids=["radius-high-uav", "optimize-far-edge", "scenario-high-uav", "scenario-wide-area",
+            "pathloss-ratio-underflows", "scenario-subnormal"])
+    def test_free_space_loss_stays_finite(self, tmp_path, capsys, argv):
+        # 4*pi*f*d/c overflows or underflows; each cell must still be a finite number
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*argv, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, comments, header, rows = read_csv(out)
+        cells = [cell for row in rows for cell in row if cell not in BUILTIN_ENVIRONMENTS]
+        assert rows and all(np.isfinite(float(cell)) for cell in cells)
+        for line in comments:
+            if line.startswith("# summary: "):
+                json.loads(line[len("# summary: "):], parse_constant=_reject_constant)
+        if argv[0] == "sweep-pathloss":
+            assert float(rows[0][1]) == pytest.approx(-6546.55209, abs=1e-5)
 
     @pytest.mark.parametrize("field, flag", [("g_db", "--g-db"), ("p_min_dbm", "--p-min")])
     def test_radio_db_fields_bounded(self, tmp_path, capsys, field, flag):

@@ -3,15 +3,22 @@
 The determinism tests elsewhere compare one run with another, so a change
 that moved every number would keep them green. These digests pin the bytes
 themselves. A deliberate change of output re-freezes them in the open:
-``PYTHONPATH=src python3 tests/test_golden.py`` prints the current digests.
+``PYTHONPATH=src python3 tests/test_golden.py`` prints the current digests. They
+hold numpy's and scipy's last bits, so other versions of those may move them.
 """
 
 import hashlib
+import platform
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from uavcov import cli
+
+# the digests hold the last bits of numpy's and scipy's math functions
+FROZEN_UNDER = "numpy 2.4.6 and scipy 1.17.1 on x86-64"
 
 # name -> argv; ``--out`` is appended. Sizes are small but every code path runs:
 # MC columns, both formulations, both area shapes, a scenario whose shadowing
@@ -48,6 +55,13 @@ CASES = {
     # more rows than two CSV chunks of 2**14, and a part chunk
     "scenario-chunks": ["scenario", "--env", "dense-urban", "--n-users", "40000", "--n-draws",
                         "2", "--seed", "17"],
+    # charts of list columns: MC lists beside arrays, a str column beside lists, and a
+    # table with one numeric column, which draws no series
+    "sweep-coverage-mc-plot": ["sweep-coverage", "--env", "urban", "--env", "suburban",
+                               "--axis", "angle", "--step", "15", "--mc-samples", "3000",
+                               "--seed", "3", "--plot"],
+    "optimize-altitude-plot": ["optimize-altitude", "--env", "all", "--steps", "200", "--plot"],
+    "coverage-radius-plot": ["coverage-radius", "--env", "all", "--resolution", "10", "--plot"],
 }
 
 # frozen from the outputs of uavcov 0.1.0 before the columnar scenario path
@@ -84,6 +98,16 @@ GOLDEN = {
     # frozen from the row-at-a-time CSV writer, before the chunked one
     "scenario-chunks":
         {"csv": "af2509ed152b414a5ac2441e348ad39928a7f97ee74f652125977e33474970f6"},
+    # frozen from the SVG writer that read row tuples, before it read the columns
+    "sweep-coverage-mc-plot":
+        {"csv": "0c2f0fcbb96c00ca0b66fe49d2139427c93a522a28c5074e5c6ed27af2994dfc",
+         "svg": "03c07487966afa15e7ce112b29287904d37db7db5c3c726a5e532384eea9e61d"},
+    "optimize-altitude-plot":
+        {"csv": "517c54e250dab91266296118e4faf4ca29855a4177137fe2f6564201700fb2f1",
+         "svg": "8667defe7bb9cb7373c49a86a59e54458797c40b2f5bf83e5784b09da4f71e1f"},
+    "coverage-radius-plot":
+        {"csv": "ea19501e661315e85d0f218a3f9783fd75a3bcb80c52958e425f071cc343c3ae",
+         "svg": "05d34089bf5a19d928b7118d1dda58c726ee1136567b003430543b85b57fe7b5"},
 }
 
 
@@ -97,7 +121,9 @@ def _digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_match_golden(name, tmp_path):
-    assert _digests(name, tmp_path) == GOLDEN[name]
+    assert _digests(name, tmp_path) == GOLDEN[name], (
+        f"the digests were frozen under {FROZEN_UNDER}; this run has numpy {np.__version__} "
+        f"and scipy {scipy.__version__} on {platform.machine()}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uavcov import cli, reporting
-from uavcov.reporting import OutputTable, emit_table, format_number, render_csv
+from uavcov.reporting import OutputTable, emit_table, format_number, render_csv, render_svg
 
 CHUNK = reporting._CHUNK_ROWS
 PREFIX = f"# {reporting.TOOL_NAME} {reporting.TOOL_VERSION}\n# config: {{}}\n"
@@ -87,6 +87,36 @@ class TestChunkBoundaries:
         assert table.rows[0][3] == "changed"
 
 
+class TestSvg:
+    def test_writers_read_the_columns_not_the_rows(self, tmp_path, monkeypatch):
+        def no_rows(table):
+            raise AssertionError("rows read")
+
+        monkeypatch.setattr(OutputTable, "rows", property(no_rows))
+        emit_table(make_table(50), tmp_path / "t.csv", plot=True)
+        # x is the float column; the int and bool columns are series, the mixed list is not
+        assert (tmp_path / "t.svg").read_text().count("<polyline") == 2
+
+    def test_a_series_is_a_column_of_ints_and_floats(self):
+        n = 6
+        table = OutputTable(
+            ["x", "floats", "none", "names", "ints", "flags", "objects", "f32"],
+            [np.linspace(0.0, 1.0, n), [0.5 * i for i in range(n)], [1.0] * (n - 1) + [None],
+             ["urban"] * n, np.arange(n), np.arange(n) % 2 == 0,
+             np.array([1.5] * n, dtype=object), [np.float32(1.0)] * n])
+        svg = render_svg(table)
+        legends = [line.rpartition('">')[2][:-len("</text>")] for line in svg.split("\n")
+                   if 'font-size="11">' in line]
+        # bools are ints; a None, a str or a numpy scalar in a list keeps a column out
+        assert legends == ["floats", "ints", "flags", "objects"]
+        assert 'text-anchor="middle">x</text>' in svg
+
+    def test_no_chart_without_two_series(self):
+        for columns in ([["a", "b"], [1.0, 2.0]], [[], []]):
+            svg = render_svg(OutputTable(["name", "value"], columns))
+            assert "<polyline" not in svg and svg.endswith("</svg>\n")
+
+
 class TestMalformedTables:
     @pytest.mark.parametrize("header, columns", [
         (["x", "y"], [[1.0, 2.0]]),
@@ -96,10 +126,13 @@ class TestMalformedTables:
     ])
     def test_refused_before_any_byte(self, header, columns, tmp_path, monkeypatch, capsys):
         table = OutputTable(header, columns, metadata={})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as csv_error:
             render_csv(table)
+        with pytest.raises(ValueError) as svg_error:
+            render_svg(table)
+        assert str(svg_error.value) == str(csv_error.value)
         with pytest.raises(ValueError):
-            emit_table(table, tmp_path / "t.csv")
+            emit_table(table, tmp_path / "t.csv", plot=True)
         assert list(tmp_path.iterdir()) == []
 
         monkeypatch.setattr(cli, "execute", lambda config: table)
