@@ -123,19 +123,18 @@ _TINY = np.finfo(float).tiny
 
 
 def _fspl(f_c_hz, d_m):
-    # the frequency goes in as a numpy scalar, so that every step of the product sets the
-    # floating-point flags; an unflagged product neither overflowed nor lost bits or reached 0
-    try:
-        with np.errstate(over="raise", under="raise", divide="raise"):
-            return 20.0 * np.log10(4.0 * np.pi * np.asarray(f_c_hz) * d_m / SPEED_OF_LIGHT)
-    except FloatingPointError:
-        pass
-    # a ratio that overflowed, lost its low bits or reached 0 takes the sum of the three
-    # logarithms, which stays finite; every normal ratio keeps the product form
+    # the product form holds where 4*pi*f and the ratio are positive normal doubles; where
+    # either overflowed, lost its low bits or reached 0, the sum of the three logarithms
+    # stays finite. The per-link mask is built only when the extremes show such a link.
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        ratio = 4.0 * np.pi * f_c_hz * d_m / SPEED_OF_LIGHT
-        return np.where((ratio >= _TINY) & (ratio < np.inf), 20.0 * np.log10(ratio),
-                        20.0 * (_LOG10_4PI_OVER_C + np.log10(f_c_hz) + np.log10(d_m)))
+        four_pi_f = 4.0 * np.pi * f_c_hz
+        ratio = four_pi_f * d_m / SPEED_OF_LIGHT
+        fspl = 20.0 * np.log10(ratio)
+        if (four_pi_f < _TINY).any() or ratio.min() < _TINY or ratio.max() == np.inf:
+            normal = (four_pi_f >= _TINY) & (ratio >= _TINY) & (ratio < np.inf)
+            fspl = np.where(normal, fspl,
+                            20.0 * (_LOG10_4PI_OVER_C + np.log10(f_c_hz) + np.log10(d_m)))
+    return fspl
 
 
 def _check_theta(theta_deg) -> np.ndarray:

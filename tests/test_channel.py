@@ -254,6 +254,8 @@ class TestPathLoss:
         (1e-300, 1e-20),  # the ratio underflows to 0
         (5e-324, 5e-324),
         (1e-160, 1e-150),  # the ratio is subnormal
+        (1e-310, 1e300),  # 4*pi*f is subnormal, so the normal ratio lost its low bits
+        (5e-324, 1e300),
     ])
     def test_finite_where_the_ratio_is_not_a_normal_double(self, f_c, d):
         logs = math.log10(4 * math.pi / 299792458.0) + math.log10(f_c) + math.log10(d)
@@ -262,16 +264,15 @@ class TestPathLoss:
         assert got == pytest.approx(20 * logs, rel=1e-14)
 
     def test_normal_ratios_keep_the_product_form_bit_for_bit(self):
-        # one array mixing normal and overflowing ratios: only the latter take the log sum;
-        # at f = 1e-310 the product underflows on the way to a normal ratio, which keeps it
+        # one array mixing normal and non-normal links: only the latter take the log sum
         f = np.array([2e9, 1e300, 5.8e9, 1e-300, 7e8, 1e-310])
         d = np.array([100.0, 1e300, 1e-3, 1e-20, 12345.678, 1e300])
         got = fspl_db(f, d)
-        normal = [0, 2, 4, 5]
+        normal = [0, 2, 4]
         expect = 20.0 * np.log10(4.0 * np.pi * f[normal] * d[normal] / 299792458.0)
         assert np.array_equal(got[normal], expect)
-        assert np.all(np.isfinite(got))
-        assert fspl_db(1e-310, 1e300) == expect[-1]
+        logs = np.log10(4 * np.pi / 299792458.0) + np.log10(f[[1, 3, 5]]) + np.log10(d[[1, 3, 5]])
+        assert np.allclose(got[[1, 3, 5]], 20 * logs, rtol=1e-14, atol=0.0)
         assert fspl_db(2e9, 100.0) == expect[0]
 
     def test_mean_path_loss_finite_at_the_largest_frequency(self):
