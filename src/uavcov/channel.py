@@ -15,6 +15,15 @@ import numpy as np
 from .errors import DomainError, InvalidGeometryError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
+# the largest magnitude of a dB field of RadioConfig or EnvironmentProfile
+MAX_ABS_DB = 3000.0
+# the smallest shadowing deviation, in dB. A coverage deficit divides a numerator by
+# sigma, or by sigma**2 in paper-literal mode. The numerator sums three radio dB fields
+# and up to two mean excess losses, each within MAX_ABS_DB, and an FSPL, which stays
+# within 13100 dB for any positive finite frequency and distance (20*log10(4*pi*f*d/c)
+# at f = d = 5e-324 and at the largest double), so it is below 3e4 dB. sigma**2 >= 1e-300,
+# a normal double, keeps the quotient below 3e304.
+MIN_SIGMA_DB = 1e-150
 
 
 @dataclass(frozen=True)
@@ -40,13 +49,21 @@ class EnvironmentProfile:
     sigma_nlos_db: float = 8.0
 
     def __post_init__(self):
-        for field in ("a", "b", "mu_los_db", "mu_nlos_db", "sigma_los_db", "sigma_nlos_db"):
-            if not math.isfinite(getattr(self, field)):
-                raise DomainError(f"environment {self.name!r}: {field} must be finite",
+        # a nan fails every test below, as an infinity fails each bound
+        for field in ("a", "b"):
+            if not 0.0 < getattr(self, field) < math.inf:
+                raise DomainError(f"environment {self.name!r}: {field} must be finite and > 0, "
+                                  f"got {getattr(self, field)}", field=field)
+        for field in ("mu_los_db", "mu_nlos_db"):
+            if not abs(getattr(self, field)) <= MAX_ABS_DB:
+                raise DomainError(f"environment {self.name!r}: {field} must lie within "
+                                  f"+-{MAX_ABS_DB:g} dB, got {getattr(self, field)}",
                                   field=field)
-        for field in ("a", "b", "sigma_los_db", "sigma_nlos_db"):
-            if getattr(self, field) <= 0:
-                raise DomainError(f"environment {self.name!r}: {field} must be > 0, "
+        # bounded above too, so that mu + sigma * z stays finite for every normal draw z
+        for field in ("sigma_los_db", "sigma_nlos_db"):
+            if not MIN_SIGMA_DB <= getattr(self, field) <= MAX_ABS_DB:
+                raise DomainError(f"environment {self.name!r}: {field} must lie in "
+                                  f"[{MIN_SIGMA_DB:g}, {MAX_ABS_DB:g}] dB, "
                                   f"got {getattr(self, field)}", field=field)
         if not 0.0 <= self.mu_los_db <= self.mu_nlos_db:
             raise DomainError(

@@ -505,7 +505,7 @@ def _scenario_table(config: RunConfig) -> OutputTable:
                         **{f.name: params[f.name] for f in fields(ScenarioSpec)
                            if f.name not in ("env", "radio")})
     result = evaluate_scenario(spec)
-    # one column per UserRecord field, in field order
+    # the per-user columns, in CSV column order
     columns = result.records.columns
     return OutputTable(header=list(columns), columns=list(columns.values()),
                        metadata={"params": params, "summary": asdict(result.summary)})

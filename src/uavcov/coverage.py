@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import EnvironmentProfile, LinkGeometry, _path_loss_arrays
+from .channel import (MAX_ABS_DB, MIN_SIGMA_DB, EnvironmentProfile, LinkGeometry,
+                      _path_loss_arrays)
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -34,8 +35,6 @@ _SIGN = 1 << 63
 _KEY_INF = _INT64.unpack(_DOUBLE.pack(math.inf))[0]
 # the threshold search first probes this many doubles either side of its guess
 _GUESS_ULPS = 64
-# the largest magnitude of a dB field of RadioConfig
-MAX_ABS_DB = 3000.0
 
 
 class FormulationMode(str, Enum):
@@ -133,8 +132,9 @@ def branch_argument(
     LoS/NLoS-averaged path loss in ``paper-literal`` mode; the mode also picks
     the normalizer (standard deviation vs. variance).
     """
-    if not (math.isfinite(sigma_db) and sigma_db > 0):
-        raise DomainError(f"shadowing deviation must be > 0, got {sigma_db}")
+    if not (math.isfinite(sigma_db) and sigma_db >= MIN_SIGMA_DB):
+        raise DomainError(f"shadowing deviation must be finite and >= {MIN_SIGMA_DB:g} dB, "
+                          f"got {sigma_db}", field="sigma_db")
     return _deficit(radio, path_loss_db, mu_db, sigma_db, FormulationMode(mode))
 
 

@@ -86,6 +86,7 @@ class SweepResult:
     mean_pl_db: tuple[np.ndarray, ...] = field(repr=False)
     p_cov: tuple[np.ndarray, ...] = field(repr=False)
 
+    # kept while perfbench/tracer.py counts sweep cells as len(result.rows)
     @property
     def rows(self) -> tuple[SweepRow, ...]:
         cells = (zip(p_los.tolist(), (1.0 - p_los).tolist(), mean_pl.tolist(), p_cov.tolist())

@@ -43,11 +43,6 @@ class OutputTable:
     columns: list
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def rows(self) -> list[tuple]:
-        """The table as row tuples, built from the columns each time it is read."""
-        return list(zip(*(_cells(column, 0, len(column)) for column in self.columns)))
-
 
 def format_number(value) -> str:
     """Locale-independent cell formatting: 9 significant digits for floats."""

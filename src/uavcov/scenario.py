@@ -1,18 +1,17 @@
 """Populate a service area with ground users and evaluate one UAV serving them.
 
 Per-user analytic link statistics come from the channel and coverage modules
-and stay numpy columns; ``UserColumns`` shows them as a sequence of
-``UserRecord`` values. The empirical covered fraction re-draws the shadowing
-model once per user per draw from a stream derived from the scenario seed, so
-results are reproducible bit for bit. Draws are generated in blocks of whole
-draws, so memory grows with the number of users, not with the number of draws.
+and stay numpy columns, which ``UserColumns`` holds read-only. The empirical
+covered fraction re-draws the shadowing model once per user per draw from a
+stream derived from the scenario seed, so results are reproducible bit for
+bit. Draws are generated in blocks of whole draws, so memory grows with the
+number of users, not with the number of draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -95,36 +94,24 @@ class ScenarioSpec:
         return (x, y, self.uav_h_m)
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    x_m: float
-    y_m: float
-    r0_m: float
-    theta_deg: float
-    p_los: float
-    mean_pl_db: float
-    p_cov: float
-    snr_db: float
-    rate_bps: float
+# the per-user columns, in CSV column order
+_COLUMN_NAMES = ("x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov", "snr_db",
+                 "rate_bps")
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(UserRecord))
+class UserColumns:
+    """Per-user link statistics as read-only numpy columns.
 
-
-class UserColumns(Sequence):
-    """Read-only sequence of ``UserRecord`` over per-user numpy columns.
-
-    ``columns`` maps each ``UserRecord`` field, in field order, to a read-only
-    float64 array. Indexing builds one record; slicing gives a view over the
-    sliced columns. Two views are equal when their columns are equal element
-    for element; a view also equals a list of the same records.
+    ``columns`` maps each column name, in CSV column order, to a read-only
+    float64 array; ``len`` is the user count. Two views are equal when their
+    columns are equal element for element.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, columns: dict):
         arrays = {}
-        for name in _RECORD_FIELDS:
+        for name in _COLUMN_NAMES:
             array = np.asarray(columns[name], dtype=float).view()
             array.flags.writeable = False
             arrays[name] = array
@@ -133,22 +120,11 @@ class UserColumns(Sequence):
     def __len__(self) -> int:
         return len(self.columns["x_m"])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return UserColumns({name: col[index] for name, col in self.columns.items()})
-        return UserRecord(*(float(col[index]) for col in self.columns.values()))
-
-    def __iter__(self):
-        return (UserRecord(*values)
-                for values in zip(*(col.tolist() for col in self.columns.values())))
-
     def __eq__(self, other):
-        if isinstance(other, UserColumns):
-            return all(np.array_equal(self.columns[name], other.columns[name])
-                       for name in _RECORD_FIELDS)
-        if isinstance(other, list):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, UserColumns):
+            return NotImplemented
+        return all(np.array_equal(self.columns[name], other.columns[name])
+                   for name in _COLUMN_NAMES)
 
     __hash__ = None
 

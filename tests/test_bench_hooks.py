@@ -75,6 +75,14 @@ def test_len_of_sweep_rows():
     assert len(planner.run_sweep(spec).rows) == 98
 
 
+@pytest.mark.parametrize("n_users", [1, 7, 403])
+def test_len_of_links_is_the_user_count(n_users):
+    positions = scenario.generate_users(n_users, 100.0, seed=n_users)
+    links = scenario.evaluate_links(positions, (50.0, 50.0, 100.0), URBAN, RadioConfig(),
+                                    FormulationMode.STANDARD, workers=1)
+    assert len(links) == len(positions) == n_users
+
+
 def test_workers_keyword_still_accepted():
     geom, radio = LinkGeometry(200.0, 100.0), RadioConfig()
     assert (coverage.coverage_monte_carlo(geom, URBAN, radio, n_samples=100, seed=1, workers=2)

@@ -77,11 +77,33 @@ class TestEnvironmentProfile:
             dict(a=5.0, b=0.1, mu_los_db=3.0, mu_nlos_db=2.0),
             dict(a=5.0, b=0.1, mu_los_db=1.0, mu_nlos_db=2.0, sigma_los_db=0.0),
             dict(a=5.0, b=0.1, mu_los_db=1.0, mu_nlos_db=2.0, sigma_nlos_db=-1.0),
+            dict(a=math.nan, b=0.1, mu_los_db=1.0, mu_nlos_db=2.0),
+            dict(a=5.0, b=math.inf, mu_los_db=1.0, mu_nlos_db=2.0),
         ],
     )
     def test_invalid_profile_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EnvironmentProfile("bad", **kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_los_db", 5e-324), ("sigma_nlos_db", 1e-200),
+        ("sigma_los_db", math.nextafter(channel.MIN_SIGMA_DB, 0.0)),
+        ("sigma_nlos_db", math.nextafter(channel.MAX_ABS_DB, math.inf)), ("sigma_los_db", 1e308),
+        ("mu_nlos_db", 1.7e308), ("mu_nlos_db", math.nextafter(channel.MAX_ABS_DB, math.inf)),
+        ("mu_los_db", 1e300), ("mu_los_db", math.nan), ("sigma_nlos_db", math.nan),
+        ("sigma_los_db", math.inf),
+    ])
+    def test_db_field_out_of_range_names_the_field(self, field, value):
+        kwargs = dict(a=5.0, b=0.1, mu_los_db=1.0, mu_nlos_db=20.0)
+        with pytest.raises(DomainError) as info:
+            EnvironmentProfile("bad", **{**kwargs, field: value})
+        assert info.value.field == field
+
+    def test_db_field_bounds_are_inclusive(self):
+        for sigma in (channel.MIN_SIGMA_DB, 1e-13, 1e-9, channel.MAX_ABS_DB):
+            EnvironmentProfile("edge", a=5.0, b=0.1, mu_los_db=channel.MAX_ABS_DB,
+                               mu_nlos_db=channel.MAX_ABS_DB, sigma_los_db=sigma,
+                               sigma_nlos_db=sigma)
 
     def test_lookup_accepts_loose_names(self):
         assert channel.builtin_environment("dense urban") is DENSE_URBAN

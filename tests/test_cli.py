@@ -177,6 +177,12 @@ class TestParseArgs:
             (["scenario", "--n-draws", "0"], "--n-draws"),
             (["scenario", "--area-side", "0"], "--area-side"),
             (["scenario", "--uav-h", "0"], "--uav-h"),
+            # a shadowing deviation whose deficit (or whose sigma**2) leaves a double
+            (["sweep-coverage", "--env", "urban", "--sigma-los=5e-324"], "--sigma-los"),
+            (["sweep-coverage", "--env", "urban", "--mode", "paper-literal",
+              "--sigma-nlos=1e-200"], "--sigma-nlos"),
+            (["scenario", "--n-users", "3", "--n-draws", "2", "--sigma-los=1e308"],
+             "--sigma-los"),
         ],
     )
     def test_library_refusals_exit_2_name_flag(self, tmp_path, capsys, argv, flag):
@@ -184,6 +190,18 @@ class TestParseArgs:
         assert run_cli(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert f"error: {flag}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep-coverage", "scenario"])
+    def test_environment_mean_loss_past_the_db_bound_exit_2(self, tmp_path, capsys, command):
+        cfg, out = tmp_path / "env.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"environment": {
+            "name": "x", "a": 9.6, "b": 0.28, "mu_los_db": 1.0, "mu_nlos_db": 1.7e308,
+            "sigma_nlos_db": 0.5}}), encoding="utf-8")
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: --env: " in err and "mu_nlos_db" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
+    MAX_ABS_DB,
+    MIN_SIGMA_DB,
     SUBURBAN,
     URBAN,
     EnvironmentProfile,
@@ -146,6 +148,33 @@ class TestBranchArgument:
             branch_argument(make_radio(), 78.468, 0.1, 0.0)
         with pytest.raises(DomainError):
             branch_argument(make_radio(), 78.468, 0.1, -2.0)
+
+    def test_sigma_below_the_floor_refused(self):
+        # sigma**2 underflows to 0 here; the floor refuses it before the division
+        with pytest.raises(DomainError) as info:
+            branch_argument(RadioConfig(), 100.0, 1.0, 1e-200, "paper-literal")
+        assert info.value.field == "sigma_db"
+        with pytest.raises(DomainError):
+            branch_argument(RadioConfig(), 100.0, 1.0, math.nextafter(MIN_SIGMA_DB, 0.0))
+        assert math.isfinite(branch_argument(RadioConfig(), 100.0, 1.0, MIN_SIGMA_DB,
+                                             "paper-literal"))
+
+    @pytest.mark.parametrize("mode", list(FormulationMode))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_deficits_finite_at_the_extremes_of_every_legal_field(self, mode, sign):
+        # the largest numerator a legal radio, environment and finite FSPL can make,
+        # over the smallest legal sigma; RuntimeWarning is an error in this suite
+        env = EnvironmentProfile("edge", a=5.0, b=0.1, mu_los_db=MAX_ABS_DB,
+                                 mu_nlos_db=MAX_ABS_DB, sigma_los_db=MIN_SIGMA_DB,
+                                 sigma_nlos_db=MIN_SIGMA_DB)
+        radio = RadioConfig(f_c_hz=1.7976931348623157e308 if sign > 0 else 5e-324,
+                            p_tx_dbm=-sign * MAX_ABS_DB, g_db=-sign * MAX_ABS_DB,
+                            p_min_dbm=sign * MAX_ABS_DB)
+        h = 1.7976931348623157e308 if sign > 0 else 5e-324
+        bd = coverage_probability(LinkGeometry(0.0, h), env, radio, mode)
+        assert all(math.isfinite(value) for value in bd)
+        assert abs(bd.deficit_los) > 1e150 and abs(bd.deficit_nlos) > 1e150
+        assert bd.p_cov == (0.0 if sign > 0 else 1.0)
 
     def test_mode_accepts_strings(self):
         assert branch_argument(make_radio(), 80.0, 1.0, 3.0, mode="standard") == branch_argument(

@@ -70,8 +70,6 @@ class TestChunkBoundaries:
         table = OutputTable(["b", "i", "f"], [np.array([True, False]), np.array([3, -4]),
                                               np.array([0.1, np.inf], dtype=np.float32)])
         assert render_csv(table).split("\n")[-3:] == ["1,3,0.100000001", "0,-4,inf", ""]
-        assert table.rows == [(True, 3, float(np.float32(0.1))), (False, -4, float("inf"))]
-        assert all(type(cell) in (bool, int, float) for row in table.rows for cell in row)
 
     def test_an_object_array_is_formatted_per_cell(self):
         column = np.array(MIXED, dtype=object)
@@ -79,24 +77,8 @@ class TestChunkBoundaries:
         assert render_csv(table) == PREFIX + "x\n" + "".join(
             format_number(cell) + "\n" for cell in MIXED)
 
-    def test_rows_are_derived_from_the_columns(self):
-        table = make_table(10)
-        assert table.rows == list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col
-                                        for col in table.columns)))
-        table.columns[3][0] = "changed"
-        assert table.rows[0][3] == "changed"
-
 
 class TestSvg:
-    def test_writers_read_the_columns_not_the_rows(self, tmp_path, monkeypatch):
-        def no_rows(table):
-            raise AssertionError("rows read")
-
-        monkeypatch.setattr(OutputTable, "rows", property(no_rows))
-        emit_table(make_table(50), tmp_path / "t.csv", plot=True)
-        # x is the float column; the int and bool columns are series, the mixed list is not
-        assert (tmp_path / "t.svg").read_text().count("<polyline") == 2
-
     def test_a_series_is_a_column_of_ints_and_floats(self):
         n = 6
         table = OutputTable(

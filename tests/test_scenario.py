@@ -20,7 +20,6 @@ from uavcov.scenario import (
     MAX_USERS,
     ScenarioSpec,
     UserColumns,
-    UserRecord,
     energy_efficiency,
     evaluate_links,
     evaluate_scenario,
@@ -80,44 +79,45 @@ class TestGenerateUsers:
 
 class TestEvaluateLinks:
     def test_user_at_ground_projection(self):
-        records = evaluate_links(
+        cols = evaluate_links(
             np.array([[500.0, 500.0]]), (500.0, 500.0, 120.0), URBAN, RadioConfig()
-        )
-        assert records[0].r0_m == 0.0
-        assert records[0].theta_deg == 90.0
+        ).columns
+        assert cols["r0_m"][0] == 0.0
+        assert cols["theta_deg"][0] == 90.0
 
     def test_matches_scalar_coverage_path(self):
         positions = np.array([[100.0, 900.0], [62.5, 412.0], [777.0, 3.0]])
         uav = (500.0, 500.0, 150.0)
         radio = RadioConfig(p_min_dbm=-66.0)
-        records = evaluate_links(positions, uav, URBAN, radio)
-        for rec, (x, y) in zip(records, positions):
+        cols = evaluate_links(positions, uav, URBAN, radio).columns
+        for i, (x, y) in enumerate(positions):
             r0 = math.hypot(x - 500.0, y - 500.0)
             bd = coverage_probability(LinkGeometry(r0, 150.0), URBAN, radio)
-            assert rec.p_cov == bd.p_cov
-            assert rec.p_los == bd.p_los
-            expect_snr = received_power_dbm(radio, rec.mean_pl_db) - noise_power_dbm(radio)
-            assert rec.snr_db == pytest.approx(expect_snr, abs=1e-12)
-            expect_rate = radio.bandwidth_hz * math.log2(1.0 + 10.0 ** (rec.snr_db / 10.0))
-            assert rec.rate_bps == pytest.approx(expect_rate, rel=1e-12)
+            assert cols["p_cov"][i] == bd.p_cov
+            assert cols["p_los"][i] == bd.p_los
+            snr_db = float(cols["snr_db"][i])
+            expect_snr = received_power_dbm(radio, cols["mean_pl_db"][i]) - noise_power_dbm(radio)
+            assert snr_db == pytest.approx(expect_snr, abs=1e-12)
+            expect_rate = radio.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+            assert cols["rate_bps"][i] == pytest.approx(expect_rate, rel=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(8)
         positions = rng.uniform(0.0, 1000.0, size=(50, 2))
         uav = (480.0, 515.0, 110.0)
         radio = RadioConfig(p_min_dbm=-68.0)
-        base = evaluate_links(positions, uav, URBAN, radio)
+        base = evaluate_links(positions, uav, URBAN, radio).columns
         offset = np.array([3250.0, -1875.0])
         moved = evaluate_links(
             positions + offset, (uav[0] + offset[0], uav[1] + offset[1], uav[2]), URBAN, radio
-        )
-        for rec_a, rec_b in zip(base, moved):
-            assert rec_b.x_m == pytest.approx(rec_a.x_m + offset[0])
-            assert rec_b.y_m == pytest.approx(rec_a.y_m + offset[1])
-            assert rec_b.r0_m == pytest.approx(rec_a.r0_m, abs=1e-9)
-            assert rec_b.theta_deg == pytest.approx(rec_a.theta_deg, abs=1e-9)
-            assert rec_b.p_cov == pytest.approx(rec_a.p_cov, abs=1e-12)
-            assert rec_b.rate_bps == pytest.approx(rec_a.rate_bps, rel=1e-12)
+        ).columns
+        assert len(moved["x_m"]) == len(base["x_m"]) == 50
+        np.testing.assert_allclose(moved["x_m"], base["x_m"] + offset[0], rtol=1e-6)
+        np.testing.assert_allclose(moved["y_m"], base["y_m"] + offset[1], rtol=1e-6)
+        np.testing.assert_allclose(moved["r0_m"], base["r0_m"], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved["theta_deg"], base["theta_deg"], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(moved["p_cov"], base["p_cov"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved["rate_bps"], base["rate_bps"], rtol=1e-12)
 
     def test_worker_count_does_not_change_records(self):
         positions = generate_users(403, 1000.0, seed=2)
@@ -130,11 +130,11 @@ class TestEvaluateLinks:
     def test_rate_past_the_overflow_of_the_linear_snr(self):
         # 10 ** (snr_db / 10) overflows past ~3082 dB; the rate is then the log form
         radio = RadioConfig(f_c_hz=1e-300)
-        records = evaluate_links(np.array([[0.0, 0.0], [300.0, 400.0]]), (0.0, 0.0, 100.0),
-                                 URBAN, radio)
-        for rec in records:
-            assert rec.snr_db > 3100.0
-            assert rec.rate_bps == radio.bandwidth_hz * (rec.snr_db * (math.log2(10.0) / 10.0))
+        cols = evaluate_links(np.array([[0.0, 0.0], [300.0, 400.0]]), (0.0, 0.0, 100.0),
+                              URBAN, radio).columns
+        for snr_db, rate_bps in zip(cols["snr_db"].tolist(), cols["rate_bps"].tolist()):
+            assert snr_db > 3100.0
+            assert rate_bps == radio.bandwidth_hz * (snr_db * (math.log2(10.0) / 10.0))
 
 
 class TestEvaluateScenario:
@@ -146,9 +146,9 @@ class TestEvaluateScenario:
 
     def test_summary_aggregates(self):
         result = evaluate_scenario(make_spec())
-        p_cov = [rec.p_cov for rec in result.records]
+        p_cov = result.records.columns["p_cov"].tolist()
         assert result.summary.mean_p_cov == pytest.approx(float(np.mean(p_cov)), abs=1e-15)
-        rates = [rec.rate_bps for rec in result.records]
+        rates = result.records.columns["rate_bps"].tolist()
         assert result.summary.sum_rate_bps == pytest.approx(float(np.sum(rates)), rel=1e-15)
         # 40 dBm transmitter -> 10 W
         assert result.summary.total_power_w == pytest.approx(10.0, rel=1e-12)
@@ -176,13 +176,15 @@ class TestEvaluateScenario:
     def test_uav_defaults_to_area_centre(self):
         spec = make_spec(n_users=1, seed=0, area_side_m=800.0)
         result = evaluate_scenario(spec)
-        rec = result.records[0]
-        assert rec.r0_m == pytest.approx(math.hypot(rec.x_m - 400.0, rec.y_m - 400.0), abs=1e-9)
+        cols = result.records.columns
+        x, y, r0 = (float(cols[name][0]) for name in ("x_m", "y_m", "r0_m"))
+        assert r0 == pytest.approx(math.hypot(x - 400.0, y - 400.0), abs=1e-9)
 
     def test_disk_scenario_runs(self):
         result = evaluate_scenario(make_spec(area_shape="disk", n_users=300))
-        r0 = [rec.r0_m for rec in result.records]
-        assert max(r0) <= 500.0 * math.sqrt(2.0)  # UAV at centre; disk radius 500
+        r0 = result.records.columns["r0_m"]
+        assert len(r0) == 300
+        assert r0.max() <= 500.0 * math.sqrt(2.0)  # UAV at centre; disk radius 500
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(InvalidSpecError):
@@ -279,29 +281,13 @@ class TestUserColumns:
         positions = generate_users(n, 1000.0, seed=4)
         return evaluate_links(positions, (500.0, 500.0, 100.0), URBAN, RadioConfig())
 
-    def test_sequence_protocol(self):
+    def test_columns_read_only(self):
         view = self.make()
         assert isinstance(view, UserColumns)
         assert len(view) == 5
-        records = list(view)
-        assert all(isinstance(rec, UserRecord) for rec in records)
-        assert [view[i] for i in range(5)] == records
-        assert view[-1] == records[-1]
-        assert list(view[1:4]) == records[1:4]
-        assert view == records and records == view
-        with pytest.raises(IndexError):
-            view[5]
-
-    def test_record_values_are_python_floats_of_the_columns(self):
-        view = self.make()
-        rec = view[2]
-        for name, column in view.columns.items():
-            value = getattr(rec, name)
-            assert type(value) is float
-            assert value == column[2]
-
-    def test_columns_read_only(self):
-        view = self.make()
+        assert repr(view) == "UserColumns(<5 users>)"
+        assert all(column.dtype == np.float64 and column.shape == (5,)
+                   for column in view.columns.values())
         assert list(view.columns) == [
             "x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov", "snr_db",
             "rate_bps",
@@ -313,7 +299,6 @@ class TestUserColumns:
         a, b = self.make(), self.make()
         assert a == b
         assert a != self.make(6)
-        assert a != list(a)[:-1]
         assert a != "not records"
 
 
