@@ -17,13 +17,22 @@ from .errors import DomainError, InvalidGeometryError
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 # the largest magnitude of a dB field of RadioConfig or EnvironmentProfile
 MAX_ABS_DB = 3000.0
+# the largest magnitude of a free-space loss, in dB: 20*log10(4*pi*f*d/c) lies within
+# -13080 dB (f = d = 5e-324) and +12170 dB (f = d = the largest double) for any positive
+# finite frequency and distance
+MAX_ABS_FSPL_DB = 13100.0
 # the smallest shadowing deviation, in dB. A coverage deficit divides a numerator by
 # sigma, or by sigma**2 in paper-literal mode. The numerator sums three radio dB fields
-# and up to two mean excess losses, each within MAX_ABS_DB, and an FSPL, which stays
-# within 13100 dB for any positive finite frequency and distance (20*log10(4*pi*f*d/c)
-# at f = d = 5e-324 and at the largest double), so it is below 3e4 dB. sigma**2 >= 1e-300,
-# a normal double, keeps the quotient below 3e304.
+# and up to two mean excess losses, each within MAX_ABS_DB, and an FSPL within
+# MAX_ABS_FSPL_DB, so it is below 3e4 dB. sigma**2 >= 1e-300, a normal double, keeps the
+# quotient below 3e304.
 MIN_SIGMA_DB = 1e-150
+# the largest length, in meters, of a distance, an altitude, an area side or a UAV
+# coordinate. A scenario user's offset from the UAV is at most two lengths per axis, so
+# its ground distance is at most hypot(2, 2) = 2.83 lengths and its slant distance
+# hypot(r0, h) at most 3 lengths; 3e307 is below the largest double, 1.8e308, so no
+# np.hypot of the model overflows.
+MAX_LENGTH_M = 1e307
 
 
 @dataclass(frozen=True)
@@ -105,12 +114,12 @@ class LinkGeometry:
     h_m: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r0_m < math.inf:
-            raise InvalidGeometryError(f"ground distance must be finite and >= 0, got {self.r0_m}",
-                                       field="r0_m")
-        if not 0.0 < self.h_m < math.inf:
-            raise InvalidGeometryError(f"altitude must be finite and > 0, got {self.h_m}",
-                                       field="h_m")
+        if not 0.0 <= self.r0_m <= MAX_LENGTH_M:
+            raise InvalidGeometryError(f"ground distance must lie in [0, {MAX_LENGTH_M:g}] m, "
+                                       f"got {self.r0_m}", field="r0_m")
+        if not 0.0 < self.h_m <= MAX_LENGTH_M:
+            raise InvalidGeometryError(f"altitude must lie in (0, {MAX_LENGTH_M:g}] m, "
+                                       f"got {self.h_m}", field="h_m")
 
 
 def _elevation_and_slant(r0_m, h_m):
@@ -188,16 +197,31 @@ def fspl_db(f_c_hz, d_m):
     return float(out) if np.isscalar(f_c_hz) and np.isscalar(d_m) else out
 
 
+def _angle_and_fspl(r0_m, h_m, f_c_hz):
+    """Elevation angle in degrees and FSPL over parallel (r0, h) arrays; no validation.
+
+    The environment-independent stage of the model: a scan computes it once per
+    block of points and feeds it to every environment's stage.
+    """
+    theta, d = _elevation_and_slant(r0_m, h_m)
+    return theta, _fspl(f_c_hz, d)
+
+
+def _los_and_mean_loss(theta_deg, fspl_db, env: EnvironmentProfile):
+    """LoS probability and mean path loss of one environment, from the first stage's columns."""
+    pl = _los_sigmoid(theta_deg, env)
+    return pl, fspl_db + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
+
+
 def _path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
     """Elevation angle, LoS probability, FSPL and mean path loss over parallel (r0, h) arrays.
 
-    The one evaluation of the channel formula behind the coverage kernel, the
-    Monte Carlo estimator and :func:`mean_path_loss_db`; no validation.
+    The two stages of the channel formula in one call, for the Monte Carlo
+    estimator and :func:`mean_path_loss_db`; no validation.
     """
-    theta, d = _elevation_and_slant(r0_m, h_m)
-    pl = _los_sigmoid(theta, env)
-    fspl = _fspl(f_c_hz, d)
-    return theta, pl, fspl, fspl + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
+    theta, fspl = _angle_and_fspl(r0_m, h_m, f_c_hz)
+    pl, mean_pl = _los_and_mean_loss(theta, fspl, env)
+    return theta, pl, fspl, mean_pl
 
 
 def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float) -> float:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -26,6 +25,7 @@ from .planner import (
     DEFAULT_ANGLE_SWEEP,
     DEFAULT_DISTANCE_SWEEP,
     SweepSpec,
+    _map_on_pool,
     max_coverage_radius,
     optimal_altitude,
     run_sweep,
@@ -380,25 +380,6 @@ def config_from_params(params: dict, out=None, plot=False, workers=1) -> RunConf
                      workers=workers)
 
 
-def _usable_cpus() -> int:
-    # sched_getaffinity exists only on some platforms (Linux, not macOS or Windows)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_on_pool(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` on a thread pool of at most ``workers``; results in item order.
-
-    Items are independent and each is deterministic, so threads change no byte.
-    More threads than items or usable CPUs would only idle or contend for them.
-    The first item to raise, in item order, raises here.
-    """
-    # no items (a config of no environments) still makes a pool, and one of 0 is refused
-    with ThreadPoolExecutor(max(1, min(workers, len(items), _usable_cpus()))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep_table(config: RunConfig) -> OutputTable:
     params = config.params
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
@@ -458,18 +439,10 @@ def _sweep_table(config: RunConfig) -> OutputTable:
 def _optimize_table(config: RunConfig) -> OutputTable:
     params = config.params
     radio = RadioConfig(**params["radio"])
-    # every environment is checked before any scan starts on the pool
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
-
-    def scan(env: EnvironmentProfile):
-        # a global looked up per call, so a wrapper set on this module sees every scan
-        return optimal_altitude(
-            params["r_edge_m"], env, radio,
-            h_min=params["h_min_m"], h_max=params["h_max_m"], steps=params["steps"],
-            mode=params["mode"],
-        )
-
-    best = _map_on_pool(scan, envs, config.workers)
+    best = optimal_altitude(params["r_edge_m"], envs, radio, h_min=params["h_min_m"],
+                            h_max=params["h_max_m"], steps=params["steps"], mode=params["mode"],
+                            workers=config.workers)
     return OutputTable(
         header=["environment", "h_star_m", "p_cov_star"],
         columns=[[env.name for env in envs], [b.h_star_m for b in best],
@@ -483,17 +456,12 @@ def _radius_table(config: RunConfig) -> OutputTable:
     params = config.params
     radio = RadioConfig(**params["radio"])
     envs = [EnvironmentProfile(**e) for e in params["environments"]]
-
-    def scan(env: EnvironmentProfile) -> float:
-        return max_coverage_radius(
-            params["h_m"], env, radio, target=params["target"],
-            r_max_scan=params["r_max_m"], resolution=params["resolution_m"],
-            mode=params["mode"],
-        )
-
+    radii = max_coverage_radius(params["h_m"], envs, radio, target=params["target"],
+                                r_max_scan=params["r_max_m"], resolution=params["resolution_m"],
+                                mode=params["mode"], workers=config.workers)
     return OutputTable(
         header=["environment", "max_radius_m"],
-        columns=[[env.name for env in envs], _map_on_pool(scan, envs, config.workers)],
+        columns=[[env.name for env in envs], list(radii)],
         metadata={"params": params},
     )
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .channel import (MAX_ABS_DB, MIN_SIGMA_DB, EnvironmentProfile, LinkGeometry,
-                      _path_loss_arrays)
+from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
+                      LinkGeometry, _angle_and_fspl, _los_and_mean_loss, _path_loss_arrays)
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
@@ -130,12 +130,22 @@ def branch_argument(
 
     ``path_loss_db`` is the free-space loss in ``standard`` mode and the full
     LoS/NLoS-averaged path loss in ``paper-literal`` mode; the mode also picks
-    the normalizer (standard deviation vs. variance).
+    the normalizer (standard deviation vs. variance). Each argument is bounded
+    as the model bounds it, so the result is finite.
     """
+    mode = FormulationMode(mode)
     if not (math.isfinite(sigma_db) and sigma_db >= MIN_SIGMA_DB):
         raise DomainError(f"shadowing deviation must be finite and >= {MIN_SIGMA_DB:g} dB, "
                           f"got {sigma_db}", field="sigma_db")
-    return _deficit(radio, path_loss_db, mu_db, sigma_db, FormulationMode(mode))
+    if not abs(mu_db) <= MAX_ABS_DB:
+        raise DomainError(f"mean excess loss must lie within +-{MAX_ABS_DB:g} dB, got {mu_db}",
+                          field="mu_db")
+    # the averaged path loss of paper-literal mode adds one mean excess loss to the FSPL
+    limit = MAX_ABS_FSPL_DB + (MAX_ABS_DB if mode is FormulationMode.PAPER_LITERAL else 0.0)
+    if not abs(path_loss_db) <= limit:
+        raise DomainError(f"path loss must lie within +-{limit:g} dB in {mode.value} mode, "
+                          f"got {path_loss_db}", field="path_loss_db")
+    return _deficit(radio, path_loss_db, mu_db, sigma_db, mode)
 
 
 def _deficit(radio: RadioConfig, loss, mu: float, sigma: float, mode: FormulationMode):
@@ -145,11 +155,15 @@ def _deficit(radio: RadioConfig, loss, mu: float, sigma: float, mode: Formulatio
     return numerator / sigma
 
 
-def _coverage_arrays(r0_m, h_m, env: EnvironmentProfile, radio: RadioConfig,
+def _coverage_arrays(theta_deg, fspl_db, env: EnvironmentProfile, radio: RadioConfig,
                      mode: FormulationMode) -> CoverageColumns:
-    """Vectorized coverage evaluation over (r0, h) arrays; a constant one may be a scalar."""
-    theta, pl, fspl, mean_pl = _path_loss_arrays(r0_m, h_m, env, radio.f_c_hz)
-    loss = mean_pl if mode is FormulationMode.PAPER_LITERAL else fspl
+    """Coverage of one environment from the columns of ``channel._angle_and_fspl``.
+
+    The environment stage of the vectorized model; the first stage's elevation
+    angle and FSPL pass through to the result unchanged. No validation.
+    """
+    pl, mean_pl = _los_and_mean_loss(theta_deg, fspl_db, env)
+    loss = mean_pl if mode is FormulationMode.PAPER_LITERAL else fspl_db
     a = _deficit(radio, loss, env.mu_los_db, env.sigma_los_db, mode)
     b = _deficit(radio, loss, env.mu_nlos_db, env.sigma_nlos_db, mode)
     q_los = q_function(a)
@@ -157,7 +171,7 @@ def _coverage_arrays(r0_m, h_m, env: EnvironmentProfile, radio: RadioConfig,
     # q_nlos + pl*(q_los - q_nlos) == pl*q_los + (1 - pl)*q_nlos, but collapses
     # bit-exactly to the common tail when both branches coincide
     p_cov = q_nlos + pl * (q_los - q_nlos)
-    return CoverageColumns(theta, pl, fspl, mean_pl, a, b, q_los, q_nlos, p_cov)
+    return CoverageColumns(theta_deg, pl, fspl_db, mean_pl, a, b, q_los, q_nlos, p_cov)
 
 
 def coverage_probability(
@@ -167,7 +181,8 @@ def coverage_probability(
     mode: FormulationMode | str = FormulationMode.STANDARD,
 ) -> CoverageColumns:
     """Probability that received power meets the threshold, with every kernel quantity."""
-    cols = _coverage_arrays(geom.r0_m, geom.h_m, env, radio, FormulationMode(mode))
+    theta, fspl = _angle_and_fspl(geom.r0_m, geom.h_m, radio.f_c_hz)
+    cols = _coverage_arrays(theta, fspl, env, radio, FormulationMode(mode))
     return CoverageColumns._make(map(float, cols))
 
 

@@ -2,17 +2,26 @@
 
 All searches are exhaustive grid scans by design: the coverage objective is
 not known to be unimodal in altitude, and grids keep every result
-bit-reproducible.
+bit-reproducible. The model runs in two stages: the elevation angle and FSPL
+of a set of points (``channel._angle_and_fspl``), which no environment
+changes, then ``_coverage_arrays`` once per environment on those columns.
+The grid searches take every environment in one call and cut the grid into
+blocks: each block's first stage is computed once for all environments, and
+contiguous spans of blocks run on a thread pool (``_map_on_pool``, which also
+runs the CLI's Monte Carlo cells). Each span keeps per-block results that
+merge in block order, so no result depends on the number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import EnvironmentProfile, LinkGeometry
+from .channel import MAX_LENGTH_M, EnvironmentProfile, LinkGeometry, _angle_and_fspl
 from .coverage import FormulationMode, RadioConfig, _coverage_arrays
 from .errors import InvalidRangeError, InvalidSpecError
 
@@ -30,8 +39,12 @@ DEFAULT_ALTITUDE_SWEEP = (50.0, 2000.0, 1.0)
 # float64 array of this many points takes 128 MiB
 MAX_GRID_POINTS = 1 << 24
 
-# the planners run the kernel on blocks of this many points, whose temporaries stay
-# in cache; 2**12 to 2**16 ran alike
+# the planners run the model on blocks of this many points, whose temporaries stay in
+# cache. The two scans of perfbench's planner-grid (4 environments x 2e6 points each)
+# at two threads took (median of 5; x86-64, 2 vCPUs) 1.32 s at 2**12 and 0.98 s at
+# 2**13, where the threads' many small numpy calls contend for the interpreter lock,
+# 0.76 s at 2**14 and 0.67-0.69 s at 2**15 and 2**16; 2**15 also added ~2.7 MB to the
+# benchmark's peak RSS
 _BLOCK = 1 << 14
 
 
@@ -147,12 +160,21 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if spec.axis == AXIS_ELEVATION and spec.stop > 90.0:
         raise InvalidSpecError("elevation-angle sweeps must lie within (0, 90] degrees",
                                field="stop")
+    if spec.axis != AXIS_ELEVATION and spec.stop > MAX_LENGTH_M:
+        raise InvalidSpecError(f"a {spec.axis} sweep must stop at or below {MAX_LENGTH_M:g}, "
+                               f"got {spec.stop}", field="stop")
 
     values = _grid(spec.start, spec.stop, spec.step, "step")
     # the constant coordinate is a read-only view of one double, not a copy per point
     h = np.broadcast_to(float(spec.baseline.h_m), values.shape)
     if spec.axis == AXIS_ELEVATION:
-        r0 = np.where(values >= 90.0, 0.0, spec.baseline.h_m / np.tan(np.radians(values)))
+        # a shallow enough first angle takes h / tan(theta) past any length, even to inf
+        with np.errstate(over="ignore", divide="ignore"):
+            r0 = np.where(values >= 90.0, 0.0, spec.baseline.h_m / np.tan(np.radians(values)))
+        if not r0[0] <= MAX_LENGTH_M:  # the first angle gives the farthest ground distance
+            raise InvalidSpecError(f"an elevation angle of {spec.start} deg at altitude "
+                                   f"{spec.baseline.h_m} m puts the user beyond "
+                                   f"{MAX_LENGTH_M:g} m", field="start")
     elif spec.axis == AXIS_DISTANCE:
         r0 = values
     else:
@@ -163,23 +185,63 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate LoS probability, mean path loss, and coverage on the grid."""
     values, r0, h = sweep_grid(spec)
-    columns = (_coverage_arrays(r0, h, env, spec.radio, spec.mode) for env in spec.environments)
+    theta, fspl = _angle_and_fspl(r0, h, spec.radio.f_c_hz)
+    columns = (_coverage_arrays(theta, fspl, env, spec.radio, spec.mode)
+               for env in spec.environments)
     # each environment keeps three columns; its others go before the next is evaluated
     p_los, mean_pl_db, p_cov = zip(*((c.p_los, c.mean_pl_db, c.p_cov) for c in columns))
     return SweepResult(spec.axis, tuple(env.name for env in spec.environments), values,
                        p_los, mean_pl_db, p_cov)
 
 
-def _p_cov_blocks(n: int, coordinates, env: EnvironmentProfile, radio: RadioConfig,
-                  mode: FormulationMode):
-    """Yield ``(lo, p_cov)`` for each block ``[lo, hi)`` of an ``n``-point scan.
+def _usable_cpus() -> int:
+    # sched_getaffinity exists only on some platforms (Linux, not macOS or Windows)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    ``coordinates(lo, hi)`` gives the block's (r0, h). The kernel's columns live
-    for one block only, so a scan holds its axis array plus one block of them.
+
+def _pool_size(workers: int, n_items: int) -> int:
+    # more threads than items or usable CPUs would only idle or contend for them; a pool
+    # of 0 is refused, so no items still get one
+    return max(1, min(workers, n_items, _usable_cpus()))
+
+
+def _map_on_pool(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` on a thread pool of at most ``workers``; results in item order.
+
+    Items are independent and each is deterministic, so threads change no byte.
+    The first item to raise, in item order, raises here.
     """
-    for lo in range(0, n, _BLOCK):
-        r0, h = coordinates(lo, min(lo + _BLOCK, n))
-        yield lo, _coverage_arrays(r0, h, env, radio, mode).p_cov
+    with ThreadPoolExecutor(_pool_size(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _scan(n: int, coordinates, environments: tuple, radio: RadioConfig,
+          mode: FormulationMode, workers: int, reduce) -> list:
+    """``reduce(lo, p_cov)`` for each block ``[lo, hi)`` of an ``n``-point scan, per environment.
+
+    ``coordinates(lo, hi)`` gives the block's (r0, h). Each block's elevation
+    angle and FSPL are computed once, and the kernel then runs once per
+    environment on them; its columns live for one block only. The blocks are
+    cut into contiguous spans, one per pool thread. Returns one list per
+    environment of its block results in block order, whatever the spans.
+    """
+    blocks = range(0, n, _BLOCK)
+    k = _pool_size(workers, len(blocks))
+    spans = [blocks[j * len(blocks) // k:(j + 1) * len(blocks) // k] for j in range(k)]
+
+    def run(span: range) -> list:
+        results = [[] for _ in environments]
+        for lo in span:
+            theta, fspl = _angle_and_fspl(*coordinates(lo, min(lo + _BLOCK, n)), radio.f_c_hz)
+            for out, env in zip(results, environments):
+                # a global looked up per call, so a wrapper set on this module sees every block
+                out.append(reduce(lo, _coverage_arrays(theta, fspl, env, radio, mode).p_cov))
+        return results
+
+    per_span = _map_on_pool(run, spans, k)
+    return [[r for span in per_span for r in span[j]] for j in range(len(environments))]
 
 
 @dataclass(frozen=True)
@@ -190,57 +252,69 @@ class AltitudeOptimum:
 
 def optimal_altitude(
     r_edge: float,
-    env: EnvironmentProfile,
+    environments: tuple[EnvironmentProfile, ...],
     radio: RadioConfig,
     h_min: float,
     h_max: float,
     steps: int,
     mode: FormulationMode | str = FormulationMode.STANDARD,
-) -> AltitudeOptimum:
-    """Altitude on the grid maximizing coverage at ground distance ``r_edge``.
+    workers: int = 1,
+) -> tuple[AltitudeOptimum, ...]:
+    """Altitude on the grid maximizing coverage at ground distance ``r_edge``, per environment.
 
-    Ties break toward the lowest altitude (first grid maximum).
+    Ties break toward the lowest altitude (first grid maximum). The scan runs
+    on up to ``workers`` threads; the result does not depend on that number.
     """
-    if not 0.0 < h_min < math.inf:
-        raise InvalidRangeError(f"h_min must be finite and > 0, got {h_min}", field="h_min")
-    if not h_min < h_max < math.inf:
-        raise InvalidRangeError(f"need h_min < h_max < inf, got [{h_min}, {h_max}]",
-                                field="h_max")
+    if not 0.0 < h_min <= MAX_LENGTH_M:
+        raise InvalidRangeError(f"h_min must lie in (0, {MAX_LENGTH_M:g}] m, got {h_min}",
+                                field="h_min")
+    if not h_min < h_max <= MAX_LENGTH_M:
+        raise InvalidRangeError(f"need h_min < h_max <= {MAX_LENGTH_M:g} m, "
+                                f"got [{h_min}, {h_max}]", field="h_max")
     if steps < 2:
         raise InvalidRangeError(f"need at least 2 grid steps, got {steps}", field="steps")
     if steps > MAX_GRID_POINTS:
         raise InvalidRangeError(f"steps {steps} exceeds {MAX_GRID_POINTS} grid points",
                                 field="steps")
-    if not 0.0 <= r_edge < math.inf:
-        raise InvalidRangeError(f"edge distance must be finite and >= 0, got {r_edge}",
-                                field="r_edge")
-    mode = FormulationMode(mode)
+    if not 0.0 <= r_edge <= MAX_LENGTH_M:
+        raise InvalidRangeError(f"edge distance must lie in [0, {MAX_LENGTH_M:g}] m, "
+                                f"got {r_edge}", field="r_edge")
+    environments, mode = tuple(environments), FormulationMode(mode)
+    if not environments:
+        return ()
     altitudes = np.linspace(h_min, h_max, steps)
-    # the first maximum of each block; the first maximum among those is np.argmax over
-    # the whole grid, a NaN included
-    firsts, maxima = [], []
-    for lo, p_cov in _p_cov_blocks(steps, lambda lo, hi: (r_edge, altitudes[lo:hi]),
-                                   env, radio, mode):
+
+    def first_maximum(lo: int, p_cov: np.ndarray):
         i = int(np.argmax(p_cov))
-        firsts.append(lo + i)
-        maxima.append(p_cov[i])
-    k = int(np.argmax(maxima))
-    return AltitudeOptimum(h_star_m=float(altitudes[firsts[k]]), p_cov_star=float(maxima[k]))
+        return lo + i, p_cov[i]
+
+    optima = []
+    for blocks in _scan(steps, lambda lo, hi: (r_edge, altitudes[lo:hi]), environments,
+                        radio, mode, workers, first_maximum):
+        # the first maximum among the blocks' first maxima is np.argmax over the whole
+        # grid, a NaN included
+        firsts, maxima = zip(*blocks)
+        k = int(np.argmax(maxima))
+        optima.append(AltitudeOptimum(h_star_m=float(altitudes[firsts[k]]),
+                                      p_cov_star=float(maxima[k])))
+    return tuple(optima)
 
 
 def max_coverage_radius(
     h: float,
-    env: EnvironmentProfile,
+    environments: tuple[EnvironmentProfile, ...],
     radio: RadioConfig,
     target: float,
     r_max_scan: float,
     resolution: float,
     mode: FormulationMode | str = FormulationMode.STANDARD,
-) -> float:
-    """Largest grid distance within ``r_max_scan`` still meeting the target.
+    workers: int = 1,
+) -> tuple[float, ...]:
+    """Largest grid distance within ``r_max_scan`` still meeting the target, per environment.
 
     Scans the whole grid outward rather than bisecting, so no unimodality of
-    the coverage curve is assumed; returns 0 when no grid point qualifies.
+    the coverage curve is assumed; 0 where no grid point qualifies. The scan
+    runs on up to ``workers`` threads; the result does not depend on that number.
     """
     if not 0.0 < target < 1.0:
         raise InvalidRangeError(f"coverage target must lie in (0, 1), got {target}",
@@ -248,17 +322,24 @@ def max_coverage_radius(
     if not 0.0 < resolution < math.inf:
         raise InvalidRangeError(f"scan resolution must be finite and > 0, got {resolution}",
                                 field="resolution")
-    if not 0.0 < h < math.inf:
-        raise InvalidRangeError(f"altitude must be finite and > 0, got {h}", field="h")
-    if not 0.0 <= r_max_scan < math.inf:
-        raise InvalidRangeError(f"scan limit must be finite and >= 0, got {r_max_scan}",
-                                field="r_max_scan")
-    mode = FormulationMode(mode)
+    if not 0.0 < h <= MAX_LENGTH_M:
+        raise InvalidRangeError(f"altitude must lie in (0, {MAX_LENGTH_M:g}] m, got {h}",
+                                field="h")
+    if not 0.0 <= r_max_scan <= MAX_LENGTH_M:
+        raise InvalidRangeError(f"scan limit must lie in [0, {MAX_LENGTH_M:g}] m, "
+                                f"got {r_max_scan}", field="r_max_scan")
+    environments, mode = tuple(environments), FormulationMode(mode)
     n = _grid_points(0.0, r_max_scan, resolution, "resolution")
-    last = None
-    for lo, p_cov in _p_cov_blocks(n, lambda lo, hi: (_grid_block(0.0, resolution, lo, hi), h),
-                                   env, radio, mode):
+    if not environments:
+        return ()
+
+    def last_qualifying(lo: int, p_cov: np.ndarray) -> int:
         qualifying = np.flatnonzero(p_cov >= target)
-        if qualifying.size:
-            last = lo + int(qualifying[-1])
-    return 0.0 if last is None else float(_grid_block(0.0, resolution, last, last + 1)[0])
+        return lo + int(qualifying[-1]) if qualifying.size else -1
+
+    # the radii are built per block, so no scan holds an array of the whole grid
+    lasts = (max(blocks) for blocks in _scan(
+        n, lambda lo, hi: (_grid_block(0.0, resolution, lo, hi), h), environments, radio,
+        mode, workers, last_qualifying))
+    return tuple(0.0 if last < 0 else float(_grid_block(0.0, resolution, last, last + 1)[0])
+                 for last in lasts)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channel import EnvironmentProfile
+from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, noise_power_dbm,
                        received_power_dbm)
 from .errors import DomainError, InvalidSpecError
@@ -69,17 +69,17 @@ class ScenarioSpec:
         if self.n_users * self.n_draws > MAX_USER_DRAWS:
             raise InvalidSpecError(f"{self.n_users} users x {self.n_draws} draws exceeds "
                                    f"{MAX_USER_DRAWS} user-draws", field="n_draws")
-        if not 0.0 < self.area_side_m < math.inf:
-            raise InvalidSpecError(f"area side must be finite and > 0, got {self.area_side_m}",
-                                   field="area_side_m")
+        if not 0.0 < self.area_side_m <= MAX_LENGTH_M:
+            raise InvalidSpecError(f"area side must lie in (0, {MAX_LENGTH_M:g}] m, "
+                                   f"got {self.area_side_m}", field="area_side_m")
         for name in ("uav_x_m", "uav_y_m"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidSpecError(f"UAV position {name} must be finite, got {value}",
-                                       field=name)
-        if not 0.0 < self.uav_h_m < math.inf:
-            raise InvalidSpecError(f"UAV altitude must be finite and > 0, got {self.uav_h_m}",
-                                   field="uav_h_m")
+            if value is not None and not abs(value) <= MAX_LENGTH_M:
+                raise InvalidSpecError(f"UAV position {name} must lie within "
+                                       f"+-{MAX_LENGTH_M:g} m, got {value}", field=name)
+        if not 0.0 < self.uav_h_m <= MAX_LENGTH_M:
+            raise InvalidSpecError(f"UAV altitude must lie in (0, {MAX_LENGTH_M:g}] m, "
+                                   f"got {self.uav_h_m}", field="uav_h_m")
         if self.area_shape not in AREA_SHAPES:
             raise InvalidSpecError(
                 f"unknown area shape {self.area_shape!r}; expected one of {AREA_SHAPES}",
@@ -169,7 +169,8 @@ def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square")
 def _link_arrays(positions, uav, env, radio, mode):
     x, y = positions[:, 0], positions[:, 1]
     r0 = np.hypot(x - uav[0], y - uav[1])
-    cols = _coverage_arrays(r0, uav[2], env, radio, mode)
+    theta, fspl = _angle_and_fspl(r0, uav[2], radio.f_c_hz)
+    cols = _coverage_arrays(theta, fspl, env, radio, mode)
     snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
     # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
     # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10

@@ -202,7 +202,7 @@ def test_criterion_07_optimizer_equivalence():
             h_min = float(rng.uniform(20.0, 150.0))
             h_max = h_min + float(rng.uniform(100.0, 1800.0))
             steps = int(rng.integers(50, 400))
-            got = optimal_altitude(r_edge, env, radio, h_min, h_max, steps, mode=mode)
+            (got,) = optimal_altitude(r_edge, (env,), radio, h_min, h_max, steps, mode=mode)
             bf_h, bf_cov = brute_best_altitude(r_edge, env, radio, h_min, h_max, steps, mode)
             assert got.h_star_m == bf_h and got.p_cov_star == bf_cov, f"altitude trial {trial}"
 
@@ -210,7 +210,8 @@ def test_criterion_07_optimizer_equivalence():
             target = float(rng.uniform(0.15, 0.97))
             resolution = float(rng.choice([2.0, 5.0, 10.0]))
             r_max = float(rng.uniform(200.0, 1200.0))
-            got_r = max_coverage_radius(h, env, radio, target, r_max, resolution, mode=mode)
+            (got_r,) = max_coverage_radius(h, (env,), radio, target, r_max, resolution,
+                                           mode=mode)
             assert got_r == brute_radius(h, env, radio, target, r_max, resolution, mode), (
                 f"radius trial {trial}"
             )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uavcov import cli, coverage, planner, reporting, scenario
-from uavcov.channel import URBAN, LinkGeometry
+from uavcov.channel import BUILTIN_ENVIRONMENTS, URBAN, LinkGeometry, _angle_and_fspl
 from uavcov.coverage import FormulationMode, RadioConfig
 from uavcov.planner import AXIS_DISTANCE, SweepSpec
 
@@ -46,10 +46,26 @@ def test_cli_binds_the_traced_functions(name):
 
 @pytest.mark.parametrize("module", [planner, scenario], ids=lambda m: m.__name__)
 def test_kernel_bindings_return_p_cov_last(module):
-    result = module._coverage_arrays(np.array([0.0, 50.0, 300.0]), np.full(3, 100.0), URBAN,
-                                     RadioConfig(), FormulationMode.STANDARD)
+    radio = RadioConfig()
+    theta, fspl = _angle_and_fspl(np.array([0.0, 50.0, 300.0]), np.full(3, 100.0), radio.f_c_hz)
+    result = module._coverage_arrays(theta, fspl, URBAN, radio, FormulationMode.STANDARD)
     assert result[-1] is result.p_cov
     assert result[-1].size == 3
+
+
+@pytest.mark.parametrize("command", ["optimize-altitude", "coverage-radius"])
+def test_planner_kernel_once_per_environment_per_block(monkeypatch, tmp_path, command):
+    # the tracer's coverage.kernel_points sums result[-1].size over the wrapped calls
+    n = 3 * planner._BLOCK + 5
+    grid = (["--steps", str(n)] if command == "optimize-altitude" else
+            ["--target", "0.5", "--resolution", str(2000.0 / (n - 1))])
+    kernel = counting(monkeypatch, planner, "_coverage_arrays")
+    assert cli.main([command, "--env", "all", *grid, "--workers", "2",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(kernel) == 4 * len(BUILTIN_ENVIRONMENTS)
+    assert all(result[-1] is result.p_cov for result in kernel)
+    assert sum(result[-1].size for result in kernel) == n * len(BUILTIN_ENVIRONMENTS)
+    assert sorted(result[-1].size for result in kernel)[:4] == [5] * 4
 
 
 def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):

@@ -18,10 +18,13 @@ from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
     DENSE_URBAN,
     HIGH_RISE_URBAN,
+    MAX_ABS_FSPL_DB,
+    MAX_LENGTH_M,
     SUBURBAN,
     URBAN,
     EnvironmentProfile,
     LinkGeometry,
+    _angle_and_fspl,
     elevation_angle_deg,
     fspl_db,
     mean_path_loss_db,
@@ -141,6 +144,19 @@ class TestGeometry:
     def test_invalid_geometry_rejected(self, r0, h):
         with pytest.raises(InvalidGeometryError):
             LinkGeometry(r0, h)
+
+    def test_lengths_bounded_so_that_hypot_stays_finite(self):
+        for r0, h, field in [(1.7e308, 100.0, "r0_m"), (100.0, 1.7e308, "h_m"),
+                             (math.nextafter(MAX_LENGTH_M, math.inf), 1.0, "r0_m")]:
+            with pytest.raises(InvalidGeometryError) as info:
+                LinkGeometry(r0, h)
+            assert info.value.field == field
+        # the farthest legal link: a scenario user two lengths off the UAV on each axis
+        r0 = float(np.hypot(2 * MAX_LENGTH_M, 2 * MAX_LENGTH_M))
+        assert math.isfinite(float(np.hypot(r0, MAX_LENGTH_M)))
+        geom = LinkGeometry(MAX_LENGTH_M, MAX_LENGTH_M)
+        assert math.isfinite(slant_distance(geom))
+        assert math.isfinite(mean_path_loss_db(geom, URBAN, 2e9))
 
     @pytest.mark.parametrize("mode", list(FormulationMode))
     def test_scalar_helpers_are_the_kernel_bits(self, mode):
@@ -285,6 +301,11 @@ class TestPathLoss:
         assert math.isfinite(got)
         assert got == pytest.approx(20 * logs, rel=1e-14)
 
+    def test_within_the_fspl_bound_at_the_extremes(self):
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        for f_c, d in [(tiny, tiny), (huge, huge), (tiny, huge), (huge, tiny)]:
+            assert abs(fspl_db(f_c, d)) <= MAX_ABS_FSPL_DB
+
     def test_normal_ratios_keep_the_product_form_bit_for_bit(self):
         # one array mixing normal and non-normal links: only the latter take the log sum
         f = np.array([2e9, 1e300, 5.8e9, 1e-300, 7e8, 1e-310])
@@ -349,8 +370,8 @@ class TestMeanPathLoss:
         for env in BUILTIN_ENVIRONMENTS.values():
             for r0 in (0.0, 15.0, 200.0, 1234.5):
                 for h in (1.0, 100.0, 750.0):
-                    kernel = _coverage_arrays(r0, h, env, radio,
-                                              FormulationMode.STANDARD).mean_pl_db
+                    kernel = _coverage_arrays(*_angle_and_fspl(r0, h, radio.f_c_hz), env,
+                                              radio, FormulationMode.STANDARD).mean_pl_db
                     assert mean_path_loss_db(LinkGeometry(r0, h), env, 2.4e9) == float(kernel)
 
     @pytest.mark.parametrize("f_c", [float("nan"), np.float64("nan"), 0.0, -2e9, float("inf")])

@@ -574,7 +574,7 @@ class TestCommands:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(planner, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
@@ -587,7 +587,7 @@ class TestCommands:
                 "--step", "100", "--mc-samples", "10", "--workers", "2", "--out"]
         assert run_cli(argv + [tmp_path / "with.csv"]) == 0
         sizes = []
-        pool = cli.ThreadPoolExecutor
+        pool = planner.ThreadPoolExecutor
 
         def recorded(max_workers):
             sizes.append(max_workers)
@@ -595,7 +595,7 @@ class TestCommands:
 
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         assert run_cli(argv + [tmp_path / "without.csv"]) == 0
         assert sizes == [1]
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
@@ -621,25 +621,29 @@ class TestCommands:
     @pytest.mark.parametrize("workers, cpus, size", [
         (100_000, 2, 2),  # capped at the usable CPUs
         (3, 8, 3),
-        (100_000, 64, 4),  # capped at the 4 environments
+        (100_000, 64, 4),  # capped at the 4 blocks of the grid: one span of blocks each
         (1, 8, 1),
     ])
     def test_planner_pool_size_is_bounded(self, tmp_path, monkeypatch, command, workers, cpus,
                                           size):
         sizes = []
-        pool = cli.ThreadPoolExecutor
+        pool = planner.ThreadPoolExecutor
 
         def recorded(max_workers):
             sizes.append(max_workers)
             return pool(max_workers)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert run_cli(self.PLANNERS[command] + ["--workers", workers,
+                                                 "--out", tmp_path / "p.csv"]) == 0
+        assert sizes == [size]
+        # a grid of one block is one span, whatever the environments
         argv = ["optimize-altitude", "--steps", "50"] if command == "optimize-altitude" else [
             "coverage-radius"]
         assert run_cli(argv + ["--env", "all", "--workers", workers,
                                "--out", tmp_path / "p.csv"]) == 0
-        assert sizes == [size]
+        assert sizes == [size, 1]
 
     @pytest.mark.parametrize("command", sorted(PLANNERS))
     def test_planner_without_environments_writes_an_empty_table(self, tmp_path, command):
@@ -863,6 +867,39 @@ class TestExtremeValues:
                 json.loads(line[len("# summary: "):], parse_constant=_reject_constant)
         if argv[0] == "sweep-pathloss":
             assert float(rows[0][1]) == pytest.approx(-6546.55209, abs=1e-5)
+
+    SCENARIO = ["scenario", "--env", "urban", "--n-users", "200", "--n-draws", "2"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (SCENARIO + ["--area-side", "1.7e308", "--uav-x", "0", "--uav-y", "0"], "--area-side"),
+        (SCENARIO + ["--uav-x=-1.7e308"], "--uav-x"),
+        (SCENARIO + ["--uav-y", "1.7e308"], "--uav-y"),
+        (SCENARIO + ["--uav-h", "1.7e308"], "--uav-h"),
+        (["coverage-radius", "--env", "urban", "--h", "1.7e308", "--r-max", "1.7e308",
+          "--resolution", "1e306"], "--h"),
+        (["coverage-radius", "--env", "urban", "--r-max", "1.7e308", "--resolution", "1e306"],
+         "--r-max"),
+        (["optimize-altitude", "--env", "urban", "--r-edge", "1.7e308"], "--r-edge"),
+        (["optimize-altitude", "--env", "urban", "--h-min", "1e308", "--h-max", "1.7e308"],
+         "--h-min"),
+        (["optimize-altitude", "--env", "urban", "--h-max", "1.7e308"], "--h-max"),
+        (["sweep-pathloss", "--env", "urban", "--h", "1.7e308"], "--h"),
+        (["sweep-coverage", "--env", "urban", "--axis", "altitude", "--r0", "1.7e308"], "--r0"),
+        (["sweep-pathloss", "--env", "urban", "--start", "0", "--stop", "1.7e308", "--step",
+          "1e308"], "--stop"),
+        (["sweep-plos", "--env", "urban", "--start", "1e-305", "--stop", "1", "--step", "1"],
+         "--start"),
+    ], ids=["area-side", "uav-x", "uav-y", "uav-h", "radius-h", "r-max", "r-edge", "h-min",
+            "h-max", "sweep-h", "sweep-r0", "sweep-stop", "shallow-angle"])
+    def test_lengths_past_the_bound_exit_2(self, tmp_path, capsys, argv, flag):
+        # lengths past channel.MAX_LENGTH_M; some would take np.hypot or h / tan(theta) to inf
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: " in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, flag", [("g_db", "--g-db"), ("p_min_dbm", "--p-min")])
     def test_radio_db_fields_bounded(self, tmp_path, capsys, field, flag):

@@ -18,6 +18,7 @@ from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
     URBAN,
     LinkGeometry,
+    _angle_and_fspl,
     _path_loss_arrays,
     mean_path_loss_db,
     p_nlos,
@@ -58,6 +59,11 @@ FIELDS = ("theta_deg", "p_los", "fspl_db", "mean_pl_db", "deficit_los", "deficit
 SWEEP_FIELDS = ("p_los", "mean_pl_db", "p_cov")
 
 
+def kernel(r0, h, env, radio, mode) -> CoverageColumns:
+    """Both stages of the model over (r0, h) arrays, as every result path composes them."""
+    return _coverage_arrays(*_angle_and_fspl(r0, h, radio.f_c_hz), env, radio, mode)
+
+
 def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -71,7 +77,7 @@ def sweep_spec(axis, mode=FormulationMode.STANDARD, **overrides):
 
 class TestCoverageColumns:
     def test_fields_by_name_with_p_cov_last(self):
-        cols = _coverage_arrays(R0, H, URBAN, RADIO, FormulationMode.STANDARD)
+        cols = kernel(R0, H, URBAN, RADIO, FormulationMode.STANDARD)
         assert isinstance(cols, CoverageColumns)
         assert cols._fields == FIELDS
         assert cols[-1] is cols.p_cov
@@ -79,16 +85,16 @@ class TestCoverageColumns:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
     def test_p_nlos_is_the_complement_bit_for_bit(self, env, mode):
-        cols = _coverage_arrays(R0, H, env, RADIO, mode)
+        cols = kernel(R0, H, env, RADIO, mode)
         assert bits(cols.p_nlos) == bits(1.0 - cols.p_los)
         assert bits(cols.p_nlos) == bits(p_nlos(cols.theta_deg, env))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
     def test_breakdown_and_scalar_kernel_match_the_columns(self, env, mode):
-        cols = _coverage_arrays(R0, H, env, RADIO, mode)
+        cols = kernel(R0, H, env, RADIO, mode)
         for i, (r0, h) in enumerate(zip(R0.tolist(), H.tolist())):
-            point = _coverage_arrays(r0, h, env, RADIO, mode)
+            point = kernel(r0, h, env, RADIO, mode)
             for name in FIELDS:
                 assert bits(getattr(point, name)) == bits(getattr(cols, name)[i]), name
             at_point = coverage_probability(LinkGeometry(r0, h), env, RADIO, mode)
@@ -110,7 +116,7 @@ class TestSweepColumns:
         result = run_sweep(spec)
         assert bits(result.axis_values) == bits(values)
         for j, env in enumerate(ENVS):
-            expect = _coverage_arrays(r0, h, env, RADIO, mode)
+            expect = kernel(r0, h, env, RADIO, mode)
             for name in SWEEP_FIELDS:
                 assert len(getattr(result, name)) == len(ENVS)
                 assert bits(getattr(result, name)[j]) == bits(getattr(expect, name)), name
@@ -119,7 +125,7 @@ class TestSweepColumns:
     def test_rows_are_built_from_the_columns(self, axis):
         spec = sweep_spec(axis)
         _, r0, h = sweep_grid(spec)
-        kernel = [_coverage_arrays(r0, h, env, RADIO, spec.mode) for env in ENVS]
+        per_env = [kernel(r0, h, env, RADIO, spec.mode) for env in ENVS]
         result = run_sweep(spec)
         rows = result.rows
         assert type(rows) is tuple and len(rows) == len(result.axis_values)
@@ -127,7 +133,7 @@ class TestSweepColumns:
             assert type(row) is SweepRow and type(row.axis_value) is float
             assert bits(row.axis_value) == bits(result.axis_values[i])
             assert len(row.cells) == len(ENVS)
-            for cell, cols in zip(row.cells, kernel):
+            for cell, cols in zip(row.cells, per_env):
                 assert type(cell) is SweepCell
                 for name in SweepCell.__dataclass_fields__:
                     value = getattr(cell, name)
@@ -179,17 +185,18 @@ class TestConstantGeometry:
     def test_constant_coordinate_reaches_the_kernel_as_a_scalar(self, monkeypatch, mode):
         calls = []
 
-        def recorded(r0, h, env, radio, mode):
-            result = _coverage_arrays(r0, h, env, radio, mode)
-            calls.append((r0, h, env, radio, mode, result))
+        def recorded(r0, h, f_c_hz):
+            result = _angle_and_fspl(r0, h, f_c_hz)
+            calls.append((r0, h, f_c_hz, result))
             return result
 
-        monkeypatch.setattr(planner, "_coverage_arrays", recorded)
-        monkeypatch.setattr(scenario, "_coverage_arrays", recorded)
+        monkeypatch.setattr(planner, "_angle_and_fspl", recorded)
+        monkeypatch.setattr(scenario, "_angle_and_fspl", recorded)
         positions = generate_users(500, 1000.0, seed=2)
         for env in ENVS:
-            optimal_altitude(450.0, env, RADIO, h_min=10.0, h_max=3000.0, steps=997, mode=mode)
-            max_coverage_radius(120.0, env, RADIO, target=0.5, r_max_scan=4000.0,
+            optimal_altitude(450.0, (env,), RADIO, h_min=10.0, h_max=3000.0, steps=997,
+                             mode=mode)
+            max_coverage_radius(120.0, (env,), RADIO, target=0.5, r_max_scan=4000.0,
                                 resolution=3.0, mode=mode)
             evaluate_links(positions, (300.0, 700.0, 80.0), env, RADIO, mode)
         # optimal_altitude fixes r0; max_coverage_radius and the links fix h
@@ -198,15 +205,15 @@ class TestConstantGeometry:
         for axis in AXES:
             run_sweep(sweep_spec(axis, mode))
         # a sweep's constant coordinate arrives as sweep_grid's view of one double
-        assert all(0 in r0.strides + h.strides for r0, h, *_ in calls[-len(AXES) * len(ENVS):])
+        assert all(0 in r0.strides + h.strides for r0, h, *_ in calls[-len(AXES):])
 
         # the broadcast columns are the columns of full-size copies, bit for bit
-        for r0, h, env, radio, mode, result in calls:
-            shape = result.p_cov.shape
-            copied = _coverage_arrays(np.broadcast_to(r0, shape).copy(),
-                                      np.broadcast_to(h, shape).copy(), env, radio, mode)
-            for name in FIELDS:
-                assert bits(getattr(result, name)) == bits(getattr(copied, name)), name
+        for r0, h, f_c_hz, result in calls:
+            shape = result[0].shape
+            copied = _angle_and_fspl(np.broadcast_to(r0, shape).copy(),
+                                     np.broadcast_to(h, shape).copy(), f_c_hz)
+            assert bits(result[0]) == bits(copied[0])
+            assert bits(result[1]) == bits(copied[1])
 
     @pytest.mark.parametrize("axis, grid", [(AXIS_ELEVATION, (0.5, 90.0, 1e-3)),
                                             (AXIS_DISTANCE, (0.0, 99_999.0, 1.0)),
@@ -236,7 +243,7 @@ class TestLinkColumns:
         records = evaluate_links(positions, uav, env, RADIO, mode)
         links = scenario._link_arrays(positions, uav, env, RADIO, mode)
         r0 = records.columns["r0_m"]
-        cols = _coverage_arrays(r0, np.full_like(r0, uav[2]), env, RADIO, mode)
+        cols = kernel(r0, np.full_like(r0, uav[2]), env, RADIO, mode)
         for name in ("theta_deg", "p_los", "mean_pl_db", "p_cov"):
             assert bits(records.columns[name]) == bits(getattr(cols, name)), name
         assert bits(links["fspl_db"]) == bits(cols.fspl_db)
@@ -262,7 +269,7 @@ class TestMonteCarloColumns:
     @pytest.mark.parametrize("env", ENVS, ids=lambda env: env.name)
     def test_matches_a_sampler_fed_from_the_kernel_columns(self, env):
         radio = RadioConfig(p_min_dbm=-70.0)
-        cols = _coverage_arrays(R0, H, env, radio, FormulationMode.STANDARD)
+        cols = kernel(R0, H, env, radio, FormulationMode.STANDARD)
         for i, (r0, h) in enumerate(zip(R0.tolist(), H.tolist())):
             margin = received_power_dbm(radio, cols.fspl_db[i]) - radio.p_min_dbm
             mc = coverage_monte_carlo(LinkGeometry(r0, h), env, radio, n_samples=5000,

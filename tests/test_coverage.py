@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
     MAX_ABS_DB,
+    MAX_ABS_FSPL_DB,
+    MAX_LENGTH_M,
     MIN_SIGMA_DB,
     SUBURBAN,
     URBAN,
@@ -159,6 +161,32 @@ class TestBranchArgument:
         assert math.isfinite(branch_argument(RadioConfig(), 100.0, 1.0, MIN_SIGMA_DB,
                                              "paper-literal"))
 
+    @pytest.mark.parametrize("path_loss, mu, field", [
+        (100.0, 1.7e308, "mu_db"),
+        (1.7e308, 1.0, "path_loss_db"),
+        (100.0, math.nan, "mu_db"),
+        (math.inf, 1.0, "path_loss_db"),
+        (math.nan, 1.0, "path_loss_db"),
+        (100.0, math.nextafter(-MAX_ABS_DB, -math.inf), "mu_db"),
+        (math.nextafter(MAX_ABS_FSPL_DB, math.inf), 1.0, "path_loss_db"),
+    ])
+    def test_mean_and_path_loss_bounded(self, path_loss, mu, field):
+        # each of these made an infinite or NaN deficit
+        with pytest.raises(DomainError) as info:
+            branch_argument(RadioConfig(), path_loss, mu, 0.5)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("mode", list(FormulationMode))
+    def test_deficit_finite_at_the_bounds(self, mode):
+        # paper-literal's averaged path loss holds one mean excess loss beside the FSPL
+        limit = MAX_ABS_FSPL_DB + (MAX_ABS_DB if mode is FormulationMode.PAPER_LITERAL else 0.0)
+        radio = RadioConfig(p_tx_dbm=-MAX_ABS_DB, g_db=-MAX_ABS_DB, p_min_dbm=MAX_ABS_DB)
+        assert math.isfinite(branch_argument(radio, limit, MAX_ABS_DB, MIN_SIGMA_DB, mode))
+        assert math.isfinite(branch_argument(radio, -limit, -MAX_ABS_DB, MIN_SIGMA_DB, mode))
+        with pytest.raises(DomainError) as info:
+            branch_argument(radio, math.nextafter(limit, math.inf), 0.0, 3.0, mode)
+        assert info.value.field == "path_loss_db"
+
     @pytest.mark.parametrize("mode", list(FormulationMode))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_deficits_finite_at_the_extremes_of_every_legal_field(self, mode, sign):
@@ -170,7 +198,7 @@ class TestBranchArgument:
         radio = RadioConfig(f_c_hz=1.7976931348623157e308 if sign > 0 else 5e-324,
                             p_tx_dbm=-sign * MAX_ABS_DB, g_db=-sign * MAX_ABS_DB,
                             p_min_dbm=sign * MAX_ABS_DB)
-        h = 1.7976931348623157e308 if sign > 0 else 5e-324
+        h = MAX_LENGTH_M if sign > 0 else 5e-324
         bd = coverage_probability(LinkGeometry(0.0, h), env, radio, mode)
         assert all(math.isfinite(value) for value in bd)
         assert abs(bd.deficit_los) > 1e150 and abs(bd.deficit_nlos) > 1e150

@@ -62,6 +62,13 @@ CASES = {
                                "--seed", "3", "--plot"],
     "optimize-altitude-plot": ["optimize-altitude", "--env", "all", "--steps", "200", "--plot"],
     "coverage-radius-plot": ["coverage-radius", "--env", "all", "--resolution", "10", "--plot"],
+    # planner grids of three kernel blocks, scanned as two spans of blocks
+    "optimize-altitude-blocks": ["optimize-altitude", "--env", "all", "--steps", "40000",
+                                 "--workers", "2"],
+    "optimize-altitude-blocks-literal": ["optimize-altitude", "--env", "all", "--steps", "40000",
+                                         "--workers", "2", "--mode", "paper-literal"],
+    "coverage-radius-blocks": ["coverage-radius", "--env", "all", "--resolution", "0.05",
+                               "--workers", "2"],
 }
 
 # frozen from the outputs of uavcov 0.1.0 before the columnar scenario path
@@ -108,6 +115,13 @@ GOLDEN = {
     "coverage-radius-plot":
         {"csv": "ea19501e661315e85d0f218a3f9783fd75a3bcb80c52958e425f071cc343c3ae",
          "svg": "05d34089bf5a19d928b7118d1dda58c726ee1136567b003430543b85b57fe7b5"},
+    # frozen from the scans that ran each environment whole on one thread
+    "optimize-altitude-blocks":
+        {"csv": "02b3fd29f308b3c7b7ea49e685b8f29dda93777c7b4006405ae6fd74145c47b6"},
+    "optimize-altitude-blocks-literal":
+        {"csv": "de93c7cb2dfd8e57f33f1d75fb78a60d61b7fd945527a6b43c8c5c278a07a514"},
+    "coverage-radius-blocks":
+        {"csv": "d0dc7bfbd04325e4887383565022fe2145d0972fb87770328c0db29cfc09a007"},
 }
 
 

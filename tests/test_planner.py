@@ -1,7 +1,9 @@
 """Sweep and grid-search planners, checked against independent brute-force scans."""
 
 import math
+import sys
 import tracemalloc
+from dataclasses import astuple
 from typing import NamedTuple
 
 import numpy as np
@@ -13,6 +15,7 @@ from uavcov.channel import (
     SUBURBAN,
     URBAN,
     LinkGeometry,
+    _angle_and_fspl,
     fspl_db,
     slant_distance,
 )
@@ -163,13 +166,13 @@ class TestOptimalAltitude:
     def test_tie_breaks_to_lowest(self):
         # threshold far below any loss saturates every altitude at p_cov == 1
         radio = RadioConfig(p_min_dbm=-500.0)
-        got = optimal_altitude(500.0, URBAN, radio, h_min=100.0, h_max=200.0, steps=2)
+        (got,) = optimal_altitude(500.0, (URBAN,), radio, h_min=100.0, h_max=200.0, steps=2)
         assert got.h_star_m == 100.0
         assert got.p_cov_star == 1.0
 
     def test_matches_brute_force_default_grid(self):
         radio = RadioConfig()
-        got = optimal_altitude(500.0, URBAN, radio, h_min=50.0, h_max=2000.0, steps=1951)
+        (got,) = optimal_altitude(500.0, (URBAN,), radio, h_min=50.0, h_max=2000.0, steps=1951)
         h_bf, cov_bf = brute_force_best_altitude(500.0, URBAN, radio, 50.0, 2000.0, 1951)
         assert got.h_star_m == h_bf
         assert got.p_cov_star == cov_bf
@@ -184,7 +187,7 @@ class TestOptimalAltitude:
             env = ALL_ENVS[trial % 4]
             radio = RadioConfig(p_min_dbm=float(rng.uniform(-95.0, -60.0)))
             mode = "paper-literal" if trial % 3 == 0 else "standard"
-            got = optimal_altitude(r_edge, env, radio, h_min, h_max, steps, mode=mode)
+            (got,) = optimal_altitude(r_edge, (env,), radio, h_min, h_max, steps, mode=mode)
             h_bf, cov_bf = brute_force_best_altitude(r_edge, env, radio, h_min, h_max, steps, mode)
             assert got.h_star_m == h_bf, f"trial {trial}"
             assert got.p_cov_star == cov_bf, f"trial {trial}"
@@ -200,7 +203,7 @@ class TestOptimalAltitude:
         ],
     )
     def test_invalid_ranges_rejected(self, kwargs):
-        base = dict(r_edge=500.0, env=URBAN, radio=RadioConfig(),
+        base = dict(r_edge=500.0, environments=(URBAN,), radio=RadioConfig(),
                     h_min=50.0, h_max=2000.0, steps=100)
         base.update(kwargs)
         with pytest.raises(InvalidRangeError):
@@ -210,20 +213,20 @@ class TestOptimalAltitude:
 class TestMaxCoverageRadius:
     def test_unreachable_target_returns_zero(self):
         radio = RadioConfig(p_min_dbm=0.0)  # threshold far above any received power
-        got = max_coverage_radius(100.0, URBAN, radio, target=0.9,
+        got = max_coverage_radius(100.0, (URBAN,), radio, target=0.9,
                                   r_max_scan=1000.0, resolution=10.0)
-        assert got == 0.0
+        assert got == (0.0,)
 
     def test_saturated_target_returns_grid_edge(self):
         radio = RadioConfig(p_min_dbm=-500.0)
-        got = max_coverage_radius(100.0, URBAN, radio, target=0.5,
+        got = max_coverage_radius(100.0, (URBAN,), radio, target=0.5,
                                   r_max_scan=995.0, resolution=10.0)
-        assert got == 990.0
+        assert got == (990.0,)
 
     def test_matches_brute_force(self):
         radio = RadioConfig(p_min_dbm=-72.0)
-        got = max_coverage_radius(100.0, URBAN, radio, target=0.9,
-                                  r_max_scan=2000.0, resolution=5.0)
+        (got,) = max_coverage_radius(100.0, (URBAN,), radio, target=0.9,
+                                     r_max_scan=2000.0, resolution=5.0)
         expect = brute_force_radius(100.0, URBAN, radio, 0.9, 2000.0, 5.0)
         assert got == expect
         assert got > 0.0
@@ -237,7 +240,7 @@ class TestMaxCoverageRadius:
             r_max = float(rng.uniform(300.0, 1500.0))
             env = ALL_ENVS[trial % 4]
             radio = RadioConfig(p_min_dbm=float(rng.uniform(-90.0, -60.0)))
-            got = max_coverage_radius(h, env, radio, target, r_max, resolution)
+            (got,) = max_coverage_radius(h, (env,), radio, target, r_max, resolution)
             expect = brute_force_radius(h, env, radio, target, r_max, resolution)
             assert got == expect, f"trial {trial}"
 
@@ -247,7 +250,7 @@ class TestMaxCoverageRadius:
          dict(resolution=-1.0)],
     )
     def test_invalid_parameters_rejected(self, kwargs):
-        base = dict(h=100.0, env=URBAN, radio=RadioConfig(), target=0.9,
+        base = dict(h=100.0, environments=(URBAN,), radio=RadioConfig(), target=0.9,
                     r_max_scan=500.0, resolution=5.0)
         base.update(kwargs)
         with pytest.raises(InvalidRangeError):
@@ -267,7 +270,7 @@ class TestGridCap:
         "step": lambda step: sweep_grid(
             angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=1000.0, step=step)),
         "resolution": lambda step: max_coverage_radius(
-            100.0, URBAN, RadioConfig(), target=0.9, r_max_scan=1000.0, resolution=step),
+            100.0, (URBAN,), RadioConfig(), target=0.9, r_max_scan=1000.0, resolution=step),
     }
 
     @pytest.mark.parametrize("field", sorted(CALLS))
@@ -287,7 +290,7 @@ class TestGridCap:
         tracemalloc.start()
         try:
             with pytest.raises(InvalidRangeError) as info:
-                optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 2000.0,
+                optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 2000.0,
                                  steps=MAX_GRID_POINTS + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -299,16 +302,16 @@ class TestGridCap:
         monkeypatch.setattr(planner, "MAX_GRID_POINTS", 11)
         values = sweep_grid(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=10.0, step=1.0))[0]
         assert len(values) == 11
-        assert max_coverage_radius(100.0, URBAN, RadioConfig(p_min_dbm=-500.0), 0.5,
-                                   r_max_scan=10.0, resolution=1.0) == 10.0
-        optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 60.0, steps=11)
+        assert max_coverage_radius(100.0, (URBAN,), RadioConfig(p_min_dbm=-500.0), 0.5,
+                                   r_max_scan=10.0, resolution=1.0) == (10.0,)
+        optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 60.0, steps=11)
         with pytest.raises(InvalidRangeError):
             sweep_grid(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=11.0, step=1.0))
         with pytest.raises(InvalidRangeError):
-            max_coverage_radius(100.0, URBAN, RadioConfig(), 0.5, r_max_scan=11.0,
+            max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.5, r_max_scan=11.0,
                                 resolution=1.0)
         with pytest.raises(InvalidRangeError):
-            optimal_altitude(500.0, URBAN, RadioConfig(), 50.0, 60.0, steps=12)
+            optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 60.0, steps=12)
 
     def test_benchmark_sized_grids_fit(self):
         # the largest grid the CLI benchmarks run: coverage-radius over 2000 m at 0.001 m
@@ -342,18 +345,27 @@ class _PCov(NamedTuple):
 
 
 class _Kernel:
-    """A stand-in kernel: point k of the scan gets ``values[k]``.
+    """A stand-in for both stages of the model: point k of the scan gets ``values[k]``.
 
     optimal_altitude scans altitudes 1, 2, ..., n and max_coverage_radius radii
-    0, 1, ..., n - 1, so a point's coordinate gives its index.
+    0, 1, ..., n - 1, so a point's coordinate gives its index, which the first
+    stage passes on in place of the elevation angle.
     """
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def __call__(self, r0, h, env, radio, mode):
-        coordinate, offset = (h, 1) if np.ndim(h) else (r0, 0)
-        return _PCov(self.values[np.asarray(coordinate, dtype=int) - offset])
+    def install(self, monkeypatch):
+        monkeypatch.setattr(planner, "_angle_and_fspl", self.angle_and_fspl)
+        monkeypatch.setattr(planner, "_coverage_arrays", self)
+
+    @staticmethod
+    def angle_and_fspl(r0, h, f_c_hz):
+        index = np.asarray(h, dtype=int) - 1 if np.ndim(h) else np.asarray(r0, dtype=int)
+        return index, None
+
+    def __call__(self, theta, fspl, env, radio, mode):
+        return _PCov(self.values[theta])
 
 
 NAN = math.nan
@@ -384,16 +396,16 @@ class TestBlockedScans:
         values = np.asarray(CRAFTED[name], dtype=float)
         n = len(values)
         monkeypatch.setattr(planner, "_BLOCK", block)
-        monkeypatch.setattr(planner, "_coverage_arrays", _Kernel(values))
+        _Kernel(values).install(monkeypatch)
 
         best = int(np.argmax(values))
-        got = optimal_altitude(500.0, URBAN, RadioConfig(), 1.0, float(n), n)
+        (got,) = optimal_altitude(500.0, (URBAN,), RadioConfig(), 1.0, float(n), n)
         assert got.h_star_m == best + 1.0
         assert _same(got.p_cov_star, values[best])
 
         qualifying = np.flatnonzero(values >= 0.9)
-        got = max_coverage_radius(100.0, URBAN, RadioConfig(), 0.9, float(n - 1), 1.0)
-        assert got == (float(qualifying[-1]) if qualifying.size else 0.0)
+        got = max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.9, float(n - 1), 1.0)
+        assert got == (float(qualifying[-1]) if qualifying.size else 0.0,)
 
     @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
     @pytest.mark.parametrize("block", BLOCKS)
@@ -402,10 +414,10 @@ class TestBlockedScans:
         radio = RadioConfig(p_min_dbm=-75.0)
         altitudes = np.linspace(20.0, 3000.0, n)
         radii = 0.5 * np.arange(n)
-        whole_h = planner._coverage_arrays(400.0, altitudes, URBAN, radio,
-                                           planner.FormulationMode(mode)).p_cov
-        whole_r = planner._coverage_arrays(radii, 150.0, URBAN, radio,
-                                           planner.FormulationMode(mode)).p_cov
+        whole_h = planner._coverage_arrays(*_angle_and_fspl(400.0, altitudes, radio.f_c_hz),
+                                           URBAN, radio, planner.FormulationMode(mode)).p_cov
+        whole_r = planner._coverage_arrays(*_angle_and_fspl(radii, 150.0, radio.f_c_hz),
+                                           URBAN, radio, planner.FormulationMode(mode)).p_cov
 
         monkeypatch.setattr(planner, "_BLOCK", block)
         kernel = planner._coverage_arrays
@@ -418,7 +430,7 @@ class TestBlockedScans:
             return result
 
         monkeypatch.setattr(planner, "_coverage_arrays", wrapped)
-        got = optimal_altitude(400.0, URBAN, radio, 20.0, 3000.0, n, mode)
+        (got,) = optimal_altitude(400.0, (URBAN,), radio, 20.0, 3000.0, n, mode)
         # the tracer's coverage.kernel_points sums the sizes of the wrapped calls
         assert sum(sizes) == n and len(sizes) == -(-n // block)
         assert np.concatenate(blocks).tobytes() == whole_h.tobytes()
@@ -427,12 +439,133 @@ class TestBlockedScans:
 
         sizes.clear()
         blocks.clear()
-        got = max_coverage_radius(150.0, URBAN, radio, 0.6, 0.5 * (n - 1), 0.5, mode)
+        (got,) = max_coverage_radius(150.0, (URBAN,), radio, 0.6, 0.5 * (n - 1), 0.5, mode)
         assert sum(sizes) == n
         assert np.concatenate(blocks).tobytes() == whole_r.tobytes()
         qualifying = radii[whole_r >= 0.6]
         assert 0 < qualifying.size < n
         assert got == qualifying[-1]
+
+
+class _Pools:
+    """Records the size of every pool the planners start; ``cpus`` usable CPUs."""
+
+    def __init__(self, monkeypatch, cpus=8):
+        self.sizes = []
+        pool = planner.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            self.sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+
+def _scans(environments, radio, n, mode="standard", workers=1):
+    """Both planners on ``n``-point grids: altitudes 20..3000 m and radii 0.5 m apart."""
+    return (optimal_altitude(400.0, environments, radio, 20.0, 3000.0, n, mode, workers),
+            max_coverage_radius(150.0, environments, radio, 0.6, 0.5 * (n - 1), 0.5, mode,
+                                workers))
+
+
+# a small block, so that grids of a few blocks stay cheap
+SPAN_BLOCK = 64
+
+
+class TestSpanScans:
+    """Every environment in one scan, on contiguous spans of blocks over the pool."""
+
+    @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+    def test_environments_together_equal_each_alone(self, monkeypatch, mode):
+        monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
+        first_stage = []
+        angle_and_fspl = planner._angle_and_fspl
+
+        def counted(r0, h, f_c_hz):
+            first_stage.append(np.size(r0) * np.size(h))
+            return angle_and_fspl(r0, h, f_c_hz)
+
+        monkeypatch.setattr(planner, "_angle_and_fspl", counted)
+        radio = RadioConfig(p_min_dbm=-75.0)
+        optima, radii = _scans(ALL_ENVS, radio, 5 * SPAN_BLOCK + 3, mode, workers=2)
+        # the angle and FSPL of each of the 6 blocks of each scan, once for all environments
+        assert sorted(first_stage) == [3, 3] + [SPAN_BLOCK] * 10
+        assert len(optima) == len(radii) == len(ALL_ENVS)
+        for env, optimum, radius in zip(ALL_ENVS, optima, radii):
+            (alone,), (alone_radius,) = _scans((env,), radio, 5 * SPAN_BLOCK + 3, mode)
+            assert _same(optimum.h_star_m, alone.h_star_m)
+            assert _same(optimum.p_cov_star, alone.p_cov_star)
+            assert _same(radius, alone_radius)
+
+    @pytest.mark.parametrize("n", [k * SPAN_BLOCK + d for k in (1, 2, 5) for d in (-1, 0, 1)])
+    def test_same_results_at_one_to_four_workers(self, monkeypatch, n):
+        monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
+        pools = _Pools(monkeypatch)
+        radio = RadioConfig(p_min_dbm=-75.0)
+        results = {workers: _scans(ALL_ENVS, radio, n, workers=workers) for workers in range(1, 5)}
+        for got in results.values():
+            assert [astuple(o) for o in got[0]] == [astuple(o) for o in results[1][0]]
+            assert got[1] == results[1][1]
+        blocks = -(-n // SPAN_BLOCK)
+        # one pool per scan, one thread per span
+        assert pools.sizes == [min(workers, blocks) for workers in range(1, 5) for _ in "ab"]
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # spans share only read-only inputs; each keeps its own results
+        monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
+        _Pools(monkeypatch, cpus=16)
+        radio = RadioConfig(p_min_dbm=-75.0)
+        serial = _scans(ALL_ENVS, radio, 16 * SPAN_BLOCK + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _scans(ALL_ENVS, radio, 16 * SPAN_BLOCK + 1, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [astuple(o) for o in threaded[0]] == [astuple(o) for o in serial[0]]
+        assert threaded[1] == serial[1]
+
+    def test_a_tie_across_spans_breaks_to_the_lowest_altitude(self, monkeypatch):
+        monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
+        pools = _Pools(monkeypatch)
+        # a threshold far below any loss: every p_cov is 1.0
+        optima, radii = _scans(ALL_ENVS, RadioConfig(p_min_dbm=-500.0), 10 * SPAN_BLOCK,
+                               workers=4)
+        assert pools.sizes == [4, 4]
+        assert [(o.h_star_m, o.p_cov_star) for o in optima] == [(20.0, 1.0)] * len(ALL_ENVS)
+        assert radii == (0.5 * (10 * SPAN_BLOCK - 1),) * len(ALL_ENVS)
+
+    def test_last_qualifying_radius_at_the_first_point_of_the_last_span(self, monkeypatch):
+        # 20 points in 4 blocks of 5 over 3 threads: spans of blocks [0], [1] and [2, 3]
+        monkeypatch.setattr(planner, "_BLOCK", 5)
+        _Pools(monkeypatch)
+        values = [0.95] * 3 + [0.1] * 7 + [0.95] + [0.1] * 9
+        _Kernel(values).install(monkeypatch)
+        spans = []
+        map_on_pool = planner._map_on_pool
+
+        def recorded(fn, items, workers):
+            spans.extend(items)
+            return map_on_pool(fn, items, workers)
+
+        monkeypatch.setattr(planner, "_map_on_pool", recorded)
+        got = max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9, 19.0, 1.0,
+                                  workers=3)
+        assert [span[0] for span in spans] == [0, 5, 10]
+        assert got == (10.0, 10.0)
+
+    def test_no_environments_start_no_pool(self, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(planner, "ThreadPoolExecutor", refuse)
+        assert optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 100, workers=2) == ()
+        assert max_coverage_radius(100.0, [], RadioConfig(), 0.9, 500.0, 5.0, workers=2) == ()
+        # the arguments are still checked
+        with pytest.raises(InvalidRangeError):
+            optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 1)
 
 
 # the traced peak of a scan above its 8 B/point axis array: one block of the
@@ -444,9 +577,9 @@ SCAN_PEAK_BOUND = 4 << 20
 @pytest.mark.parametrize("scan", ["optimal_altitude", "max_coverage_radius"])
 def test_scan_memory_is_the_axis_plus_one_block(scan, n):
     calls = {
-        "optimal_altitude": lambda: optimal_altitude(500.0, URBAN, RadioConfig(), 50.0,
+        "optimal_altitude": lambda: optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0,
                                                      2000.0, n),
-        "max_coverage_radius": lambda: max_coverage_radius(100.0, URBAN, RadioConfig(), 0.9,
+        "max_coverage_radius": lambda: max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.9,
                                                            float(n - 1), 1.0),
     }
     tracemalloc.start()
