@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidGeometryError
+from .errors import InvalidGeometryError, check_in
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 # the largest magnitude of a dB field of RadioConfig or EnvironmentProfile
@@ -58,27 +58,17 @@ class EnvironmentProfile:
     sigma_nlos_db: float = 8.0
 
     def __post_init__(self):
-        # a nan fails every test below, as an infinity fails each bound
-        for field in ("a", "b"):
-            if not 0.0 < getattr(self, field) < math.inf:
-                raise DomainError(f"environment {self.name!r}: {field} must be finite and > 0, "
-                                  f"got {getattr(self, field)}", field=field)
-        for field in ("mu_los_db", "mu_nlos_db"):
-            if not abs(getattr(self, field)) <= MAX_ABS_DB:
-                raise DomainError(f"environment {self.name!r}: {field} must lie within "
-                                  f"+-{MAX_ABS_DB:g} dB, got {getattr(self, field)}",
-                                  field=field)
+        where = f"environment {self.name!r}"
+        check_in(self.a, 0.0, math.inf, "a", f"{where}: a", "", "()")
+        check_in(self.b, 0.0, math.inf, "b", f"{where}: b", "1/degree", "()")
+        check_in(self.mu_nlos_db, -MAX_ABS_DB, MAX_ABS_DB, "mu_nlos_db",
+                 f"{where}: mu_nlos_db", "dB")
+        # within MAX_ABS_DB too, as mu_nlos_db is
+        check_in(self.mu_los_db, 0.0, self.mu_nlos_db, "mu_los_db", f"{where}: mu_los_db", "dB")
         # bounded above too, so that mu + sigma * z stays finite for every normal draw z
         for field in ("sigma_los_db", "sigma_nlos_db"):
-            if not MIN_SIGMA_DB <= getattr(self, field) <= MAX_ABS_DB:
-                raise DomainError(f"environment {self.name!r}: {field} must lie in "
-                                  f"[{MIN_SIGMA_DB:g}, {MAX_ABS_DB:g}] dB, "
-                                  f"got {getattr(self, field)}", field=field)
-        if not 0.0 <= self.mu_los_db <= self.mu_nlos_db:
-            raise DomainError(
-                f"environment {self.name!r}: need 0 <= mu_los_db <= mu_nlos_db, "
-                f"got {self.mu_los_db} / {self.mu_nlos_db}", field="mu_los_db",
-            )
+            check_in(getattr(self, field), MIN_SIGMA_DB, MAX_ABS_DB, field, f"{where}: {field}",
+                     "dB")
 
 
 SUBURBAN = EnvironmentProfile("suburban", a=5.2, b=0.35, mu_los_db=0.1, mu_nlos_db=21.0)
@@ -114,12 +104,10 @@ class LinkGeometry:
     h_m: float
 
     def __post_init__(self):
-        if not 0.0 <= self.r0_m <= MAX_LENGTH_M:
-            raise InvalidGeometryError(f"ground distance must lie in [0, {MAX_LENGTH_M:g}] m, "
-                                       f"got {self.r0_m}", field="r0_m")
-        if not 0.0 < self.h_m <= MAX_LENGTH_M:
-            raise InvalidGeometryError(f"altitude must lie in (0, {MAX_LENGTH_M:g}] m, "
-                                       f"got {self.h_m}", field="h_m")
+        check_in(self.r0_m, 0.0, MAX_LENGTH_M, "r0_m", "ground distance", "m",
+                 error=InvalidGeometryError)
+        check_in(self.h_m, 0.0, MAX_LENGTH_M, "h_m", "altitude", "m", "(]",
+                 error=InvalidGeometryError)
 
 
 def _elevation_and_slant(r0_m, h_m):
@@ -163,20 +151,15 @@ def _fspl(f_c_hz, d_m):
     return fspl
 
 
-def _check_theta(theta_deg) -> np.ndarray:
-    theta = np.asarray(theta_deg, dtype=float)
-    if not np.all(np.isfinite(theta)) or np.any(theta < 0.0) or np.any(theta > 90.0):
-        raise DomainError(f"elevation angle must lie in [0, 90] degrees, got {theta_deg!r}")
-    return theta
-
-
 def p_los(theta_deg, env: EnvironmentProfile):
     """LoS probability at elevation angle ``theta_deg`` (degrees, in [0, 90]).
 
     Sigmoid 1 / (1 + a*exp(-b*(theta - a))), strictly increasing in the angle:
     the steeper the look angle, the fewer obstructions cut the direct ray.
     """
-    out = _los_sigmoid(_check_theta(theta_deg), env)
+    theta = check_in(np.asarray(theta_deg, dtype=float), 0.0, 90.0, "theta_deg",
+                     "elevation angle", "degrees", kind=np.ndarray)
+    out = _los_sigmoid(theta, env)
     return float(out) if np.isscalar(theta_deg) else out
 
 
@@ -187,12 +170,10 @@ def p_nlos(theta_deg, env: EnvironmentProfile):
 
 def fspl_db(f_c_hz, d_m):
     """Free-space path loss 20*log10(4*pi*f*d/c) in dB."""
-    f = np.asarray(f_c_hz, dtype=float)
-    d = np.asarray(d_m, dtype=float)
-    if not np.all(np.isfinite(f)) or np.any(f <= 0.0):
-        raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}")
-    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise DomainError(f"distance must be positive and finite, got {d_m!r}")
+    f = check_in(np.asarray(f_c_hz, dtype=float), 0.0, math.inf, "f_c_hz", "carrier frequency",
+                 "Hz", "()", kind=np.ndarray)
+    d = check_in(np.asarray(d_m, dtype=float), 0.0, math.inf, "d_m", "distance", "m", "()",
+                 kind=np.ndarray)
     out = _fspl(f, d)
     return float(out) if np.isscalar(f_c_hz) and np.isscalar(d_m) else out
 
@@ -229,7 +210,5 @@ def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float
 
     Always lies between FSPL + mu_los and FSPL + mu_nlos.
     """
-    if not (np.isscalar(f_c_hz) and math.isfinite(f_c_hz) and f_c_hz > 0):
-        raise DomainError(f"carrier frequency must be positive and finite, got {f_c_hz!r}",
-                          field="f_c_hz")
+    check_in(f_c_hz, 0.0, math.inf, "f_c_hz", "carrier frequency", "Hz", "()")
     return float(_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz)[-1])

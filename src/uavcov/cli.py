@@ -78,7 +78,9 @@ class _Option(NamedTuple):
     config: str | None = None  # the "section.key" of a config file that may set it
     field: str | None = None  # the library error field, where it is not the key's last part
     default_by: str | None = None
-    non_negative: bool = False  # a CLI-only rule; the library takes any integer
+    # refused when parsed, even on a command that draws nothing (the library refuses a
+    # negative seed only where it draws); --mc-samples 0 turns the Monte Carlo columns off
+    non_negative: bool = False
     commands: tuple = _RUN_COMMANDS
 
     @property

@@ -18,7 +18,7 @@ from scipy import special
 
 from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
                       LinkGeometry, _angle_and_fspl, _los_and_mean_loss, _path_loss_arrays)
-from .errors import DomainError
+from .errors import check_in
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -73,15 +73,11 @@ class RadioConfig:
         # 10 ** ((p_tx_dbm - 30) / 10), overflows a double above ~3100 dBm and
         # rounds to 0 below ~-3200 dBm
         for field in ("p_tx_dbm", "g_db", "p_min_dbm", "noise_density_dbm_hz"):
-            if not abs(getattr(self, field)) <= MAX_ABS_DB:
-                raise DomainError(f"radio config: {field} must lie within +-{MAX_ABS_DB:g} dB, "
-                                  f"got {getattr(self, field)}", field=field)
+            check_in(getattr(self, field), -MAX_ABS_DB, MAX_ABS_DB, field,
+                     f"radio config: {field}", "dB")
         for field in ("f_c_hz", "bandwidth_hz"):
-            if not math.isfinite(getattr(self, field)):
-                raise DomainError(f"radio config: {field} must be finite", field=field)
-            if getattr(self, field) <= 0:
-                raise DomainError(f"radio config: {field} must be > 0, got "
-                                  f"{getattr(self, field)}", field=field)
+            check_in(getattr(self, field), 0.0, math.inf, field, f"radio config: {field}", "Hz",
+                     "()")
 
 
 class CoverageColumns(NamedTuple):
@@ -134,17 +130,12 @@ def branch_argument(
     as the model bounds it, so the result is finite.
     """
     mode = FormulationMode(mode)
-    if not (math.isfinite(sigma_db) and sigma_db >= MIN_SIGMA_DB):
-        raise DomainError(f"shadowing deviation must be finite and >= {MIN_SIGMA_DB:g} dB, "
-                          f"got {sigma_db}", field="sigma_db")
-    if not abs(mu_db) <= MAX_ABS_DB:
-        raise DomainError(f"mean excess loss must lie within +-{MAX_ABS_DB:g} dB, got {mu_db}",
-                          field="mu_db")
+    check_in(sigma_db, MIN_SIGMA_DB, math.inf, "sigma_db", "shadowing deviation", "dB", "[)")
+    check_in(mu_db, -MAX_ABS_DB, MAX_ABS_DB, "mu_db", "mean excess loss", "dB")
     # the averaged path loss of paper-literal mode adds one mean excess loss to the FSPL
     limit = MAX_ABS_FSPL_DB + (MAX_ABS_DB if mode is FormulationMode.PAPER_LITERAL else 0.0)
-    if not abs(path_loss_db) <= limit:
-        raise DomainError(f"path loss must lie within +-{limit:g} dB in {mode.value} mode, "
-                          f"got {path_loss_db}", field="path_loss_db")
+    check_in(path_loss_db, -limit, limit, "path_loss_db", f"path loss in {mode.value} mode",
+             "dB")
     return _deficit(radio, path_loss_db, mu_db, sigma_db, mode)
 
 
@@ -247,10 +238,8 @@ def coverage_monte_carlo(
     compatibility and has no effect (the CLI spreads whole cells over threads
     instead). Fixed seeds give bit-identical estimates.
     """
-    if n_samples < 1:
-        raise DomainError(f"need at least one sample, got {n_samples}")
-    if seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    check_in(n_samples, 1, math.inf, "n_samples", "sample count", "", "[)", kind=int)
+    check_in(seed, 0, math.inf, "seed", "seed", "", "[)", kind=int)
     # the same p_los and free-space loss bits as the analytic kernel's columns
     _, pl, fspl, _ = _path_loss_arrays(geom.r0_m, geom.h_m, env, radio.f_c_hz)
     # covered iff excess loss X <= link margin

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import MAX_LENGTH_M, EnvironmentProfile, LinkGeometry, _angle_and_fspl
 from .coverage import FormulationMode, RadioConfig, _coverage_arrays
-from .errors import InvalidRangeError, InvalidSpecError
+from .errors import InvalidRangeError, InvalidSpecError, check_in
 
 AXIS_ELEVATION = "elevation-angle-deg"
 AXIS_DISTANCE = "user-distance-m"
@@ -145,24 +145,14 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if spec.axis not in AXES:
         raise InvalidSpecError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}",
                                field="axis")
-    if not 0.0 < spec.step < math.inf:
-        raise InvalidSpecError(f"step must be finite and > 0, got {spec.step}", field="step")
-    for name in ("start", "stop"):
-        if not math.isfinite(getattr(spec, name)):
-            raise InvalidSpecError(f"{name} must be finite, got {getattr(spec, name)}",
-                                   field=name)
-    if spec.start > spec.stop:
-        raise InvalidSpecError(f"need start <= stop, got [{spec.start}, {spec.stop}]",
-                               field="start")
-    # distances may start at 0; elevation angles and altitudes must not
-    if spec.start < 0.0 or (spec.start == 0.0 and spec.axis != AXIS_DISTANCE):
-        raise InvalidSpecError(f"{spec.axis} sweeps cannot start at {spec.start}", field="start")
-    if spec.axis == AXIS_ELEVATION and spec.stop > 90.0:
-        raise InvalidSpecError("elevation-angle sweeps must lie within (0, 90] degrees",
-                               field="stop")
-    if spec.axis != AXIS_ELEVATION and spec.stop > MAX_LENGTH_M:
-        raise InvalidSpecError(f"a {spec.axis} sweep must stop at or below {MAX_LENGTH_M:g}, "
-                               f"got {spec.stop}", field="stop")
+    unit = "degrees" if spec.axis == AXIS_ELEVATION else "m"
+    check_in(spec.step, 0.0, math.inf, "step", "step", unit, "()", error=InvalidSpecError)
+    # the stop first, so that a start past the stop is the start's fault; distances may
+    # start at 0, elevation angles and altitudes may not
+    check_in(spec.stop, -math.inf, 90.0 if spec.axis == AXIS_ELEVATION else MAX_LENGTH_M,
+             "stop", f"{spec.axis} sweep stop", unit, "(]", error=InvalidSpecError)
+    check_in(spec.start, 0.0, spec.stop, "start", f"{spec.axis} sweep start", unit,
+             "[]" if spec.axis == AXIS_DISTANCE else "(]", error=InvalidSpecError)
 
     values = _grid(spec.start, spec.stop, spec.step, "step")
     # the constant coordinate is a read-only view of one double, not a copy per point
@@ -265,20 +255,10 @@ def optimal_altitude(
     Ties break toward the lowest altitude (first grid maximum). The scan runs
     on up to ``workers`` threads; the result does not depend on that number.
     """
-    if not 0.0 < h_min <= MAX_LENGTH_M:
-        raise InvalidRangeError(f"h_min must lie in (0, {MAX_LENGTH_M:g}] m, got {h_min}",
-                                field="h_min")
-    if not h_min < h_max <= MAX_LENGTH_M:
-        raise InvalidRangeError(f"need h_min < h_max <= {MAX_LENGTH_M:g} m, "
-                                f"got [{h_min}, {h_max}]", field="h_max")
-    if steps < 2:
-        raise InvalidRangeError(f"need at least 2 grid steps, got {steps}", field="steps")
-    if steps > MAX_GRID_POINTS:
-        raise InvalidRangeError(f"steps {steps} exceeds {MAX_GRID_POINTS} grid points",
-                                field="steps")
-    if not 0.0 <= r_edge <= MAX_LENGTH_M:
-        raise InvalidRangeError(f"edge distance must lie in [0, {MAX_LENGTH_M:g}] m, "
-                                f"got {r_edge}", field="r_edge")
+    check_in(h_min, 0.0, MAX_LENGTH_M, "h_min", "h_min", "m", "(]", error=InvalidRangeError)
+    check_in(h_max, h_min, MAX_LENGTH_M, "h_max", "h_max", "m", "(]", error=InvalidRangeError)
+    check_in(steps, 2, MAX_GRID_POINTS, "steps", "grid steps", kind=int, error=InvalidRangeError)
+    check_in(r_edge, 0.0, MAX_LENGTH_M, "r_edge", "edge distance", "m", error=InvalidRangeError)
     environments, mode = tuple(environments), FormulationMode(mode)
     if not environments:
         return ()
@@ -316,18 +296,12 @@ def max_coverage_radius(
     the coverage curve is assumed; 0 where no grid point qualifies. The scan
     runs on up to ``workers`` threads; the result does not depend on that number.
     """
-    if not 0.0 < target < 1.0:
-        raise InvalidRangeError(f"coverage target must lie in (0, 1), got {target}",
-                                field="target")
-    if not 0.0 < resolution < math.inf:
-        raise InvalidRangeError(f"scan resolution must be finite and > 0, got {resolution}",
-                                field="resolution")
-    if not 0.0 < h <= MAX_LENGTH_M:
-        raise InvalidRangeError(f"altitude must lie in (0, {MAX_LENGTH_M:g}] m, got {h}",
-                                field="h")
-    if not 0.0 <= r_max_scan <= MAX_LENGTH_M:
-        raise InvalidRangeError(f"scan limit must lie in [0, {MAX_LENGTH_M:g}] m, "
-                                f"got {r_max_scan}", field="r_max_scan")
+    check_in(target, 0.0, 1.0, "target", "coverage target", "", "()", error=InvalidRangeError)
+    check_in(resolution, 0.0, math.inf, "resolution", "scan resolution", "m", "()",
+             error=InvalidRangeError)
+    check_in(h, 0.0, MAX_LENGTH_M, "h", "altitude", "m", "(]", error=InvalidRangeError)
+    check_in(r_max_scan, 0.0, MAX_LENGTH_M, "r_max_scan", "scan limit", "m",
+             error=InvalidRangeError)
     environments, mode = tuple(environments), FormulationMode(mode)
     n = _grid_points(0.0, r_max_scan, resolution, "resolution")
     if not environments:

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, noise_power_dbm,
                        received_power_dbm)
-from .errors import DomainError, InvalidSpecError
+from .errors import InvalidSpecError, check_in
 
 AREA_SHAPES = ("square", "disk")
 
@@ -60,31 +60,13 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", FormulationMode(self.mode))
-        if not 1 <= self.n_users <= MAX_USERS:
-            raise InvalidSpecError(f"need 1 to {MAX_USERS} users, got {self.n_users}",
-                                   field="n_users")
-        if self.n_draws < 1:
-            raise InvalidSpecError(f"need at least one shadowing draw, got {self.n_draws}",
-                                   field="n_draws")
-        if self.n_users * self.n_draws > MAX_USER_DRAWS:
-            raise InvalidSpecError(f"{self.n_users} users x {self.n_draws} draws exceeds "
-                                   f"{MAX_USER_DRAWS} user-draws", field="n_draws")
-        if not 0.0 < self.area_side_m <= MAX_LENGTH_M:
-            raise InvalidSpecError(f"area side must lie in (0, {MAX_LENGTH_M:g}] m, "
-                                   f"got {self.area_side_m}", field="area_side_m")
-        for name in ("uav_x_m", "uav_y_m"):
-            value = getattr(self, name)
-            if value is not None and not abs(value) <= MAX_LENGTH_M:
-                raise InvalidSpecError(f"UAV position {name} must lie within "
-                                       f"+-{MAX_LENGTH_M:g} m, got {value}", field=name)
-        if not 0.0 < self.uav_h_m <= MAX_LENGTH_M:
-            raise InvalidSpecError(f"UAV altitude must lie in (0, {MAX_LENGTH_M:g}] m, "
-                                   f"got {self.uav_h_m}", field="uav_h_m")
-        if self.area_shape not in AREA_SHAPES:
-            raise InvalidSpecError(
-                f"unknown area shape {self.area_shape!r}; expected one of {AREA_SHAPES}",
-                field="area_shape",
-            )
+        _check_users(self.n_users, self.area_side_m, self.seed, self.area_shape)
+        # the user-draw cap, as a bound on the draws of this many users
+        check_in(self.n_draws, 1, MAX_USER_DRAWS // self.n_users, "n_draws",
+                 f"shadowing draw count for n_users={self.n_users}", kind=int,
+                 error=InvalidSpecError)
+        # a UAV coordinate left unset is the area centre, which lies within the bound
+        _check_uav(self.uav_position)
 
     @property
     def uav_position(self) -> tuple[float, float, float]:
@@ -147,14 +129,29 @@ class ScenarioResult:
     summary: ScenarioSummary
 
 
+def _check_users(n_users, area_side_m, seed, area_shape) -> None:
+    # the checks that ScenarioSpec and generate_users share, under ScenarioSpec's fields
+    check_in(n_users, 1, MAX_USERS, "n_users", "user count", kind=int, error=InvalidSpecError)
+    check_in(area_side_m, 0.0, MAX_LENGTH_M, "area_side_m", "area side", "m", "(]",
+             error=InvalidSpecError)
+    check_in(seed, 0, math.inf, "seed", "seed", "", "[)", kind=int, error=InvalidSpecError)
+    if area_shape not in AREA_SHAPES:
+        raise InvalidSpecError(f"unknown area shape {area_shape!r}; expected one of "
+                               f"{AREA_SHAPES}", field="area_shape")
+
+
+def _check_uav(uav) -> None:
+    x, y, h = uav
+    check_in(x, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_x_m", "UAV position uav_x_m", "m",
+             error=InvalidSpecError)
+    check_in(y, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_y_m", "UAV position uav_y_m", "m",
+             error=InvalidSpecError)
+    check_in(h, 0.0, MAX_LENGTH_M, "uav_h_m", "UAV altitude", "m", "(]", error=InvalidSpecError)
+
+
 def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square") -> np.ndarray:
     """Uniform user positions, shape (n, 2), deterministic per seed."""
-    if n < 1:
-        raise InvalidSpecError(f"need at least one user, got {n}")
-    if not (math.isfinite(area_side_m) and area_side_m > 0):
-        raise InvalidSpecError(f"area side must be > 0, got {area_side_m}")
-    if shape not in AREA_SHAPES:
-        raise InvalidSpecError(f"unknown area shape {shape!r}; expected one of {AREA_SHAPES}")
+    _check_users(n, area_side_m, seed, shape)
     rng = np.random.default_rng(seed)
     if shape == "square":
         return rng.random((n, 2)) * area_side_m
@@ -195,17 +192,24 @@ def evaluate_links(
 ) -> UserColumns:
     """Analytic per-user link statistics for explicit positions and UAV site.
 
-    The links are evaluated on the calling thread; ``workers`` is accepted for
+    ``positions`` is an (n, 2) array of user coordinates. They and the UAV's x
+    and y lie within +-MAX_LENGTH_M, the UAV's altitude in (0, MAX_LENGTH_M]. The
+    links are evaluated on the calling thread; ``workers`` is accepted for
     compatibility and has no effect.
     """
     positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2 or not positions.size:
+        raise InvalidSpecError("positions must be an (n, 2) array with n >= 1, got shape "
+                               f"{positions.shape}", field="positions")
+    check_in(positions, -MAX_LENGTH_M, MAX_LENGTH_M, "positions", "user position", "m",
+             kind=np.ndarray, error=InvalidSpecError)
+    _check_uav(uav)
     return UserColumns(_link_arrays(positions, uav, env, radio, FormulationMode(mode)))
 
 
 def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
     """System sum-rate per watt of transmit power, in bits per joule."""
-    if not (math.isfinite(total_power_w) and total_power_w > 0):
-        raise DomainError(f"total power must be > 0 W, got {total_power_w}")
+    check_in(total_power_w, 0.0, math.inf, "total_power_w", "total power", "W", "()")
     return sum_rate_bps / total_power_w
 
 

@@ -1,4 +1,4 @@
-"""README's Python examples run as written.
+"""README's Python examples run as written, and its quoted refusal is what the CLI prints.
 
 The ```python blocks of README.md run in order, in one namespace, in a
 temporary directory. The first one reads ``fig_plos.csv``, so that file is
@@ -29,3 +29,10 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     # "identical bytes": the table rebuilt from the CSV's metadata renders the same CSV
     assert reporting.render_csv(namespace["table"]) == Path("fig_plos.csv").read_text()
     assert capsys.readouterr().out
+
+
+def test_readme_refusal_is_what_the_cli_prints(capsys):
+    text = README.read_text(encoding="utf-8")
+    ((command, quote),) = re.findall(r"^\$ (uavcov .*)\n(uavcov: error: .*)$", text, flags=re.M)
+    assert cli.main(shlex.split(command)[1:]) == 2
+    assert capsys.readouterr().err == quote + "\n"
