@@ -139,12 +139,14 @@ _TINY = np.finfo(float).tiny
 def _fspl(f_c_hz, d_m):
     # the product form holds where 4*pi*f and the ratio are positive normal doubles; where
     # either overflowed, lost its low bits or reached 0, the sum of the three logarithms
-    # stays finite. The per-link mask is built only when the extremes show such a link.
+    # stays finite. The per-link mask is built only when the extremes show such a link;
+    # an empty input has no extremes and no such link.
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         four_pi_f = 4.0 * np.pi * f_c_hz
         ratio = four_pi_f * d_m / SPEED_OF_LIGHT
         fspl = 20.0 * np.log10(ratio)
-        if (four_pi_f < _TINY).any() or ratio.min() < _TINY or ratio.max() == np.inf:
+        if ratio.size and ((four_pi_f < _TINY).any() or ratio.min() < _TINY
+                           or ratio.max() == np.inf):
             normal = (four_pi_f >= _TINY) & (ratio >= _TINY) & (ratio < np.inf)
             fspl = np.where(normal, fspl,
                             20.0 * (_LOG10_4PI_OVER_C + np.log10(f_c_hz) + np.log10(d_m)))
@@ -194,21 +196,11 @@ def _los_and_mean_loss(theta_deg, fspl_db, env: EnvironmentProfile):
     return pl, fspl_db + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
 
 
-def _path_loss_arrays(r0_m, h_m, env: EnvironmentProfile, f_c_hz):
-    """Elevation angle, LoS probability, FSPL and mean path loss over parallel (r0, h) arrays.
-
-    The two stages of the channel formula in one call, for the Monte Carlo
-    estimator and :func:`mean_path_loss_db`; no validation.
-    """
-    theta, fspl = _angle_and_fspl(r0_m, h_m, f_c_hz)
-    pl, mean_pl = _los_and_mean_loss(theta, fspl, env)
-    return theta, pl, fspl, mean_pl
-
-
 def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float) -> float:
     """Mean path loss in dB: free-space loss plus the LoS/NLoS-averaged excess.
 
     Always lies between FSPL + mu_los and FSPL + mu_nlos.
     """
     check_in(f_c_hz, 0.0, math.inf, "f_c_hz", "carrier frequency", "Hz", "()")
-    return float(_path_loss_arrays(geom.r0_m, geom.h_m, env, f_c_hz)[-1])
+    theta, fspl = _angle_and_fspl(geom.r0_m, geom.h_m, f_c_hz)
+    return float(_los_and_mean_loss(theta, fspl, env)[1])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
-                      LinkGeometry, _angle_and_fspl, _los_and_mean_loss, _path_loss_arrays)
+                      LinkGeometry, _angle_and_fspl, _los_and_mean_loss)
 from .errors import check_in
 
 _SQRT2 = math.sqrt(2.0)
@@ -222,6 +222,11 @@ def _z_threshold(mu: float, sigma: float, margin: float) -> float:
     return _last_passing_double(lambda z: mu + sigma * z <= margin, (margin - mu) / sigma)
 
 
+def _draw_covered(los, covered_if_los, covered_if_nlos):
+    """The draw rule of both samplers: each draw is judged by its own link class's test."""
+    return (los & covered_if_los) | (~los & covered_if_nlos)
+
+
 def coverage_monte_carlo(
     geom: LinkGeometry,
     env: EnvironmentProfile,
@@ -241,7 +246,8 @@ def coverage_monte_carlo(
     check_in(n_samples, 1, math.inf, "n_samples", "sample count", "", "[)", kind=int)
     check_in(seed, 0, math.inf, "seed", "seed", "", "[)", kind=int)
     # the same p_los and free-space loss bits as the analytic kernel's columns
-    _, pl, fspl, _ = _path_loss_arrays(geom.r0_m, geom.h_m, env, radio.f_c_hz)
+    theta, fspl = _angle_and_fspl(geom.r0_m, geom.h_m, radio.f_c_hz)
+    pl = _los_and_mean_loss(theta, fspl, env)[0]
     # covered iff excess loss X <= link margin
     margin = float(received_power_dbm(radio, fspl) - radio.p_min_dbm)
     # X = mu + sigma*z <= margin  <=>  z <= z*, exactly, per class
@@ -255,8 +261,7 @@ def coverage_monte_carlo(
         size = min(_MC_CHUNK, n_samples - k * _MC_CHUNK)
         los = rng.random(size) < pl
         z = rng.standard_normal(size)
-        covered += int(np.count_nonzero(los & (z <= z_los)))
-        covered += int(np.count_nonzero(~los & (z <= z_nlos)))
+        covered += int(np.count_nonzero(_draw_covered(los, z <= z_los, z <= z_nlos)))
 
     estimate = covered / n_samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_samples)

@@ -259,6 +259,8 @@ def optimal_altitude(
     check_in(h_max, h_min, MAX_LENGTH_M, "h_max", "h_max", "m", "(]", error=InvalidRangeError)
     check_in(steps, 2, MAX_GRID_POINTS, "steps", "grid steps", kind=int, error=InvalidRangeError)
     check_in(r_edge, 0.0, MAX_LENGTH_M, "r_edge", "edge distance", "m", error=InvalidRangeError)
+    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int,
+             error=InvalidSpecError)
     environments, mode = tuple(environments), FormulationMode(mode)
     if not environments:
         return ()
@@ -302,6 +304,8 @@ def max_coverage_radius(
     check_in(h, 0.0, MAX_LENGTH_M, "h", "altitude", "m", "(]", error=InvalidRangeError)
     check_in(r_max_scan, 0.0, MAX_LENGTH_M, "r_max_scan", "scan limit", "m",
              error=InvalidRangeError)
+    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int,
+             error=InvalidSpecError)
     environments, mode = tuple(environments), FormulationMode(mode)
     n = _grid_points(0.0, r_max_scan, resolution, "resolution")
     if not environments:

@@ -17,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
-from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, noise_power_dbm,
-                       received_power_dbm)
+from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, _draw_covered,
+                       noise_power_dbm, received_power_dbm)
 from .errors import InvalidSpecError, check_in
 
 AREA_SHAPES = ("square", "disk")
@@ -240,12 +240,9 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
         shape = (min(rows, spec.n_draws - first), spec.n_users)
         u = uniforms.random(shape)
         z = normals.standard_normal(shape)
-        excess = np.where(
-            u < p_los,
-            env.mu_los_db + env.sigma_los_db * z,
-            env.mu_nlos_db + env.sigma_nlos_db * z,
-        )
-        fractions.extend((excess <= margin).mean(axis=1).tolist())
+        covered = _draw_covered(u < p_los, env.mu_los_db + env.sigma_los_db * z <= margin,
+                                env.mu_nlos_db + env.sigma_nlos_db * z <= margin)
+        fractions.extend(covered.mean(axis=1).tolist())
     return tuple(fractions)
 
 

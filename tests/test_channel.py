@@ -286,6 +286,13 @@ class TestPathLoss:
             with pytest.raises(DomainError):
                 fspl_db(f_c, d)
 
+    @pytest.mark.parametrize("f_c, d", [([], 10.0), (2e9, []), (np.ones((0, 3)), 10.0)])
+    def test_empty_input_gives_an_empty_array(self, f_c, d):
+        # as p_los([]) does; the range test on the extremes has none to look at
+        got = fspl_db(f_c, d)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == np.broadcast_shapes(np.shape(f_c), np.shape(d))
+
     @pytest.mark.parametrize("f_c, d", [
         (1e300, 1e300),  # 4*pi*f*d overflows
         (2e9, 1e300),

@@ -19,7 +19,7 @@ from uavcov.channel import (
     URBAN,
     LinkGeometry,
     _angle_and_fspl,
-    _path_loss_arrays,
+    _los_and_mean_loss,
     mean_path_loss_db,
     p_nlos,
 )
@@ -279,9 +279,10 @@ class TestMonteCarloColumns:
     @pytest.mark.parametrize("forced_p_los", [0.0, 1.0])
     def test_p_los_comes_from_the_channel_kernel(self, monkeypatch, forced_p_los):
         geom, radio = LinkGeometry(200.0, 100.0), RadioConfig(p_min_dbm=-60.0)
-        theta, _, fspl, mean_pl = _path_loss_arrays(geom.r0_m, geom.h_m, URBAN, radio.f_c_hz)
-        monkeypatch.setattr(coverage, "_path_loss_arrays",
-                            lambda *args: (theta, forced_p_los, fspl, mean_pl))
+        theta, fspl = _angle_and_fspl(geom.r0_m, geom.h_m, radio.f_c_hz)
+        mean_pl = _los_and_mean_loss(theta, fspl, URBAN)[1]
+        monkeypatch.setattr(coverage, "_los_and_mean_loss",
+                            lambda *args: (forced_p_los, mean_pl))
         mc = coverage_monte_carlo(geom, URBAN, radio, n_samples=20_000, seed=4)
         margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
         assert mc.estimate == covered_draws(forced_p_los, margin, URBAN, 20_000, 4) / 20_000

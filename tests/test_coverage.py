@@ -405,6 +405,12 @@ SAMPLER_CASES = {
         EnvironmentProfile("sharp", a=10.6, b=0.18, mu_los_db=1.0, mu_nlos_db=20.0,
                            sigma_los_db=1e-13, sigma_nlos_db=1e-13),
         margin_at(LinkGeometry(200.0, 100.0), 1.0)),
+    # the margin below the LoS mean: an NLoS draw can pass where a LoS draw cannot
+    "nlos-passes-where-los-fails": (
+        LinkGeometry(200.0, 100.0),
+        EnvironmentProfile("wide-nlos", a=10.6, b=0.18, mu_los_db=0.0, mu_nlos_db=1.0,
+                           sigma_los_db=1e-13, sigma_nlos_db=8.0),
+        margin_at(LinkGeometry(200.0, 100.0), -1.0)),
 }
 
 

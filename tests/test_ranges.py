@@ -118,6 +118,12 @@ ROWS = {
     "altitude-steps-fraction": (lambda: altitude(steps=2.5), "steps", True, True),
     "altitude-steps-nan": (lambda: altitude(steps=math.nan), "steps", True, True),
     "altitude-r-edge-negative": (lambda: altitude(r_edge=-5.0), "r_edge", True, True),
+    # the CLI refuses --workers below 1 itself, so only library callers reach these
+    **{f"{name}-workers-{label}": (lambda call=call, value=value: call(workers=value),
+                                   "workers", False, True)
+       for name, call in (("altitude", altitude), ("radius", radius))
+       for label, value in (("fraction", 1.5), ("zero", 0), ("negative", -3), ("bool", True),
+                            ("nan", math.nan))},
     "radius-target-one": (lambda: radius(target=1.0), "target", True, True),
     "radius-resolution-zero": (lambda: radius(resolution=0.0), "resolution", True, True),
     "radius-h-nan": (lambda: radius(h=math.nan), "h", True, True),

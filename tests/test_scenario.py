@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uavcov import scenario
-from uavcov.channel import URBAN, LinkGeometry
+from uavcov.channel import SUBURBAN, URBAN, EnvironmentProfile, LinkGeometry
 from uavcov.coverage import (
     RadioConfig,
     coverage_probability,
@@ -235,21 +235,62 @@ class TestEvaluateScenario:
         assert info.value.field == field
 
 
-def dense_covered_fractions(spec):
-    """The shadowing draws as one (n_draws, n_users) array each: the reference layout."""
+def link_margins(spec):
+    """Each user's LoS probability and link margin, as the reference computes them."""
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     records = evaluate_links(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    p_los = records.columns["p_los"]
     fspl = scenario._link_arrays(positions, spec.uav_position, spec.env, spec.radio,
                                  spec.mode)["fspl_db"]
-    env, radio = spec.env, spec.radio
+    radio = spec.radio
+    return records.columns["p_los"], radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
+
+
+def dense_covered_fractions(spec):
+    """The shadowing draws as one (n_draws, n_users) array each: the reference layout.
+
+    A draw's excess loss is picked by value from its class and then compared
+    with the margin, as the Monte Carlo reference sampler does.
+    """
+    p_los, margin = link_margins(spec)
+    env = spec.env
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
     u = rng.random((spec.n_draws, spec.n_users))
     z = rng.standard_normal((spec.n_draws, spec.n_users))
     excess = np.where(u < p_los, env.mu_los_db + env.sigma_los_db * z,
                       env.mu_nlos_db + env.sigma_nlos_db * z)
-    margin = radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
     return tuple((excess <= margin).mean(axis=1).tolist())
+
+
+CANYON = EnvironmentProfile("canyon", a=26.5, b=0.5, mu_los_db=2.3, mu_nlos_db=34.0)
+SHARP = EnvironmentProfile("sharp", a=10.6, b=0.18, mu_los_db=1.0, mu_nlos_db=20.0,
+                           sigma_los_db=1e-13, sigma_nlos_db=1e-13)
+WIDE_NLOS = EnvironmentProfile("wide-nlos", a=10.6, b=0.18, mu_los_db=0.0, mu_nlos_db=1.0,
+                               sigma_los_db=1e-13, sigma_nlos_db=8.0)
+
+# (environment, area side, UAV position, receiver threshold in dBm or None, the first
+# user's link margin in dB or None), after the Monte Carlo sampler's reference cases:
+# p_los near 0 and near 1, and margins at a class mean, with a 1e-13 dB deviation where
+# the float rounding of mu + sigma*z decides the draw. In a 1e-12 m area every user's
+# margin lies within a fraction of that deviation of the first user's. With the margin
+# below WIDE_NLOS's LoS mean, an NLoS draw can pass where a LoS draw cannot.
+SHADOWING_CASES = {
+    "plos-near-0": (CANYON, 10.0, (5000.0, 0.0, 1.0), -95.0, None),
+    "plos-near-1": (SUBURBAN, 1.0, (0.5, 0.5, 300.0), -46.0, None),
+    "margin-at-nlos-mean": (URBAN, 1e-12, (200.0, 0.0, 100.0), None, URBAN.mu_nlos_db),
+    "tiny-sigma-at-los-mean": (SHARP, 1e-12, (200.0, 0.0, 100.0), None, SHARP.mu_los_db),
+    "tiny-sigma-at-nlos-mean": (SHARP, 1e-12, (200.0, 0.0, 100.0), None, SHARP.mu_nlos_db),
+    "nlos-passes-where-los-fails": (WIDE_NLOS, 1e-12, (200.0, 0.0, 100.0), None, -1.0),
+}
+
+
+def shadowing_case(name):
+    env, side, (x, y, h), p_min, margin = SHADOWING_CASES[name]
+    spec = dict(env=env, area_side_m=side, uav_x_m=x, uav_y_m=y, uav_h_m=h, n_users=50,
+                n_draws=40, seed=11)
+    if p_min is None:
+        # the threshold that puts the first user's margin at (about) ``margin``
+        p_min = link_margins(make_spec(radio=RadioConfig(p_min_dbm=0.0), **spec))[1][0] - margin
+    return make_spec(radio=RadioConfig(p_min_dbm=p_min), **spec)
 
 
 class TestStreamedShadowing:
@@ -261,6 +302,22 @@ class TestStreamedShadowing:
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", block)
         got = evaluate_scenario(spec).summary.covered_fraction_draws
         assert got == dense_covered_fractions(spec)
+
+    @pytest.mark.parametrize("block", [7, 1 << 20])
+    @pytest.mark.parametrize("case", sorted(SHADOWING_CASES))
+    def test_extreme_and_tie_cases_reproduce_dense_draws(self, case, block, monkeypatch):
+        spec = shadowing_case(case)
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", block)
+        got = evaluate_scenario(spec).summary.covered_fraction_draws
+        assert got == dense_covered_fractions(spec)
+
+    def test_cases_reach_the_extremes_and_the_ties(self):
+        assert link_margins(shadowing_case("plos-near-0"))[0].max() < 1e-6
+        assert link_margins(shadowing_case("plos-near-1"))[0].min() > 1.0 - 1e-9
+        # every user's margin within two deviations of the class mean
+        for name in ("tiny-sigma-at-los-mean", "tiny-sigma-at-nlos-mean"):
+            margin = link_margins(shadowing_case(name))[1]
+            assert np.all(np.abs(margin - SHADOWING_CASES[name][4]) <= 2e-13), name
 
     def test_peak_memory_flat_in_n_draws(self):
         def peak(n_draws):
