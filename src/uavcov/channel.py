@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometryError, check_in
+from .errors import InputError, check_in
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact by definition
 # the largest magnitude of a dB field of RadioConfig or EnvironmentProfile
@@ -104,10 +104,8 @@ class LinkGeometry:
     h_m: float
 
     def __post_init__(self):
-        check_in(self.r0_m, 0.0, MAX_LENGTH_M, "r0_m", "ground distance", "m",
-                 error=InvalidGeometryError)
-        check_in(self.h_m, 0.0, MAX_LENGTH_M, "h_m", "altitude", "m", "(]",
-                 error=InvalidGeometryError)
+        check_in(self.r0_m, 0.0, MAX_LENGTH_M, "r0_m", "ground distance", "m")
+        check_in(self.h_m, 0.0, MAX_LENGTH_M, "h_m", "altitude", "m", "(]")
 
 
 def _elevation_and_slant(r0_m, h_m):
@@ -176,6 +174,11 @@ def fspl_db(f_c_hz, d_m):
                  "Hz", "()", kind=np.ndarray)
     d = check_in(np.asarray(d_m, dtype=float), 0.0, math.inf, "d_m", "distance", "m", "()",
                  kind=np.ndarray)
+    try:
+        np.broadcast_shapes(f.shape, d.shape)
+    except ValueError:
+        raise InputError(f"distance shape {d.shape} does not broadcast with carrier frequency "
+                         f"shape {f.shape}", field="d_m") from None
     out = _fspl(f, d)
     return float(out) if np.isscalar(f_c_hz) and np.isscalar(d_m) else out
 

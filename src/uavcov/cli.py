@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
 from .coverage import FormulationMode, RadioConfig, coverage_monte_carlo
-from .errors import InvalidSpecError
+from .errors import InputError
 from .planner import (
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -282,7 +282,7 @@ def _env_dict_from_name(name: str) -> dict:
     try:
         env = builtin_environment(name)
     except KeyError as exc:
-        _fail("--env", str(exc))
+        _fail("--env", exc.args[0])  # str() of a KeyError quotes its message
     return asdict(env)
 
 
@@ -413,8 +413,8 @@ def _sweep_table(config: RunConfig) -> OutputTable:
         n_rows = len(values)
         n_cells = len(envs) * n_rows
         if n_cells * mc_samples > MAX_MC_DRAWS:
-            raise InvalidSpecError(f"{n_cells} cells x {mc_samples} samples exceeds "
-                                   f"{MAX_MC_DRAWS} draws", field="mc_samples")
+            raise InputError(f"{n_cells} cells x {mc_samples} samples exceeds {MAX_MC_DRAWS} "
+                             "draws", field="mc_samples")
 
         def estimate(cell: int):
             j, i = divmod(cell, n_rows)  # environment j, row i

@@ -18,7 +18,7 @@ from scipy import special
 
 from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
                       LinkGeometry, _angle_and_fspl, _los_and_mean_loss)
-from .errors import check_in
+from .errors import InputError, check_in
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -51,6 +51,12 @@ class FormulationMode(str, Enum):
 
     STANDARD = "standard"
     PAPER_LITERAL = "paper-literal"
+
+    @classmethod
+    def _missing_(cls, value):
+        # every entry point converts its mode through here, so one refusal serves them all
+        raise InputError(f"unknown formulation mode {value!r}; expected one of "
+                         f"{tuple(mode.value for mode in cls)}", field="mode")
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,15 @@ def _z_threshold(mu: float, sigma: float, margin: float) -> float:
 
 
 def _draw_covered(los, covered_if_los, covered_if_nlos):
-    """The draw rule of both samplers: each draw is judged by its own link class's test."""
-    return (los & covered_if_los) | (~los & covered_if_nlos)
+    """The draw rule of both samplers: each draw is judged by its own link class's test.
+
+    Works in place: the result is ``covered_if_los``, and both test masks are overwritten,
+    so the callers pass fresh temporaries.
+    """
+    covered_if_los &= los
+    np.greater(covered_if_nlos, los, out=covered_if_nlos)  # covered_if_nlos & ~los
+    covered_if_los |= covered_if_nlos
+    return covered_if_los
 
 
 def coverage_monte_carlo(

@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one range rule that raises them.
+"""The library's one refusal type, and the one range rule that raises it.
 
-All derive from ValueError so callers that do not care about the distinction
-can catch a single class. ``field`` names the input field at fault, where one
-is, so that a front end can name its own option for it.
+The model holds only on bounded inputs. Every input the library refuses raises
+``InputError``, a ValueError whose ``field`` names the input at fault, so that
+a front end can name its own option for it. The one exception is
+``channel.builtin_environment``: an unknown name is a failed lookup, a KeyError.
 """
 
 import numbers
@@ -10,26 +11,16 @@ import numbers
 import numpy as np
 
 
-class _FieldError(ValueError):
-    def __init__(self, message: str, field: str | None = None):
+class InputError(ValueError):
+    """An input outside the domain of the model; ``field`` names it."""
+
+    def __init__(self, message: str, field: str):
         super().__init__(message)
         self.field = field
 
-
-class InvalidGeometryError(_FieldError):
-    """Link geometry with non-finite, negative, or otherwise impossible fields."""
-
-
-class DomainError(_FieldError):
-    """Numeric argument outside the domain of the requested operation."""
-
-
-class InvalidSpecError(_FieldError):
-    """Sweep or scenario specification that cannot produce a valid run."""
-
-
-class InvalidRangeError(InvalidSpecError):
-    """Search range or grid parameters that define no usable grid."""
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args, which lack the field
+        return type(self), (*self.args, self.field)
 
 
 # the scalar types of each kind; the concrete type first, as the abstract check is slower
@@ -47,8 +38,8 @@ def _inside(value, lo, hi, ends: str):
 
 
 def check_in(value, lo, hi, field: str, what: str, unit: str = "", ends: str = "[]", *,
-             kind=float, error=DomainError):
-    """Return ``value`` if it lies in the interval from ``lo`` to ``hi``; else raise ``error``.
+             kind=float):
+    """Return ``value`` if it lies in the interval from ``lo`` to ``hi``; else raise InputError.
 
     ``ends`` holds the interval's brackets, "[" or "(" and "]" or ")". ``kind``
     is ``float`` for a real number, ``int`` for a count (numpy integers are
@@ -66,5 +57,5 @@ def check_in(value, lo, hi, field: str, what: str, unit: str = "", ends: str = "
         value = repr(value)  # a value of another type shows as what it is
     elif _inside(value, lo, hi, ends):
         return value
-    raise error(f"{what} must lie in {ends[0]}{_bound(lo)}, {_bound(hi)}{ends[1]}"
-                f"{' ' + unit if unit else ''}, got {value}", field=field)
+    raise InputError(f"{what} must lie in {ends[0]}{_bound(lo)}, {_bound(hi)}{ends[1]}"
+                     f"{' ' + unit if unit else ''}, got {value}", field=field)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import MAX_LENGTH_M, EnvironmentProfile, LinkGeometry, _angle_and_fspl
 from .coverage import FormulationMode, RadioConfig, _coverage_arrays
-from .errors import InvalidRangeError, InvalidSpecError, check_in
+from .errors import InputError, check_in
 
 AXIS_ELEVATION = "elevation-angle-deg"
 AXIS_DISTANCE = "user-distance-m"
@@ -121,10 +121,8 @@ def _grid_points(start: float, stop: float, step: float, field: str) -> int:
     # tolerance keeps exact multiples of step from dropping the last point
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:  # the grid holds floor(span) + 1 points
-        raise InvalidRangeError(
-            f"{field} {step} over [{start}, {stop}] gives more than {MAX_GRID_POINTS} "
-            "grid points", field=field,
-        )
+        raise InputError(f"{field} {step} over [{start}, {stop}] gives more than "
+                         f"{MAX_GRID_POINTS} grid points", field=field)
     return math.floor(span) + 1
 
 
@@ -141,18 +139,18 @@ def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
 def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a sweep and return its (axis values, r0, h) arrays."""
     if not spec.environments:
-        raise InvalidSpecError("sweep needs at least one environment", field="environments")
+        raise InputError("sweep needs at least one environment", field="environments")
     if spec.axis not in AXES:
-        raise InvalidSpecError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}",
-                               field="axis")
+        raise InputError(f"unknown sweep axis {spec.axis!r}; expected one of {AXES}",
+                         field="axis")
     unit = "degrees" if spec.axis == AXIS_ELEVATION else "m"
-    check_in(spec.step, 0.0, math.inf, "step", "step", unit, "()", error=InvalidSpecError)
+    check_in(spec.step, 0.0, math.inf, "step", "step", unit, "()")
     # the stop first, so that a start past the stop is the start's fault; distances may
     # start at 0, elevation angles and altitudes may not
     check_in(spec.stop, -math.inf, 90.0 if spec.axis == AXIS_ELEVATION else MAX_LENGTH_M,
-             "stop", f"{spec.axis} sweep stop", unit, "(]", error=InvalidSpecError)
+             "stop", f"{spec.axis} sweep stop", unit, "(]")
     check_in(spec.start, 0.0, spec.stop, "start", f"{spec.axis} sweep start", unit,
-             "[]" if spec.axis == AXIS_DISTANCE else "(]", error=InvalidSpecError)
+             "[]" if spec.axis == AXIS_DISTANCE else "(]")
 
     values = _grid(spec.start, spec.stop, spec.step, "step")
     # the constant coordinate is a read-only view of one double, not a copy per point
@@ -162,9 +160,9 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", divide="ignore"):
             r0 = np.where(values >= 90.0, 0.0, spec.baseline.h_m / np.tan(np.radians(values)))
         if not r0[0] <= MAX_LENGTH_M:  # the first angle gives the farthest ground distance
-            raise InvalidSpecError(f"an elevation angle of {spec.start} deg at altitude "
-                                   f"{spec.baseline.h_m} m puts the user beyond "
-                                   f"{MAX_LENGTH_M:g} m", field="start")
+            raise InputError(f"an elevation angle of {spec.start} deg at altitude "
+                             f"{spec.baseline.h_m} m puts the user beyond {MAX_LENGTH_M:g} m",
+                             field="start")
     elif spec.axis == AXIS_DISTANCE:
         r0 = values
     else:
@@ -255,12 +253,11 @@ def optimal_altitude(
     Ties break toward the lowest altitude (first grid maximum). The scan runs
     on up to ``workers`` threads; the result does not depend on that number.
     """
-    check_in(h_min, 0.0, MAX_LENGTH_M, "h_min", "h_min", "m", "(]", error=InvalidRangeError)
-    check_in(h_max, h_min, MAX_LENGTH_M, "h_max", "h_max", "m", "(]", error=InvalidRangeError)
-    check_in(steps, 2, MAX_GRID_POINTS, "steps", "grid steps", kind=int, error=InvalidRangeError)
-    check_in(r_edge, 0.0, MAX_LENGTH_M, "r_edge", "edge distance", "m", error=InvalidRangeError)
-    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int,
-             error=InvalidSpecError)
+    check_in(h_min, 0.0, MAX_LENGTH_M, "h_min", "h_min", "m", "(]")
+    check_in(h_max, h_min, MAX_LENGTH_M, "h_max", "h_max", "m", "(]")
+    check_in(steps, 2, MAX_GRID_POINTS, "steps", "grid steps", kind=int)
+    check_in(r_edge, 0.0, MAX_LENGTH_M, "r_edge", "edge distance", "m")
+    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     environments, mode = tuple(environments), FormulationMode(mode)
     if not environments:
         return ()
@@ -298,14 +295,11 @@ def max_coverage_radius(
     the coverage curve is assumed; 0 where no grid point qualifies. The scan
     runs on up to ``workers`` threads; the result does not depend on that number.
     """
-    check_in(target, 0.0, 1.0, "target", "coverage target", "", "()", error=InvalidRangeError)
-    check_in(resolution, 0.0, math.inf, "resolution", "scan resolution", "m", "()",
-             error=InvalidRangeError)
-    check_in(h, 0.0, MAX_LENGTH_M, "h", "altitude", "m", "(]", error=InvalidRangeError)
-    check_in(r_max_scan, 0.0, MAX_LENGTH_M, "r_max_scan", "scan limit", "m",
-             error=InvalidRangeError)
-    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int,
-             error=InvalidSpecError)
+    check_in(target, 0.0, 1.0, "target", "coverage target", "", "()")
+    check_in(resolution, 0.0, math.inf, "resolution", "scan resolution", "m", "()")
+    check_in(h, 0.0, MAX_LENGTH_M, "h", "altitude", "m", "(]")
+    check_in(r_max_scan, 0.0, MAX_LENGTH_M, "r_max_scan", "scan limit", "m")
+    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     environments, mode = tuple(environments), FormulationMode(mode)
     n = _grid_points(0.0, r_max_scan, resolution, "resolution")
     if not environments:

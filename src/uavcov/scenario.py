@@ -19,7 +19,7 @@ import numpy as np
 from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, _draw_covered,
                        noise_power_dbm, received_power_dbm)
-from .errors import InvalidSpecError, check_in
+from .errors import InputError, check_in
 
 AREA_SHAPES = ("square", "disk")
 
@@ -63,8 +63,7 @@ class ScenarioSpec:
         _check_users(self.n_users, self.area_side_m, self.seed, self.area_shape)
         # the user-draw cap, as a bound on the draws of this many users
         check_in(self.n_draws, 1, MAX_USER_DRAWS // self.n_users, "n_draws",
-                 f"shadowing draw count for n_users={self.n_users}", kind=int,
-                 error=InvalidSpecError)
+                 f"shadowing draw count for n_users={self.n_users}", kind=int)
         # a UAV coordinate left unset is the area centre, which lies within the bound
         _check_uav(self.uav_position)
 
@@ -131,22 +130,19 @@ class ScenarioResult:
 
 def _check_users(n_users, area_side_m, seed, area_shape) -> None:
     # the checks that ScenarioSpec and generate_users share, under ScenarioSpec's fields
-    check_in(n_users, 1, MAX_USERS, "n_users", "user count", kind=int, error=InvalidSpecError)
-    check_in(area_side_m, 0.0, MAX_LENGTH_M, "area_side_m", "area side", "m", "(]",
-             error=InvalidSpecError)
-    check_in(seed, 0, math.inf, "seed", "seed", "", "[)", kind=int, error=InvalidSpecError)
+    check_in(n_users, 1, MAX_USERS, "n_users", "user count", kind=int)
+    check_in(area_side_m, 0.0, MAX_LENGTH_M, "area_side_m", "area side", "m", "(]")
+    check_in(seed, 0, math.inf, "seed", "seed", "", "[)", kind=int)
     if area_shape not in AREA_SHAPES:
-        raise InvalidSpecError(f"unknown area shape {area_shape!r}; expected one of "
-                               f"{AREA_SHAPES}", field="area_shape")
+        raise InputError(f"unknown area shape {area_shape!r}; expected one of {AREA_SHAPES}",
+                         field="area_shape")
 
 
 def _check_uav(uav) -> None:
     x, y, h = uav
-    check_in(x, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_x_m", "UAV position uav_x_m", "m",
-             error=InvalidSpecError)
-    check_in(y, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_y_m", "UAV position uav_y_m", "m",
-             error=InvalidSpecError)
-    check_in(h, 0.0, MAX_LENGTH_M, "uav_h_m", "UAV altitude", "m", "(]", error=InvalidSpecError)
+    check_in(x, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_x_m", "UAV position uav_x_m", "m")
+    check_in(y, -MAX_LENGTH_M, MAX_LENGTH_M, "uav_y_m", "UAV position uav_y_m", "m")
+    check_in(h, 0.0, MAX_LENGTH_M, "uav_h_m", "UAV altitude", "m", "(]")
 
 
 def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square") -> np.ndarray:
@@ -199,10 +195,10 @@ def evaluate_links(
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2 or not positions.size:
-        raise InvalidSpecError("positions must be an (n, 2) array with n >= 1, got shape "
-                               f"{positions.shape}", field="positions")
+        raise InputError("positions must be an (n, 2) array with n >= 1, got shape "
+                         f"{positions.shape}", field="positions")
     check_in(positions, -MAX_LENGTH_M, MAX_LENGTH_M, "positions", "user position", "m",
-             kind=np.ndarray, error=InvalidSpecError)
+             kind=np.ndarray)
     _check_uav(uav)
     return UserColumns(_link_arrays(positions, uav, env, radio, FormulationMode(mode)))
 
@@ -264,10 +260,10 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:
     efficiency = energy_efficiency(sum_rate, total_power_w)
     # legal but extreme radio values and geometry can still carry these past a double
     if not math.isfinite(sum_rate):
-        raise InvalidSpecError("sum rate overflows a double", field="bandwidth_hz")
+        raise InputError("sum rate overflows a double", field="bandwidth_hz")
     if not math.isfinite(efficiency):
-        raise InvalidSpecError(f"energy efficiency {sum_rate} bps / {total_power_w} W "
-                               "overflows a double", field="p_tx_dbm")
+        raise InputError(f"energy efficiency {sum_rate} bps / {total_power_w} W overflows a "
+                         "double", field="p_tx_dbm")
     summary = ScenarioSummary(
         mean_p_cov=float(np.mean(cols["p_cov"])),
         covered_fraction_draws=fractions,

@@ -33,7 +33,7 @@ from uavcov.channel import (
     slant_distance,
 )
 from uavcov.coverage import FormulationMode, RadioConfig, _coverage_arrays, coverage_probability
-from uavcov.errors import DomainError, InvalidGeometryError
+from uavcov.errors import InputError
 
 # mpmath oracles (50 dps), truncated to double precision
 SLANT_500_100 = 509.90195135927848300
@@ -98,7 +98,7 @@ class TestEnvironmentProfile:
     ])
     def test_db_field_out_of_range_names_the_field(self, field, value):
         kwargs = dict(a=5.0, b=0.1, mu_los_db=1.0, mu_nlos_db=20.0)
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             EnvironmentProfile("bad", **{**kwargs, field: value})
         assert info.value.field == field
 
@@ -142,13 +142,13 @@ class TestGeometry:
          (float("inf"), 100.0), (100.0, float("nan"))],
     )
     def test_invalid_geometry_rejected(self, r0, h):
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(InputError):
             LinkGeometry(r0, h)
 
     def test_lengths_bounded_so_that_hypot_stays_finite(self):
         for r0, h, field in [(1.7e308, 100.0, "r0_m"), (100.0, 1.7e308, "h_m"),
                              (math.nextafter(MAX_LENGTH_M, math.inf), 1.0, "r0_m")]:
-            with pytest.raises(InvalidGeometryError) as info:
+            with pytest.raises(InputError) as info:
                 LinkGeometry(r0, h)
             assert info.value.field == field
         # the farthest legal link: a scenario user two lengths off the UAV on each axis
@@ -200,9 +200,9 @@ class TestLosProbability:
 
     def test_domain_rejected(self):
         for bad in (-0.1, 90.1, float("nan"), float("inf")):
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError):
                 p_los(bad, URBAN)
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError):
                 p_nlos(bad, URBAN)
 
     def test_exact_zero_far_below_the_knee_without_warning(self):
@@ -283,7 +283,7 @@ class TestPathLoss:
 
     def test_domain_rejected(self):
         for f_c, d in [(0.0, 10.0), (-1e9, 10.0), (2e9, 0.0), (2e9, -3.0)]:
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError):
                 fspl_db(f_c, d)
 
     @pytest.mark.parametrize("f_c, d", [([], 10.0), (2e9, []), (np.ones((0, 3)), 10.0)])
@@ -383,7 +383,7 @@ class TestMeanPathLoss:
 
     @pytest.mark.parametrize("f_c", [float("nan"), np.float64("nan"), 0.0, -2e9, float("inf")])
     def test_bad_frequency_names_its_field(self, f_c):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             mean_path_loss_db(LinkGeometry(100.0, 100.0), URBAN, f_c)
         assert info.value.field == "f_c_hz"
 

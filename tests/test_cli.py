@@ -289,6 +289,18 @@ class TestParseArgs:
         assert "Traceback" not in captured.err and captured.out == ""
         assert sorted(os.listdir()) == (["c.json"] if config is not None else [])
 
+    @pytest.mark.parametrize("config", [None, {"environment": "nope"}], ids=["flag", "config"])
+    def test_unknown_environment_line(self, tmp_path, monkeypatch, capsys, config):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--env", "nope"]
+        if config is not None:
+            Path("c.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", "c.json"]
+        assert run_cli(["sweep-plos", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "uavcov: error: --env: unknown environment 'nope'; built-ins: suburban, urban, "
+            "dense-urban, high-rise-urban\n")
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

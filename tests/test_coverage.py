@@ -40,7 +40,7 @@ from uavcov.coverage import (
     _last_passing_double,
     _z_threshold,
 )
-from uavcov.errors import DomainError
+from uavcov.errors import InputError
 
 Q_TAIL_ORACLE = {
     -8.0: 0.9999999999999993779,
@@ -146,17 +146,17 @@ class TestBranchArgument:
         assert lit == pytest.approx(expect, abs=1e-12)
 
     def test_sigma_must_be_positive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             branch_argument(make_radio(), 78.468, 0.1, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             branch_argument(make_radio(), 78.468, 0.1, -2.0)
 
     def test_sigma_below_the_floor_refused(self):
         # sigma**2 underflows to 0 here; the floor refuses it before the division
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             branch_argument(RadioConfig(), 100.0, 1.0, 1e-200, "paper-literal")
         assert info.value.field == "sigma_db"
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             branch_argument(RadioConfig(), 100.0, 1.0, math.nextafter(MIN_SIGMA_DB, 0.0))
         assert math.isfinite(branch_argument(RadioConfig(), 100.0, 1.0, MIN_SIGMA_DB,
                                              "paper-literal"))
@@ -172,7 +172,7 @@ class TestBranchArgument:
     ])
     def test_mean_and_path_loss_bounded(self, path_loss, mu, field):
         # each of these made an infinite or NaN deficit
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             branch_argument(RadioConfig(), path_loss, mu, 0.5)
         assert info.value.field == field
 
@@ -183,7 +183,7 @@ class TestBranchArgument:
         radio = RadioConfig(p_tx_dbm=-MAX_ABS_DB, g_db=-MAX_ABS_DB, p_min_dbm=MAX_ABS_DB)
         assert math.isfinite(branch_argument(radio, limit, MAX_ABS_DB, MIN_SIGMA_DB, mode))
         assert math.isfinite(branch_argument(radio, -limit, -MAX_ABS_DB, MIN_SIGMA_DB, mode))
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(InputError) as info:
             branch_argument(radio, math.nextafter(limit, math.inf), 0.0, 3.0, mode)
         assert info.value.field == "path_loss_db"
 
@@ -333,7 +333,7 @@ class TestMonteCarlo:
         assert serial.estimate == threaded.estimate
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             coverage_monte_carlo(LinkGeometry(200.0, 100.0), URBAN, make_radio(), 0, seed=1)
 
     def test_degenerate_sigma_matches_indicator_mixture(self):

@@ -20,7 +20,7 @@ from uavcov.channel import (
     slant_distance,
 )
 from uavcov.coverage import RadioConfig, coverage_probability
-from uavcov.errors import InvalidRangeError, InvalidSpecError
+from uavcov.errors import InputError
 from uavcov.planner import (
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -150,7 +150,7 @@ class TestRunSweep:
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             run_sweep(angle_spec(**kwargs))
 
     def test_coverage_non_increasing_with_distance_default_grids(self):
@@ -206,7 +206,7 @@ class TestOptimalAltitude:
         base = dict(r_edge=500.0, environments=(URBAN,), radio=RadioConfig(),
                     h_min=50.0, h_max=2000.0, steps=100)
         base.update(kwargs)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             optimal_altitude(**base)
 
 
@@ -253,7 +253,7 @@ class TestMaxCoverageRadius:
         base = dict(h=100.0, environments=(URBAN,), radio=RadioConfig(), target=0.9,
                     r_max_scan=500.0, resolution=5.0)
         base.update(kwargs)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             max_coverage_radius(**base)
 
 
@@ -278,7 +278,7 @@ class TestGridCap:
     def test_huge_grid_refused_without_allocating(self, field, step):
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidRangeError) as info:
+            with pytest.raises(InputError) as info:
                 self.CALLS[field](step)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -289,7 +289,7 @@ class TestGridCap:
     def test_huge_steps_refused_without_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidRangeError) as info:
+            with pytest.raises(InputError) as info:
                 optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 2000.0,
                                  steps=MAX_GRID_POINTS + 1)
             peak = tracemalloc.get_traced_memory()[1]
@@ -305,12 +305,12 @@ class TestGridCap:
         assert max_coverage_radius(100.0, (URBAN,), RadioConfig(p_min_dbm=-500.0), 0.5,
                                    r_max_scan=10.0, resolution=1.0) == (10.0,)
         optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 60.0, steps=11)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             sweep_grid(angle_spec(axis=AXIS_DISTANCE, start=0.0, stop=11.0, step=1.0))
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.5, r_max_scan=11.0,
                                 resolution=1.0)
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             optimal_altitude(500.0, (URBAN,), RadioConfig(), 50.0, 60.0, steps=12)
 
     def test_benchmark_sized_grids_fit(self):
@@ -564,7 +564,7 @@ class TestSpanScans:
         assert optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 100, workers=2) == ()
         assert max_coverage_radius(100.0, [], RadioConfig(), 0.9, 500.0, 5.0, workers=2) == ()
         # the arguments are still checked
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InputError):
             optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 1)
 
 

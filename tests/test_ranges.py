@@ -1,13 +1,17 @@
-"""The one range rule: every library bound goes through ``errors.check_in``.
+"""The one refusal contract: every library refusal is an ``InputError`` that names its field.
 
 One row per checked site: the call, the field it must name, and whether the
-CLI can reach that field. Each refusal is a ValueError subclass (never a
-TypeError or an IndexError), carries its field, reads in the one message form,
-and a field the CLI can reach maps to a flag.
+CLI can reach that field. Each refusal is an ``InputError``, carries its field,
+reads in the one message form where it goes through ``errors.check_in``, and a
+field the CLI can reach maps to a flag. A parse of the library's modules checks
+that no ``raise`` there raises anything else.
 """
 
+import ast
 import math
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ import pytest
 from uavcov import cli
 from uavcov.channel import (MAX_LENGTH_M, URBAN, EnvironmentProfile, LinkGeometry, fspl_db,
                             mean_path_loss_db, p_los)
-from uavcov.coverage import RadioConfig, branch_argument, coverage_monte_carlo
-from uavcov.errors import DomainError, InvalidSpecError, check_in
+from uavcov.coverage import (RadioConfig, branch_argument, coverage_monte_carlo,
+                             coverage_probability)
+from uavcov.errors import InputError, check_in
 from uavcov.planner import (AXIS_ALTITUDE, AXIS_DISTANCE, AXIS_ELEVATION, SweepSpec,
                             max_coverage_radius, optimal_altitude, sweep_grid)
 from uavcov.scenario import (MAX_USER_DRAWS, ScenarioSpec, energy_efficiency, evaluate_links,
@@ -77,6 +82,8 @@ ROWS = {
     "p-los-array-nan": (lambda: p_los([10.0, math.nan], URBAN), "theta_deg", False, True),
     "fspl-frequency-zero": (lambda: fspl_db(0.0, 10.0), "f_c_hz", False, True),
     "fspl-distance-negative": (lambda: fspl_db(2e9, [1.0, -3.0]), "d_m", False, True),
+    "fspl-shapes-do-not-broadcast": (lambda: fspl_db(np.ones(2), np.ones(3)), "d_m", False,
+                                     False),
     "mean-path-loss-frequency-nan": (lambda: mean_path_loss_db(GEOM, URBAN, math.nan), "f_c_hz",
                                      False, True),
     "mean-path-loss-frequency-array": (lambda: mean_path_loss_db(GEOM, URBAN, np.array(2e9)),
@@ -156,14 +163,24 @@ ROWS = {
                              "uav_h_m", True, True),
     "energy-efficiency-power-zero": (lambda: energy_efficiency(1e6, 0.0), "total_power_w", False,
                                      True),
+    # the CLI restricts --mode to its choices, so only library callers reach these
+    "sweep-mode": (lambda: sweep(mode="bogus"), "mode", False, False),
+    "scenario-mode": (lambda: scenario(mode="bogus"), "mode", False, False),
+    "coverage-mode": (lambda: coverage_probability(GEOM, URBAN, RadioConfig(), mode="bogus"),
+                      "mode", False, False),
+    "branch-mode": (lambda: branch_argument(RadioConfig(), 100.0, 1.0, 3.0, mode="bogus"),
+                    "mode", False, False),
+    "altitude-mode": (lambda: altitude(mode="bogus"), "mode", False, False),
+    "radius-mode": (lambda: radius(mode="bogus"), "mode", False, False),
+    "links-mode": (lambda: evaluate_links(np.array([[1.0, 2.0]]), ORIGIN_UAV, URBAN,
+                                          RadioConfig(), mode="bogus"), "mode", False, False),
 }
 
 
 @pytest.mark.parametrize("call, field, cli_reaches, one_form", ROWS.values(), ids=ROWS.keys())
 def test_refusal_names_its_field(call, field, cli_reaches, one_form):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InputError) as info:
         call()
-    assert not isinstance(info.value, (TypeError, IndexError))
     assert info.value.field == field
     if cli_reaches:
         assert field in cli._FIELD_FLAGS
@@ -176,18 +193,55 @@ def test_bounds_and_types():
     assert check_in(0.0, 0.0, 1.0, "x", "x") == 0.0
     assert check_in(1.0, 0.0, 1.0, "x", "x", "", "(]") == 1.0
     for value, ends in ((0.0, "(]"), (1.0, "[)"), (math.nan, "[]"), (math.inf, "[]")):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             check_in(value, 0.0, 1.0, "x", "x", "", ends)
     # numpy integers are counts; a bool, a float and a numpy bool are not
     assert check_in(np.int64(3), 1, 10, "n", "count", kind=int) == 3
     for value in (True, 3.0, np.bool_(True)):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             check_in(value, 0, 10, "n", "count", kind=int)
     # an array shows its first value outside; a value of another type shows its repr
-    with pytest.raises(InvalidSpecError, match=r"^x must lie in \[0, 1\] m, got 5.0$"):
-        check_in(np.array([0.5, 5.0, 7.0]), 0, 1, "x", "x", "m", kind=np.ndarray,
-                 error=InvalidSpecError)
-    with pytest.raises(DomainError, match=r"got '1'$"):
+    with pytest.raises(InputError, match=r"^x must lie in \[0, 1\] m, got 5.0$"):
+        check_in(np.array([0.5, 5.0, 7.0]), 0, 1, "x", "x", "m", kind=np.ndarray)
+    with pytest.raises(InputError, match=r"got '1'$"):
         check_in("1", 0, 2, "x", "x")
     assert check_in(np.array([MAX_LENGTH_M]), 0.0, MAX_LENGTH_M, "x", "x",
                     kind=np.ndarray).shape == (1,)
+    # a refusal always names its field, also after a round trip through pickle
+    with pytest.raises(TypeError):
+        InputError("x must lie in [0, 1], got 2")
+    copied = pickle.loads(pickle.dumps(InputError("x must lie in [0, 1], got 2", field="x")))
+    assert (str(copied), copied.field) == ("x must lie in [0, 1], got 2", "x")
+
+
+# the library modules under the contract, and the one documented exception to it: an
+# unknown built-in name is a failed lookup, which a caller catches as KeyError
+CONTRACT_MODULES = ("channel", "coverage", "errors", "planner", "scenario")
+EXEMPT = {("channel", "builtin_environment"): "KeyError"}
+
+
+def _raise_sites(tree: ast.AST, function: str = "<module>"):
+    # (innermost enclosing function, raise node) for every raise statement
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            yield function, node
+        yield from _raise_sites(node, node.name if isinstance(node, ast.FunctionDef) else function)
+
+
+def test_every_raise_is_an_input_error_with_a_field():
+    source = Path(cli.__file__).parent
+    exempt_seen, modules_seen, bad = set(), set(), []
+    for module in CONTRACT_MODULES:
+        tree = ast.parse((source / f"{module}.py").read_text(encoding="utf-8"))
+        for function, node in _raise_sites(tree):
+            call = node.exc
+            name = call.func.id if (isinstance(call, ast.Call)
+                                    and isinstance(call.func, ast.Name)) else None
+            if EXEMPT.get((module, function)) == name:
+                exempt_seen.add((module, function))
+            elif name == "InputError" and "field" in {k.arg for k in call.keywords}:
+                modules_seen.add(module)
+            else:
+                bad.append(f"{module}.py:{node.lineno} in {function}")
+    assert bad == []
+    assert exempt_seen == set(EXEMPT) and modules_seen == set(CONTRACT_MODULES)

@@ -14,7 +14,7 @@ from uavcov.coverage import (
     noise_power_dbm,
     received_power_dbm,
 )
-from uavcov.errors import DomainError, InvalidSpecError
+from uavcov.errors import InputError
 from uavcov.scenario import (
     MAX_USER_DRAWS,
     MAX_USERS,
@@ -69,11 +69,11 @@ class TestGenerateUsers:
         assert r.max() > 450.0
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             generate_users(0, 1000.0, seed=1)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             generate_users(10, -1.0, seed=1)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             generate_users(10, 1000.0, seed=1, shape="hexagon")
 
 
@@ -187,21 +187,21 @@ class TestEvaluateScenario:
         assert r0.max() <= 500.0 * math.sqrt(2.0)  # UAV at centre; disk radius 500
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             make_spec(n_users=0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             make_spec(n_draws=0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             make_spec(area_side_m=0.0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             make_spec(uav_h_m=-10.0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InputError):
             make_spec(area_shape="triangle")
 
     def test_user_cap_refused_without_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidSpecError) as info:
+            with pytest.raises(InputError) as info:
                 make_spec(n_users=MAX_USERS + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -216,7 +216,7 @@ class TestEvaluateScenario:
     def test_user_draw_cap_refused_without_allocating(self, n_users, n_draws):
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidSpecError) as info:
+            with pytest.raises(InputError) as info:
                 make_spec(n_users=n_users, n_draws=n_draws)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -230,7 +230,7 @@ class TestEvaluateScenario:
     @pytest.mark.parametrize("field", ["uav_x_m", "uav_y_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_uav_position_rejected(self, field, value):
-        with pytest.raises(InvalidSpecError) as info:
+        with pytest.raises(InputError) as info:
             make_spec(**{field: value})
         assert info.value.field == field
 
@@ -377,7 +377,7 @@ class TestEnergyEfficiency:
         )
 
     def test_rejects_non_positive_power(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             energy_efficiency(1e6, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             energy_efficiency(1e6, -2.0)
