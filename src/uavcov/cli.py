@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
 from .coverage import FormulationMode, RadioConfig, coverage_monte_carlo
-from .errors import InputError
+from .errors import check_in
 from .planner import (
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -394,6 +394,13 @@ def _sweep_table(config: RunConfig) -> OutputTable:
         radio=radio,
         mode=params["mode"],
     )
+    mc_samples = params.get("mc_samples", 0)
+    if mc_samples:  # the draw cap is checked before any point is evaluated
+        values, grid_r0, grid_h = sweep_grid(spec)
+        n_rows = len(values)
+        n_cells = len(envs) * n_rows
+        check_in(mc_samples, 1, MAX_MC_DRAWS // n_cells, "mc_samples",
+                 f"Monte Carlo samples per point over {n_cells} cells", kind=int)
     result = run_sweep(spec)
     metric = _SWEEP_METRIC[config.command]
     header = [_AXIS_COLUMN[params["axis"]]] + [f"{metric}[{name}]"
@@ -407,15 +414,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
             "distance as r0 = h / tan(theta); theta = 90 deg maps to r0 = 0"
         )
 
-    mc_samples = params.get("mc_samples", 0)
     if mc_samples:
-        values, grid_r0, grid_h = sweep_grid(spec)
-        n_rows = len(values)
-        n_cells = len(envs) * n_rows
-        if n_cells * mc_samples > MAX_MC_DRAWS:
-            raise InputError(f"{n_cells} cells x {mc_samples} samples exceeds {MAX_MC_DRAWS} "
-                             "draws", field="mc_samples")
-
         def estimate(cell: int):
             j, i = divmod(cell, n_rows)  # environment j, row i
             # a global looked up per call, so a wrapper set on this module sees every cell

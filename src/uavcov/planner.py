@@ -5,11 +5,13 @@ not known to be unimodal in altitude, and grids keep every result
 bit-reproducible. The model runs in two stages: the elevation angle and FSPL
 of a set of points (``channel._angle_and_fspl``), which no environment
 changes, then ``_coverage_arrays`` once per environment on those columns.
-The grid searches take every environment in one call and cut the grid into
-blocks: each block's first stage is computed once for all environments, and
-contiguous spans of blocks run on a thread pool (``_map_on_pool``, which also
-runs the CLI's Monte Carlo cells). Each span keeps per-block results that
-merge in block order, so no result depends on the number of threads.
+Sweeps and grid searches alike take every environment in one call and run
+on one block engine, ``_scan``: it cuts the grid into blocks, computes each
+block's first stage once for all environments, and hands each environment's
+block columns to a reducer. Contiguous spans of blocks run on a thread pool
+(``_map_on_pool``, which also runs the CLI's Monte Carlo cells). Each span
+keeps per-block results that merge in block order, so no result depends on
+the number of threads.
 """
 
 from __future__ import annotations
@@ -171,13 +173,13 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate LoS probability, mean path loss, and coverage on the grid."""
+    """Evaluate LoS probability, mean path loss, and coverage on the grid, block by block."""
     values, r0, h = sweep_grid(spec)
-    theta, fspl = _angle_and_fspl(r0, h, spec.radio.f_c_hz)
-    columns = (_coverage_arrays(theta, fspl, env, spec.radio, spec.mode)
-               for env in spec.environments)
-    # each environment keeps three columns; its others go before the next is evaluated
-    p_los, mean_pl_db, p_cov = zip(*((c.p_los, c.mean_pl_db, c.p_cov) for c in columns))
+    blocks = _scan(len(values), lambda lo, hi: (r0[lo:hi], h[lo:hi]), spec.environments,
+                   spec.radio, spec.mode, 1, lambda lo, c: (c.p_los, c.mean_pl_db, c.p_cov))
+    # each block keeps three columns; one environment's are joined, and dropped, at a time
+    joined = [tuple(map(np.concatenate, zip(*blocks.pop(0)))) for _ in spec.environments]
+    p_los, mean_pl_db, p_cov = zip(*joined)
     return SweepResult(spec.axis, tuple(env.name for env in spec.environments), values,
                        p_los, mean_pl_db, p_cov)
 
@@ -207,11 +209,12 @@ def _map_on_pool(fn, items, workers: int) -> list:
 
 def _scan(n: int, coordinates, environments: tuple, radio: RadioConfig,
           mode: FormulationMode, workers: int, reduce) -> list:
-    """``reduce(lo, p_cov)`` for each block ``[lo, hi)`` of an ``n``-point scan, per environment.
+    """``reduce(lo, columns)`` for each block ``[lo, hi)`` of an ``n``-point scan, per environment.
 
     ``coordinates(lo, hi)`` gives the block's (r0, h). Each block's elevation
     angle and FSPL are computed once, and the kernel then runs once per
-    environment on them; its columns live for one block only. The blocks are
+    environment on them; ``reduce`` gets its ``CoverageColumns``, which live
+    for one block unless ``reduce`` keeps some of them. The blocks are
     cut into contiguous spans, one per pool thread. Returns one list per
     environment of its block results in block order, whatever the spans.
     """
@@ -225,7 +228,7 @@ def _scan(n: int, coordinates, environments: tuple, radio: RadioConfig,
             theta, fspl = _angle_and_fspl(*coordinates(lo, min(lo + _BLOCK, n)), radio.f_c_hz)
             for out, env in zip(results, environments):
                 # a global looked up per call, so a wrapper set on this module sees every block
-                out.append(reduce(lo, _coverage_arrays(theta, fspl, env, radio, mode).p_cov))
+                out.append(reduce(lo, _coverage_arrays(theta, fspl, env, radio, mode)))
         return results
 
     per_span = _map_on_pool(run, spans, k)
@@ -263,9 +266,9 @@ def optimal_altitude(
         return ()
     altitudes = np.linspace(h_min, h_max, steps)
 
-    def first_maximum(lo: int, p_cov: np.ndarray):
-        i = int(np.argmax(p_cov))
-        return lo + i, p_cov[i]
+    def first_maximum(lo: int, columns):
+        i = int(np.argmax(columns.p_cov))
+        return lo + i, columns.p_cov[i]
 
     optima = []
     for blocks in _scan(steps, lambda lo, hi: (r_edge, altitudes[lo:hi]), environments,
@@ -305,8 +308,8 @@ def max_coverage_radius(
     if not environments:
         return ()
 
-    def last_qualifying(lo: int, p_cov: np.ndarray) -> int:
-        qualifying = np.flatnonzero(p_cov >= target)
+    def last_qualifying(lo: int, columns) -> int:
+        qualifying = np.flatnonzero(columns.p_cov >= target)
         return lo + int(qualifying[-1]) if qualifying.size else -1
 
     # the radii are built per block, so no scan holds an array of the whole grid

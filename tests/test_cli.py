@@ -337,6 +337,17 @@ class TestParseArgs:
         assert run_cli(argv + ["10"]) == 0
         assert run_cli(argv + ["11"]) == 2
 
+    def test_mc_draw_cap_checked_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def refuse(spec):
+            raise AssertionError("the sweep was evaluated before the draw cap was checked")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        assert run_cli(["sweep-coverage", "--mc-samples", cli.MAX_MC_DRAWS, "--out",
+                        tmp_path / "out.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "uavcov: error: --mc-samples: Monte Carlo samples per point over 392 cells must "
+            f"lie in [1, {cli.MAX_MC_DRAWS // 392}], got {cli.MAX_MC_DRAWS}\n")
+
     def test_custom_environment_object(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(
@@ -591,7 +602,8 @@ class TestCommands:
         assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
                         "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
-        assert sizes == [size]
+        # the sweep's one-thread block scan, then the Monte Carlo cells
+        assert sizes == [1, size]
 
     def test_mc_pool_without_sched_getaffinity(self, tmp_path, monkeypatch):
         # platforms other than Linux have no os.sched_getaffinity; the CPU count stands in
@@ -609,7 +621,7 @@ class TestCommands:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         assert run_cli(argv + [tmp_path / "without.csv"]) == 0
-        assert sizes == [1]
+        assert sizes == [1, 1]  # the sweep's block scan, then the Monte Carlo cells
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     # planner grids of three blocks and a part, with every built-in environment

@@ -35,6 +35,7 @@ from uavcov.coverage import (
     received_power_dbm,
 )
 from uavcov.planner import (
+    _BLOCK,
     AXES,
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -120,6 +121,25 @@ class TestSweepColumns:
             for name in SWEEP_FIELDS:
                 assert len(getattr(result, name)) == len(ENVS)
                 assert bits(getattr(result, name)[j]) == bits(getattr(expect, name)), name
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("axis", AXES)
+    def test_blocks_join_to_the_whole_grid_bit_for_bit(self, axis, mode, n):
+        # grids of n points that end before, on, after and between block boundaries
+        start, stop = {AXIS_ELEVATION: (0.5, 90.0), AXIS_DISTANCE: (0.0, n - 1.0),
+                       AXIS_ALTITUDE: (50.0, n + 49.0)}[axis]
+        spec = SweepSpec(axis, start, stop, (stop - start) / (n - 1), environments=ENVS,
+                         baseline=LinkGeometry(200.0, 100.0), radio=RADIO, mode=mode)
+        values, r0, h = sweep_grid(spec)
+        assert len(values) == n
+        result = run_sweep(spec)
+        assert bits(result.axis_values) == bits(values)
+        for j, env in enumerate(ENVS):
+            # the reference: both stages of the model once on the whole grid
+            whole = _coverage_arrays(*_angle_and_fspl(r0, h, RADIO.f_c_hz), env, RADIO, mode)
+            for name in SWEEP_FIELDS:
+                assert bits(getattr(result, name)[j]) == bits(getattr(whole, name)), name
 
     @pytest.mark.parametrize("axis", AXES)
     def test_rows_are_built_from_the_columns(self, axis):
@@ -232,6 +252,23 @@ class TestConstantGeometry:
         assert n > 89_000
         # p_los, mean_pl_db and p_cov per environment, the axis, and small objects
         assert held <= (3 * len(ENVS) + 1) * 8 * n + 64 * 1024
+
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_run_sweep_peak_is_the_kept_columns_plus_one_join(self, n):
+        spec = SweepSpec(AXIS_DISTANCE, 0.0, n - 1.0, 1.0, environments=ENVS,
+                         baseline=LinkGeometry(200.0, 100.0), radio=RADIO)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.axis_values) == n
+        # what the sweep keeps, one environment's three columns as they are joined from
+        # its blocks, and the kernel columns of two blocks; a kernel run on the whole grid
+        # would add about nine grid-sized arrays
+        assert peak <= (3 * len(ENVS) + 1) * 8 * n + 3 * 8 * n + 2 * 9 * 8 * _BLOCK
 
 
 class TestLinkColumns:
