@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
-from .coverage import FormulationMode, RadioConfig, coverage_monte_carlo
+from .coverage import MAX_DRAWS, FormulationMode, RadioConfig, coverage_monte_carlo
 from .errors import check_in
 from .planner import (
     AXIS_ALTITUDE,
@@ -48,16 +48,6 @@ _AXIS_GRID = {
 _AXIS_COLUMN = {"angle": "angle_deg", "distance": "distance_m", "altitude": "altitude_m"}
 _DEFAULT_AXIS = {"sweep-plos": "angle", "sweep-pathloss": "distance", "sweep-coverage": "distance"}
 _SWEEP_METRIC = {"sweep-plos": "p_los", "sweep-pathloss": "mean_pl_db", "sweep-coverage": "p_cov"}
-_COMMAND_HELP = {
-    **{command: f"{metric} sweep" for command, metric in _SWEEP_METRIC.items()},
-    "optimize-altitude": "grid-search the best UAV altitude",
-    "coverage-radius": "largest served radius meeting a target",
-    "scenario": "populate an area and evaluate every user",
-    "show-envs": "print the built-in environment parameters",
-}
-# the most Monte Carlo draws of one sweep, checked before any cell is drawn; at the
-# ~26 ns per draw measured with two worker threads (2 vCPU) a run at the cap takes ~110 s
-MAX_MC_DRAWS = 1 << 32
 
 _ENV_KEYS = tuple(f.name for f in fields(EnvironmentProfile))
 # the defaults that the library's dataclasses declare
@@ -121,7 +111,7 @@ _OPTIONS = (
     _Option("--plot", None, bool, False, "also write an SVG chart beside the CSV"),
     _Option("--workers", None, int, 1, "worker threads; results do not depend on it"),
     _Option("--env", None, list, None,
-            "environment name, repeatable; 'all' selects every built-in"),
+            "environment name, repeatable; 'all' selects every built-in", field="environments"),
     _Option("--sigma-los", None, float, None, "override LoS shadowing deviation, dB",
             field="sigma_los_db"),
     _Option("--sigma-nlos", None, float, None, "override NLoS shadowing deviation, dB",
@@ -228,7 +218,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="uavcov",
                      description="UAV-to-ground coverage modelling for disaster deployments")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, help_text in _COMMAND_HELP.items():
+    for command, (help_text, _) in _COMMAND_TABLE.items():
         sub = subs.add_parser(command, help=help_text)
         for option in _OPTIONS:
             if command in option.commands:
@@ -382,10 +372,8 @@ def config_from_params(params: dict, out=None, plot=False, workers=1) -> RunConf
                      workers=workers)
 
 
-def _sweep_table(config: RunConfig) -> OutputTable:
+def _sweep_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTable:
     params = config.params
-    envs = [EnvironmentProfile(**e) for e in params["environments"]]
-    radio = RadioConfig(**params["radio"])
     spec = SweepSpec(
         axis=_AXIS_TO_PLANNER[params["axis"]],
         start=params["start"], stop=params["stop"], step=params["step"],
@@ -399,7 +387,7 @@ def _sweep_table(config: RunConfig) -> OutputTable:
         values, grid_r0, grid_h = sweep_grid(spec)
         n_rows = len(values)
         n_cells = len(envs) * n_rows
-        check_in(mc_samples, 1, MAX_MC_DRAWS // n_cells, "mc_samples",
+        check_in(mc_samples, 1, MAX_DRAWS // n_cells, "mc_samples",
                  f"Monte Carlo samples per point over {n_cells} cells", kind=int)
     result = run_sweep(spec)
     metric = _SWEEP_METRIC[config.command]
@@ -437,10 +425,8 @@ def _sweep_table(config: RunConfig) -> OutputTable:
                        metadata={"params": params, "notes": notes})
 
 
-def _optimize_table(config: RunConfig) -> OutputTable:
+def _optimize_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTable:
     params = config.params
-    radio = RadioConfig(**params["radio"])
-    envs = [EnvironmentProfile(**e) for e in params["environments"]]
     best = optimal_altitude(params["r_edge_m"], envs, radio, h_min=params["h_min_m"],
                             h_max=params["h_max_m"], steps=params["steps"], mode=params["mode"],
                             workers=config.workers)
@@ -453,10 +439,8 @@ def _optimize_table(config: RunConfig) -> OutputTable:
     )
 
 
-def _radius_table(config: RunConfig) -> OutputTable:
+def _radius_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTable:
     params = config.params
-    radio = RadioConfig(**params["radio"])
-    envs = [EnvironmentProfile(**e) for e in params["environments"]]
     radii = max_coverage_radius(params["h_m"], envs, radio, target=params["target"],
                                 r_max_scan=params["r_max_m"], resolution=params["resolution_m"],
                                 mode=params["mode"], workers=config.workers)
@@ -467,10 +451,9 @@ def _radius_table(config: RunConfig) -> OutputTable:
     )
 
 
-def _scenario_table(config: RunConfig) -> OutputTable:
+def _scenario_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTable:
     params = config.params
-    spec = ScenarioSpec(env=EnvironmentProfile(**params["environments"][0]),
-                        radio=RadioConfig(**params["radio"]),
+    spec = ScenarioSpec(env=envs[0], radio=radio,
                         **{f.name: params[f.name] for f in fields(ScenarioSpec)
                            if f.name not in ("env", "radio")})
     result = evaluate_scenario(spec)
@@ -492,19 +475,29 @@ def _env_listing() -> str:
     return "\n".join(lines)
 
 
+# each command's help line and the builder of its table; show-envs prints text
+_COMMAND_TABLE = {
+    **{command: (f"{metric} sweep", _sweep_table) for command, metric in _SWEEP_METRIC.items()},
+    "optimize-altitude": ("grid-search the best UAV altitude", _optimize_table),
+    "coverage-radius": ("largest served radius meeting a target", _radius_table),
+    "scenario": ("populate an area and evaluate every user", _scenario_table),
+    "show-envs": ("print the built-in environment parameters", None),
+}
+
+
 def execute(config: RunConfig) -> OutputTable | str:
-    """Run a resolved command; tables are returned, show-envs yields text."""
-    if config.command == "show-envs":
+    """Run a resolved command; tables are returned, show-envs yields text.
+
+    A run command's model inputs are built here, the environments first and the radio
+    second, so every command refuses them in one order.
+    """
+    if config.command not in _COMMAND_TABLE:
+        raise ValueError(f"unknown command {config.command!r}")
+    _, build = _COMMAND_TABLE[config.command]
+    if build is None:
         return _env_listing()
-    if config.command in SWEEP_COMMANDS:
-        return _sweep_table(config)
-    if config.command == "optimize-altitude":
-        return _optimize_table(config)
-    if config.command == "coverage-radius":
-        return _radius_table(config)
-    if config.command == "scenario":
-        return _scenario_table(config)
-    raise ValueError(f"unknown command {config.command!r}")
+    envs = [EnvironmentProfile(**env) for env in config.params["environments"]]
+    return build(config, envs, RadioConfig(**config.params["radio"]))
 
 
 def main(argv=None) -> int:

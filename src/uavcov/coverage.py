@@ -240,6 +240,13 @@ def _draw_covered(los, covered_if_los, covered_if_nlos):
     return covered_if_los
 
 
+# the most draws of one run of either sampler (a sweep's Monte Carlo cells x samples, a
+# scenario's users x draws), checked before any draw is made; at the ~26 ns per Monte Carlo
+# draw measured with two worker threads (2 vCPU) and the ~37 ns per scenario user-draw
+# (numpy 2.4, x86-64), a run at the cap takes ~110-160 s
+MAX_DRAWS = 1 << 32
+
+
 def coverage_monte_carlo(
     geom: LinkGeometry,
     env: EnvironmentProfile,

@@ -17,8 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
-from .coverage import (FormulationMode, RadioConfig, _coverage_arrays, _draw_covered,
-                       noise_power_dbm, received_power_dbm)
+from .coverage import (MAX_DRAWS, FormulationMode, RadioConfig, _coverage_arrays,
+                       _draw_covered, noise_power_dbm, received_power_dbm)
 from .errors import InputError, check_in
 
 AREA_SHAPES = ("square", "disk")
@@ -32,10 +32,6 @@ SHADOWING_BLOCK_ELEMENTS = 1 << 18
 # CLI scenario run written to a file peaked at ~66 MB plus ~0.14 KB of RSS per user
 # (10^5 to 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 0.65 GB
 MAX_USERS = 1 << 22
-
-# the most user-draws one scenario may shadow, checked first; at the ~37 ns per
-# user-draw measured for shadowing (numpy 2.4, x86-64) a run at the cap takes ~160 s
-MAX_USER_DRAWS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "mode", FormulationMode(self.mode))
         _check_users(self.n_users, self.area_side_m, self.seed, self.area_shape)
-        # the user-draw cap, as a bound on the draws of this many users
-        check_in(self.n_draws, 1, MAX_USER_DRAWS // self.n_users, "n_draws",
+        # the draw cap, as a bound on the draws of this many users
+        check_in(self.n_draws, 1, MAX_DRAWS // self.n_users, "n_draws",
                  f"shadowing draw count for n_users={self.n_users}", kind=int)
         # a UAV coordinate left unset is the area centre, which lies within the bound
         _check_uav(self.uav_position)

@@ -15,8 +15,9 @@ import pytest
 import uavcov
 from uavcov import cli, planner, reporting
 from uavcov.channel import BUILTIN_ENVIRONMENTS
+from uavcov.coverage import MAX_DRAWS
 from uavcov.reporting import OutputTable, emit_table, render_csv
-from uavcov.scenario import MAX_USER_DRAWS, MAX_USERS
+from uavcov.scenario import MAX_USERS
 
 
 def run_cli(argv):
@@ -305,12 +306,12 @@ class TestParseArgs:
         "argv, flag",
         [
             (["scenario", "--n-users", "65536", "--n-draws", "65537"], "--n-draws"),
-            (["scenario", "--n-users", "1", "--n-draws", str(MAX_USER_DRAWS + 1)], "--n-draws"),
+            (["scenario", "--n-users", "1", "--n-draws", str(MAX_DRAWS + 1)], "--n-draws"),
             (["scenario", "--n-users", "1", "--n-draws", "100000000000"], "--n-draws"),
             (["sweep-coverage", "--env", "urban", "--start", "15", "--stop", "15", "--step", "1",
-              "--mc-samples", str(cli.MAX_MC_DRAWS + 1)], "--mc-samples"),
+              "--mc-samples", str(cli.MAX_DRAWS + 1)], "--mc-samples"),
             # the default distance grid: 4 environments x 98 rows = 392 cells
-            (["sweep-coverage", "--mc-samples", str(cli.MAX_MC_DRAWS // 392 + 1)],
+            (["sweep-coverage", "--mc-samples", str(cli.MAX_DRAWS // 392 + 1)],
              "--mc-samples"),
             (["sweep-coverage", "--env", "urban", "--step", "200",
               "--mc-samples", "100000000000000"], "--mc-samples"),
@@ -331,7 +332,7 @@ class TestParseArgs:
         assert peak < 1 << 20
 
     def test_mc_draw_cap_is_inclusive(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_MC_DRAWS", 20)
+        monkeypatch.setattr(cli, "MAX_DRAWS", 20)
         argv = ["sweep-coverage", "--env", "urban", "--start", "15", "--stop", "25",
                 "--step", "10", "--out", tmp_path / "out.csv", "--mc-samples"]
         assert run_cli(argv + ["10"]) == 0
@@ -342,11 +343,11 @@ class TestParseArgs:
             raise AssertionError("the sweep was evaluated before the draw cap was checked")
 
         monkeypatch.setattr(cli, "run_sweep", refuse)
-        assert run_cli(["sweep-coverage", "--mc-samples", cli.MAX_MC_DRAWS, "--out",
+        assert run_cli(["sweep-coverage", "--mc-samples", cli.MAX_DRAWS, "--out",
                         tmp_path / "out.csv"]) == 2
         assert capsys.readouterr().err == (
             "uavcov: error: --mc-samples: Monte Carlo samples per point over 392 cells must "
-            f"lie in [1, {cli.MAX_MC_DRAWS // 392}], got {cli.MAX_MC_DRAWS}\n")
+            f"lie in [1, {cli.MAX_DRAWS // 392}], got {cli.MAX_DRAWS}\n")
 
     def test_custom_environment_object(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -675,6 +676,26 @@ class TestCommands:
         cfg.write_text('{"environments": []}', encoding="utf-8")
         assert run_cli([command, "--config", cfg, "--workers", "2", "--out", out]) == 0
         assert read_csv(out)[3] == []
+
+    @pytest.mark.parametrize("command", cli.SWEEP_COMMANDS)
+    def test_sweep_without_environments_names_env(self, tmp_path, capsys, command):
+        cfg, out = tmp_path / "none.json", tmp_path / "s.csv"
+        cfg.write_text('{"environments": []}', encoding="utf-8")
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "uavcov: error: --env: sweep needs at least one environment\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"show-envs"}))
+    def test_environment_refused_before_the_radio(self, tmp_path, capsys, command):
+        # both inputs are bad; every command builds the environments first
+        bad = {"name": "bad", "a": 9.6, "b": 0.16, "mu_los_db": 1.0, "mu_nlos_db": 20.0,
+               "sigma_los_db": 0.0}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"environment": bad, "radio": {"p_tx_dbm": 1e9}}),
+                       encoding="utf-8")
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o.csv"]) == 2
+        assert "error: --sigma-los: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         (["optimize-altitude", "--steps", "1"], "--steps"),

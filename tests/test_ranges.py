@@ -4,7 +4,8 @@ One row per checked site: the call, the field it must name, and whether the
 CLI can reach that field. Each refusal is an ``InputError``, carries its field,
 reads in the one message form where it goes through ``errors.check_in``, and a
 field the CLI can reach maps to a flag. A parse of the library's modules checks
-that no ``raise`` there raises anything else.
+that no ``raise`` there raises anything else, and that every field they name
+maps to a flag or is listed as out of the CLI's reach.
 """
 
 import ast
@@ -19,13 +20,12 @@ import pytest
 from uavcov import cli
 from uavcov.channel import (MAX_LENGTH_M, URBAN, EnvironmentProfile, LinkGeometry, fspl_db,
                             mean_path_loss_db, p_los)
-from uavcov.coverage import (RadioConfig, branch_argument, coverage_monte_carlo,
+from uavcov.coverage import (MAX_DRAWS, RadioConfig, branch_argument, coverage_monte_carlo,
                              coverage_probability)
 from uavcov.errors import InputError, check_in
 from uavcov.planner import (AXIS_ALTITUDE, AXIS_DISTANCE, AXIS_ELEVATION, SweepSpec,
                             max_coverage_radius, optimal_altitude, sweep_grid)
-from uavcov.scenario import (MAX_USER_DRAWS, ScenarioSpec, energy_efficiency, evaluate_links,
-                             generate_users)
+from uavcov.scenario import ScenarioSpec, energy_efficiency, evaluate_links, generate_users
 
 FORM = re.compile(r"^.+ must lie in [\[(]\S+, \S+[\])]( \S+)?, got .+$")
 GEOM = LinkGeometry(100.0, 100.0)
@@ -139,7 +139,7 @@ ROWS = {
     "scenario-users-fraction": (lambda: scenario(n_users=2.5), "n_users", True, True),
     "scenario-draws-nan": (lambda: scenario(n_draws=math.nan), "n_draws", True, True),
     "scenario-draws-bool": (lambda: scenario(n_draws=True), "n_draws", True, True),
-    "scenario-draws-past-cap": (lambda: scenario(n_users=1, n_draws=MAX_USER_DRAWS + 1),
+    "scenario-draws-past-cap": (lambda: scenario(n_users=1, n_draws=MAX_DRAWS + 1),
                                 "n_draws", True, True),
     "scenario-seed-negative": (lambda: scenario(seed=-1), "seed", True, True),
     "scenario-seed-fraction": (lambda: scenario(seed=0.5), "seed", True, True),
@@ -245,3 +245,61 @@ def test_every_raise_is_an_input_error_with_a_field():
                 bad.append(f"{module}.py:{node.lineno} in {function}")
     assert bad == []
     assert exempt_seen == set(EXEMPT) and modules_seen == set(CONTRACT_MODULES)
+
+
+# the fields that the library names but no CLI flag sets: the arguments of the public
+# functions that the CLI does not call, and the planners' worker count, which the CLI
+# checks as --workers before the library sees it
+CLI_UNREACHABLE = ("d_m", "theta_deg", "mu_db", "sigma_db", "path_loss_db", "n_samples",
+                   "positions", "total_power_w", "workers")
+
+
+def _named_fields(trees: list) -> set:
+    """Every field that a library call names: a ``field`` argument of InputError, check_in or
+    a helper that passes its own ``field`` on, as a string or as a loop over strings."""
+    takes_field = {"InputError": 1}  # callee -> position of its field argument
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                names = [arg.arg for arg in node.args.args]
+                if "field" in names and node.name != "__init__":
+                    takes_field[node.name] = names.index("field")
+    fields, unresolved = set(), []
+
+    def visit(node, loops: dict, params: set):
+        if isinstance(node, ast.FunctionDef):
+            params = {arg.arg for arg in node.args.args}
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            items = node.iter.elts if isinstance(node.iter, ast.Tuple) else []
+            if items and all(isinstance(item, ast.Constant) for item in items):
+                loops = {**loops, node.target.id: {item.value for item in items}}
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in takes_field:
+                position = takes_field[callee]
+                (arg,) = ([k.value for k in node.keywords if k.arg == "field"]
+                          or node.args[position:position + 1])
+                if isinstance(arg, ast.Constant):
+                    fields.add(arg.value)
+                elif isinstance(arg, ast.Name) and arg.id in loops:
+                    fields.update(loops[arg.id])
+                # a helper's own field parameter is named at the helper's call sites
+                elif not (isinstance(arg, ast.Name) and arg.id == "field" and "field" in params):
+                    unresolved.append(ast.unparse(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops, params)
+
+    for tree in trees:
+        visit(tree, {}, set())
+    assert unresolved == []
+    return fields
+
+
+def test_every_library_field_has_a_flag_or_is_out_of_the_clis_reach():
+    source = Path(cli.__file__).parent
+    fields = _named_fields([ast.parse((source / f"{module}.py").read_text(encoding="utf-8"))
+                            for module in CONTRACT_MODULES])
+    assert {"environments", "sigma_los_db", "f_c_hz", "n_draws", "step"} <= fields
+    assert sorted(fields - set(cli._FIELD_FLAGS) - set(CLI_UNREACHABLE)) == []
+    # each unreachable field is named by the library and has no flag
+    assert set(CLI_UNREACHABLE) <= fields and not set(CLI_UNREACHABLE) & set(cli._FIELD_FLAGS)

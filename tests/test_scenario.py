@@ -9,6 +9,7 @@ import pytest
 from uavcov import scenario
 from uavcov.channel import SUBURBAN, URBAN, EnvironmentProfile, LinkGeometry
 from uavcov.coverage import (
+    MAX_DRAWS,
     RadioConfig,
     coverage_probability,
     noise_power_dbm,
@@ -16,7 +17,6 @@ from uavcov.coverage import (
 )
 from uavcov.errors import InputError
 from uavcov.scenario import (
-    MAX_USER_DRAWS,
     MAX_USERS,
     ScenarioSpec,
     UserColumns,
@@ -211,7 +211,7 @@ class TestEvaluateScenario:
         assert make_spec(n_users=MAX_USERS).n_users == MAX_USERS
 
     @pytest.mark.parametrize("n_users, n_draws", [
-        (1, MAX_USER_DRAWS + 1), (1 << 16, (1 << 16) + 1), (MAX_USERS, 1025), (1, 10**11),
+        (1, MAX_DRAWS + 1), (1 << 16, (1 << 16) + 1), (MAX_USERS, 1025), (1, 10**11),
     ])
     def test_user_draw_cap_refused_without_allocating(self, n_users, n_draws):
         tracemalloc.start()
