@@ -14,9 +14,11 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .channel import BUILTIN_ENVIRONMENTS, EnvironmentProfile, LinkGeometry, builtin_environment
 from .coverage import MAX_DRAWS, FormulationMode, RadioConfig, coverage_monte_carlo
-from .errors import check_in
+from .errors import InputError, check_in
 from .planner import (
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -315,8 +317,6 @@ def _resolve_environments(ns, file_cfg: dict, command: str) -> list[dict]:
         env.update(overrides)
         for key in _ENV_KEYS[1:]:
             env[key] = _as_kind(f"--config: environment {key!r}", env[key], float)
-    if command == "scenario" and len(envs) != 1:
-        _fail("--env", f"scenario takes exactly one environment, got {len(envs)}")
     return envs
 
 
@@ -412,10 +412,10 @@ def _sweep_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTab
             )
 
         estimates = _map_on_pool(estimate, range(n_cells), config.workers)
-        for j, name in enumerate(result.environment_names):
+        pairs = np.array([(mc.estimate, mc.std_error) for mc in estimates])
+        for name, rows in zip(result.environment_names, pairs.reshape(-1, n_rows, 2)):
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]
-            cells = estimates[j * n_rows:(j + 1) * n_rows]
-            columns += [[mc.estimate for mc in cells], [mc.std_error for mc in cells]]
+            columns += list(rows.T)
         notes.append(
             f"Monte Carlo columns use {mc_samples} draws per point; per-point seeds "
             "derive from the base seed, the environment index, and the row index"
@@ -432,8 +432,9 @@ def _optimize_table(config: RunConfig, envs: list, radio: RadioConfig) -> Output
                             workers=config.workers)
     return OutputTable(
         header=["environment", "h_star_m", "p_cov_star"],
-        columns=[[env.name for env in envs], [b.h_star_m for b in best],
-                 [b.p_cov_star for b in best]],
+        columns=[np.array([env.name for env in envs], dtype=str),
+                 np.array([b.h_star_m for b in best], dtype=float),
+                 np.array([b.p_cov_star for b in best], dtype=float)],
         metadata={"params": params,
                   "notes": ["altitude grid search; ties break toward the lowest altitude"]},
     )
@@ -446,13 +447,17 @@ def _radius_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTa
                                 mode=params["mode"], workers=config.workers)
     return OutputTable(
         header=["environment", "max_radius_m"],
-        columns=[[env.name for env in envs], list(radii)],
+        columns=[np.array([env.name for env in envs], dtype=str), np.array(radii, dtype=float)],
         metadata={"params": params},
     )
 
 
 def _scenario_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTable:
     params = config.params
+    # checked here, so a replayed config is refused as the command line is
+    if len(envs) != 1:
+        raise InputError(f"scenario takes exactly one environment, got {len(envs)}",
+                         field="environments")
     spec = ScenarioSpec(env=envs[0], radio=radio,
                         **{f.name: params[f.name] for f in fields(ScenarioSpec)
                            if f.name not in ("env", "radio")})

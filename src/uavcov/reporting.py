@@ -34,9 +34,10 @@ _PALETTE = (
 class OutputTable:
     """Header + one column per header entry + the metadata that reproduces them.
 
-    A column is a numpy array or a list. ``metadata`` keys: ``params`` (canonical
-    command parameters, required), ``notes`` (optional list of human-readable
-    caveats), ``summary`` (optional aggregate dict, e.g. scenario totals).
+    A column is a 1-D numpy array of bool, integer, float or str dtype, read through
+    ``.tolist()``; the writers refuse any other column. ``metadata`` keys: ``params``
+    (canonical command parameters, required), ``notes`` (optional list of
+    human-readable caveats), ``summary`` (optional aggregate dict, e.g. scenario totals).
     """
 
     header: list[str]
@@ -56,11 +57,6 @@ def _cell_format(cell_type: type) -> str:
     if issubclass(cell_type, float):
         return "%.9g"
     return "%s"
-
-
-def _cells(column, lo: int, hi: int) -> list:
-    # an array's cells are read as Python scalars, so np.bool_ prints as a bool does
-    return column[lo:hi].tolist() if isinstance(column, np.ndarray) else list(column[lo:hi])
 
 
 def _metadata_block(table: OutputTable) -> str:
@@ -93,15 +89,12 @@ def _metadata_block(table: OutputTable) -> str:
 
 
 def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
-    # one row format per chunk: a typed array column keeps its first cell's format, a list
-    # or object-array column has each cell put through format_number and prints with %s
-    typed = [isinstance(column, np.ndarray) and column.dtype != object for column in columns]
+    # one row format per chunk: a column's cells are read as Python scalars, so np.bool_
+    # prints as a bool does, and each column takes the format of its first cell's type
     for lo in range(0, n_rows, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n_rows)
-        cells = [_cells(column, lo, hi) if is_typed else list(map(format_number, column[lo:hi]))
-                 for column, is_typed in zip(columns, typed)]
-        row = ",".join(_cell_format(type(col_cells[0])) if is_typed else "%s"
-                       for col_cells, is_typed in zip(cells, typed))
+        cells = [column[lo:hi].tolist() for column in columns]
+        row = ",".join(_cell_format(type(col_cells[0])) for col_cells in cells)
         yield ((row + "\n") * (hi - lo)) % tuple(chain.from_iterable(zip(*cells)))
 
 
@@ -110,11 +103,13 @@ def _n_rows(table: OutputTable) -> int:
     columns = table.columns
     if len(columns) != len(table.header):
         raise ValueError(f"{len(columns)} columns for {len(table.header)} header entries")
-    n_rows = len(columns[0]) if columns else 0
     for j, column in enumerate(columns):
-        if len(column) != n_rows:
-            raise ValueError(f"column {j} has {len(column)} rows, column 0 has {n_rows}")
-    return n_rows
+        if not (isinstance(column, np.ndarray) and column.ndim == 1
+                and column.dtype.kind in "biufU"):
+            raise ValueError(f"column {j} is not a 1-D numpy array of bool, int, float or str")
+        if len(column) != len(columns[0]):
+            raise ValueError(f"column {j} has {len(column)} rows, column 0 has {len(columns[0])}")
+    return len(columns[0]) if columns else 0
 
 
 def _csv_chunks(table: OutputTable) -> Iterator[str]:
@@ -176,9 +171,9 @@ def render_svg(table: OutputTable) -> str:
     plot_w, plot_h = width - ml - mr, height - mt - mb
 
     n_rows = _n_rows(table)
-    cells = [_cells(column, 0, n_rows) for column in table.columns]
-    numeric_cols = [j for j, column in enumerate(cells)
-                    if n_rows and all(isinstance(cell, (int, float)) for cell in column)]
+    # a bool, integer or float column is numeric
+    numeric_cols = [j for j, column in enumerate(table.columns)
+                    if n_rows and column.dtype.kind in "biuf"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -187,9 +182,8 @@ def render_svg(table: OutputTable) -> str:
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if len(numeric_cols) >= 2:
-        x_col, series_cols = numeric_cols[0], numeric_cols[1:]
-        xs = [float(x) for x in cells[x_col]]
-        ys = [float(y) for j in series_cols for y in cells[j]]
+        xs, *series = (table.columns[j].astype(float).tolist() for j in numeric_cols)
+        ys = [y for column in series for y in column]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if y_hi == y_lo:
@@ -226,11 +220,11 @@ def render_svg(table: OutputTable) -> str:
             )
         parts.append(
             f'<text x="{ml + plot_w / 2}" y="{height - 12}" font-size="12" '
-            f'text-anchor="middle">{table.header[x_col]}</text>'
+            f'text-anchor="middle">{table.header[numeric_cols[0]]}</text>'
         )
-        for k, j in enumerate(series_cols):
+        for k, (j, column) in enumerate(zip(numeric_cols[1:], series)):
             colour = _PALETTE[k % len(_PALETTE)]
-            points = " ".join(f"{sx(x):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, cells[j]))
+            points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, column))
             parts.append(
                 f'<polyline points="{points}" fill="none" stroke="{colour}" stroke-width="1.5"/>'
             )

@@ -16,6 +16,7 @@ import uavcov
 from uavcov import cli, planner, reporting
 from uavcov.channel import BUILTIN_ENVIRONMENTS
 from uavcov.coverage import MAX_DRAWS
+from uavcov.errors import InputError
 from uavcov.reporting import OutputTable, emit_table, render_csv
 from uavcov.scenario import MAX_USERS
 
@@ -451,7 +452,8 @@ class TestCsvFormat:
 
     def test_empty_table_header_and_metadata_only(self, tmp_path):
         table = OutputTable(
-            header=["x", "y"], columns=[[], []], metadata={"params": {"command": "sweep-plos"}}
+            header=["x", "y"], columns=[np.array([]), np.array([])],
+            metadata={"params": {"command": "sweep-plos"}}
         )
         out = tmp_path / "empty.csv"
         emit_table(table, str(out))
@@ -461,8 +463,9 @@ class TestCsvFormat:
         assert comments
 
     def test_ragged_rows_rejected(self):
-        table = OutputTable(header=["x", "y"], columns=[[1.0, 2.0], [3.0]], metadata={})
-        with pytest.raises(ValueError):
+        table = OutputTable(header=["x", "y"], columns=[np.array([1.0, 2.0]), np.array([3.0])],
+                            metadata={})
+        with pytest.raises(ValueError, match="column 1 has 1 rows, column 0 has 2"):
             render_csv(table)
 
     def test_stdout_when_no_out(self, capsys):
@@ -677,6 +680,39 @@ class TestCommands:
         assert run_cli([command, "--config", cfg, "--workers", "2", "--out", out]) == 0
         assert read_csv(out)[3] == []
 
+    @pytest.mark.parametrize("argv, environments", [
+        (["sweep-plos", "--env", "all", "--step", "30"], None),
+        (["sweep-pathloss", "--env", "urban", "--step", "100"], None),
+        (["sweep-coverage", "--step", "100"], None),
+        (["sweep-coverage", "--env", "all", "--step", "200", "--mc-samples", "100"], None),
+        (["optimize-altitude", "--steps", "50"], None),
+        (["coverage-radius", "--env", "suburban"], None),
+        (["optimize-altitude"], []),
+        (["coverage-radius"], []),
+        (["scenario", "--n-users", "10", "--n-draws", "1"], None),
+    ], ids=["plos", "pathloss", "coverage", "coverage-mc", "optimize", "radius",
+            "optimize-no-env", "radius-no-env", "scenario"])
+    def test_every_table_column_is_a_typed_array(self, argv, environments):
+        params = cli.parse_args(argv).params
+        if environments is not None:  # a replayed config, as from a `# config:` line
+            params = {**params, "environments": environments}
+        table = cli.execute(cli.config_from_params(params))
+        assert len(table.columns) == len(table.header) >= 2
+        for column in table.columns:
+            assert isinstance(column, np.ndarray) and column.ndim == 1
+            assert column.dtype.kind in "biufU"
+
+    @pytest.mark.parametrize("names", [[], ["urban", "suburban"]], ids=["none", "two"])
+    def test_scenario_replay_takes_exactly_one_environment(self, names):
+        # the command line refuses the same count; a replay reaches execute directly
+        params = cli.parse_args(["scenario", "--n-users", "10", "--n-draws", "1"]).params
+        envs = [{**params["environments"][0], "name": name} for name in names]
+        with pytest.raises(InputError) as error:
+            cli.execute(cli.config_from_params({**params, "environments": envs}))
+        assert error.value.field == "environments"
+        assert str(error.value) == f"scenario takes exactly one environment, got {len(names)}"
+        assert cli._FIELD_FLAGS[error.value.field] == "--env"
+
     @pytest.mark.parametrize("command", cli.SWEEP_COMMANDS)
     def test_sweep_without_environments_names_env(self, tmp_path, capsys, command):
         cfg, out = tmp_path / "none.json", tmp_path / "s.csv"
@@ -770,7 +806,7 @@ class TestOutputFiles:
 
     def test_version_is_the_header_version(self):
         assert uavcov.__version__ is reporting.TOOL_VERSION
-        table = OutputTable(header=["x"], columns=[[]], metadata={})
+        table = OutputTable(header=["x"], columns=[np.array([])], metadata={})
         assert render_csv(table).startswith(f"# uavcov {uavcov.__version__}\n")
 
 
@@ -807,15 +843,21 @@ class TestNumberFormatting:
         assert out == "1234567.89"
 
     def test_render_csv_cells_match_format_number(self):
-        cells = [0.5, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1.0e300,
-                 1234567.891, 7, True, False, "urban", "100%s", np.float64(0.1 + 0.2),
-                 np.float32(0.1), np.int64(3), None]
-        rows = [tuple(cells), tuple(reversed(cells)), tuple(cells)]
-        rows.append([2] * len(cells))  # a list row and a second type signature
-        table = OutputTable(header=[f"c{i}" for i in range(len(cells))],
-                            columns=[list(column) for column in zip(*rows)], metadata={})
-        body = render_csv(table).split("\n")[-len(rows) - 1:-1]
+        # one array per kind, its edge cells first; each cell prints as its Python scalar
+        floats = [0.5, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1.0e300,
+                  1234567.891, 0.1 + 0.2]
+        n = len(floats)
+        columns = [np.array(floats), np.resize(np.float32([0.1, -2.5]), n),
+                   np.resize(np.int64([7, -2**63, 2**63 - 1]), n),
+                   np.resize(np.uint64([2**64 - 1, 0]), n), np.resize([True, False], n),
+                   np.resize(np.array(["urban", "100%s", ""]), n)]
+        table = OutputTable(header=[f"c{i}" for i in range(len(columns))], columns=columns,
+                            metadata={})
+        body = render_csv(table).split("\n")[-n - 1:-1]
+        rows = list(zip(*(column.tolist() for column in columns)))
         assert body == [",".join(reporting.format_number(c) for c in row) for row in rows]
+        assert body[0] == "0.5,0.100000001,7,18446744073709551615,1,urban"
+        assert body[1] == "-0,-2.5,-9223372036854775808,0,0,100%s"
 
 
 def _module_env():

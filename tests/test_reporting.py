@@ -1,10 +1,12 @@
 """The chunked CSV writer: the same bytes at every chunk size, bounded memory, no partial output.
 
 ``reporting`` writes a table's body ``_CHUNK_ROWS`` rows at a time. The
-reference here formats every cell with ``format_number`` and joins the rows,
-which is the byte rule the writer must keep at every chunk boundary.
+reference here reads every column through ``.tolist()``, formats each cell with
+``format_number`` and joins the rows, which is the byte rule the writer must
+keep at every chunk boundary.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,21 +17,22 @@ from uavcov.reporting import OutputTable, emit_table, format_number, render_csv,
 
 CHUNK = reporting._CHUNK_ROWS
 PREFIX = f"# {reporting.TOOL_NAME} {reporting.TOOL_VERSION}\n# config: {{}}\n"
-MIXED = [None, "urban", np.float32(0.1), True, -0.0, np.float64(0.1 + 0.2), 7, False]
+# a cell that holds a %-format must print as itself, not be read as one
+NAMES = np.array(["urban", "100%s", "", "%d%%", "dense-urban", "50%"])
 
 
-def make_table(n_rows: int, mixed: bool = True) -> OutputTable:
-    # float, int and bool arrays, and optionally a list of mixed cells
+def make_table(n_rows: int, names: bool = True) -> OutputTable:
+    # float, int and bool arrays, and optionally a str array
     k = np.arange(n_rows)
     columns = [np.sqrt(k + 0.5) * (-1.0) ** k, k * 1_000_003 - 5, k % 3 == 1]
-    if mixed:
-        columns.append([MIXED[i % len(MIXED)] for i in range(n_rows)])
-    return OutputTable(header=["f", "i", "b", "mixed"][:len(columns)], columns=columns,
+    if names:
+        columns.append(NAMES[k % len(NAMES)])
+    return OutputTable(header=["f", "i", "b", "names"][:len(columns)], columns=columns,
                        metadata={})
 
 
 def reference_csv(table: OutputTable) -> str:
-    cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in table.columns]
+    cells = [col.tolist() for col in table.columns]
     rows = "".join(",".join(map(format_number, row)) + "\n" for row in zip(*cells))
     return PREFIX + ",".join(table.header) + "\n" + rows
 
@@ -37,17 +40,17 @@ def reference_csv(table: OutputTable) -> str:
 def chunk_cases():
     for chunk in (1, 3, 7, CHUNK):
         for n_rows in sorted({0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5}):
-            for mixed in (True, False):
-                yield pytest.param(chunk, n_rows, mixed,
-                                   id=f"chunk{chunk}-rows{n_rows}-{'mixed' if mixed else 'arrays'}")
+            for names in (True, False):
+                yield pytest.param(chunk, n_rows, names,
+                                   id=f"chunk{chunk}-rows{n_rows}-{'str' if names else 'numeric'}")
 
 
 class TestChunkBoundaries:
-    @pytest.mark.parametrize("chunk, n_rows, mixed", chunk_cases())
-    def test_every_writer_gives_the_reference_bytes(self, chunk, n_rows, mixed, monkeypatch,
+    @pytest.mark.parametrize("chunk, n_rows, names", chunk_cases())
+    def test_every_writer_gives_the_reference_bytes(self, chunk, n_rows, names, monkeypatch,
                                                     tmp_path, capsys):
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
-        table = make_table(n_rows, mixed)
+        table = make_table(n_rows, names)
         expected = reference_csv(table)
         assert render_csv(table) == expected
 
@@ -63,7 +66,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(reporting, "_CHUNK_ROWS", 7)
         table = make_table(3 * 7 + 5)
         chunks = list(reporting._csv_chunks(table))
-        assert chunks[0] == PREFIX + "f,i,b,mixed\n"
+        assert chunks[0] == PREFIX + "f,i,b,names\n"
         assert [chunk.count("\n") for chunk in chunks[1:]] == [7, 7, 7, 5]
 
     def test_array_cells_print_as_their_python_scalars(self):
@@ -71,54 +74,77 @@ class TestChunkBoundaries:
                                               np.array([0.1, np.inf], dtype=np.float32)])
         assert render_csv(table).split("\n")[-3:] == ["1,3,0.100000001", "0,-4,inf", ""]
 
-    def test_an_object_array_is_formatted_per_cell(self):
-        column = np.array(MIXED, dtype=object)
-        table = OutputTable(["x"], [column])
-        assert render_csv(table) == PREFIX + "x\n" + "".join(
-            format_number(cell) + "\n" for cell in MIXED)
+    def test_a_str_array_prints_its_cells_as_they_are(self):
+        table = OutputTable(["x"], [NAMES])
+        assert render_csv(table) == PREFIX + "x\n" + "".join(f"{cell}\n" for cell in NAMES)
 
 
 class TestSvg:
     def test_a_series_is_a_column_of_ints_and_floats(self):
         n = 6
         table = OutputTable(
-            ["x", "floats", "none", "names", "ints", "flags", "objects", "f32"],
-            [np.linspace(0.0, 1.0, n), [0.5 * i for i in range(n)], [1.0] * (n - 1) + [None],
-             ["urban"] * n, np.arange(n), np.arange(n) % 2 == 0,
-             np.array([1.5] * n, dtype=object), [np.float32(1.0)] * n])
+            ["names", "x", "floats", "ints", "flags", "unsigned", "f32"],
+            [NAMES[:n], np.linspace(0.0, 1.0, n), 0.5 * np.arange(n), np.arange(n),
+             np.arange(n) % 2 == 0, np.arange(n, dtype=np.uint8), np.ones(n, np.float32)])
         svg = render_svg(table)
         legends = [line.rpartition('">')[2][:-len("</text>")] for line in svg.split("\n")
                    if 'font-size="11">' in line]
-        # bools are ints; a None, a str or a numpy scalar in a list keeps a column out
-        assert legends == ["floats", "ints", "flags", "objects"]
+        # the dtype decides: bools are ints, and a str column is no series
+        assert legends == ["floats", "ints", "flags", "unsigned", "f32"]
         assert 'text-anchor="middle">x</text>' in svg
+        assert svg.count("<polyline") == 5
+
+    def test_series_points_are_the_cells_as_floats(self):
+        table = OutputTable(["x", "y", "flag"], [np.array([0, 2, 4]),
+                                                 np.array([1.0, -1.0, 0.5], np.float32),
+                                                 np.array([True, False, True])])
+        polylines = [line for line in render_svg(table).split("\n") if "<polyline" in line]
+        # x 0..4 spans pixels 70..625; y -1..1, padded by 5% to -1.1..1.1, spans 450..20
+        assert [line.split('"')[1] for line in polylines] == [
+            "70.00,39.55 347.50,430.45 625.00,137.27",
+            "70.00,39.55 347.50,235.00 625.00,39.55",
+        ]
 
     def test_no_chart_without_two_series(self):
-        for columns in ([["a", "b"], [1.0, 2.0]], [[], []]):
+        for columns in ([np.array(["a", "b"]), np.array([1.0, 2.0])],
+                        [np.array([]), np.array([])]):
             svg = render_svg(OutputTable(["name", "value"], columns))
             assert "<polyline" not in svg and svg.endswith("</svg>\n")
 
 
+UNTYPED = "column 1 is not a 1-D numpy array of bool, int, float or str"
+
+
 class TestMalformedTables:
-    @pytest.mark.parametrize("header, columns", [
-        (["x", "y"], [[1.0, 2.0]]),
-        (["x"], [[1.0], [2.0]]),
-        (["x", "y"], [np.zeros(3), np.zeros(2)]),
-        (["x", "y", "z"], [[1.0], [2.0], []]),
-    ])
-    def test_refused_before_any_byte(self, header, columns, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("header, columns, message", [
+        (["x", "y"], [np.ones(2)], "1 columns for 2 header entries"),
+        (["x"], [np.ones(1), np.ones(1)], "2 columns for 1 header entries"),
+        (["x", "y"], [np.zeros(3), np.zeros(2)], "column 1 has 2 rows, column 0 has 3"),
+        (["x", "y", "z"], [np.ones(1), np.ones(1), np.array([])],
+         "column 2 has 0 rows, column 0 has 1"),
+        # a column that is not a 1-D array of bool, integer, float or str dtype
+        (["x", "y"], [np.ones(2), [1.0, 2.0]], UNTYPED),
+        (["x", "y"], [np.ones(2), np.array([1.5, "a"], dtype=object)], UNTYPED),
+        (["x", "y"], [np.ones(2), np.ones((2, 1))], UNTYPED),
+        (["x", "y"], [np.ones(2), np.array(2.0)], UNTYPED),
+        (["x", "y"], [np.ones(2), np.array([b"a", b"b"])], UNTYPED),
+        (["x", "y"], [np.ones(2), np.array([1j, 2.0])], UNTYPED),
+    ], ids=["short-header", "long-header", "ragged", "empty-last", "list", "object",
+            "two-d", "zero-d", "bytes", "complex"])
+    def test_refused_before_any_byte(self, header, columns, message, tmp_path, monkeypatch,
+                                     capsys):
         table = OutputTable(header, columns, metadata={})
         with pytest.raises(ValueError) as csv_error:
             render_csv(table)
-        with pytest.raises(ValueError) as svg_error:
+        assert str(csv_error.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             render_svg(table)
-        assert str(svg_error.value) == str(csv_error.value)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             emit_table(table, tmp_path / "t.csv", plot=True)
         assert list(tmp_path.iterdir()) == []
 
         monkeypatch.setattr(cli, "execute", lambda config: table)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cli.main(["sweep-plos"])
         assert capsys.readouterr().out == ""
 
