@@ -264,20 +264,34 @@ def optimal_altitude(
     environments, mode = tuple(environments), FormulationMode(mode)
     if not environments:
         return ()
-    altitudes = np.linspace(h_min, h_max, steps)
+    h_min, h_max = float(h_min), float(h_max)
+    span = h_max - h_min
+    step = span / (steps - 1)
+
+    def altitudes(lo: int, hi: int) -> np.ndarray:
+        # numpy's linspace(h_min, h_max, steps)[lo:hi] bit for bit, built per block so
+        # that no scan holds the whole axis: its start + k*step, its k/(steps-1)*span
+        # where the step underflows to 0, and its last point pinned to h_max
+        if step:
+            block = _grid_block(h_min, step, lo, hi)
+        else:
+            block = h_min + np.arange(lo, hi, dtype=float) / (steps - 1) * span
+        if hi == steps:
+            block[-1] = h_max
+        return block
 
     def first_maximum(lo: int, columns):
         i = int(np.argmax(columns.p_cov))
         return lo + i, columns.p_cov[i]
 
     optima = []
-    for blocks in _scan(steps, lambda lo, hi: (r_edge, altitudes[lo:hi]), environments,
+    for blocks in _scan(steps, lambda lo, hi: (r_edge, altitudes(lo, hi)), environments,
                         radio, mode, workers, first_maximum):
         # the first maximum among the blocks' first maxima is np.argmax over the whole
         # grid, a NaN included
         firsts, maxima = zip(*blocks)
         k = int(np.argmax(maxima))
-        optima.append(AltitudeOptimum(h_star_m=float(altitudes[firsts[k]]),
+        optima.append(AltitudeOptimum(h_star_m=float(altitudes(firsts[k], firsts[k] + 1)[0]),
                                       p_cov_star=float(maxima[k])))
     return tuple(optima)
 
