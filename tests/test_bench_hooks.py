@@ -55,17 +55,33 @@ def test_kernel_bindings_return_p_cov_last(module):
 
 @pytest.mark.parametrize("command", ["optimize-altitude", "coverage-radius"])
 def test_planner_kernel_once_per_environment_per_block(monkeypatch, tmp_path, command):
-    # the tracer's coverage.kernel_points sums result[-1].size over the wrapped calls
+    # the tracer's coverage.kernel_points sums result[-1].size over the wrapped calls, so
+    # every point the planners evaluate, their bounds' included, must pass through them
     n = 3 * planner._BLOCK + 5
     grid = (["--steps", str(n)] if command == "optimize-altitude" else
             ["--target", "0.5", "--resolution", str(2000.0 / (n - 1))])
-    kernel = counting(monkeypatch, planner, "_coverage_arrays")
+    kernel, calls = planner._coverage_arrays, []
+
+    def wrapper(theta, fspl, env, *args):
+        result = kernel(theta, fspl, env, *args)
+        # the angle column is kept, so that its id is not reused
+        calls.append((theta, env.name, result))
+        return result
+
+    tails = counting(monkeypatch, coverage, "q_function")
+    monkeypatch.setattr(planner, "_coverage_arrays", wrapper)
     assert cli.main([command, "--env", "all", *grid, "--workers", "2",
                      "--out", str(tmp_path / "p.csv")]) == 0
-    assert len(kernel) == 4 * len(BUILTIN_ENVIRONMENTS)
-    assert all(result[-1] is result.p_cov for result in kernel)
-    assert sum(result[-1].size for result in kernel) == n * len(BUILTIN_ENVIRONMENTS)
-    assert sorted(result[-1].size for result in kernel)[:4] == [5] * 4
+    assert all(result[-1] is result.p_cov for _, _, result in calls)
+    # the kernel takes both tails of each point it evaluates, and nothing else takes one
+    assert sum(tail.size for tail in tails) == 2 * sum(result[-1].size for _, _, result in calls)
+    # one bound call per environment over 4 points of each of the 4 blocks; then each block
+    # that an environment runs, once for that environment
+    bounds = [name for _, name, result in calls if result[-1].size == 16]
+    assert sorted(bounds) == sorted(BUILTIN_ENVIRONMENTS)
+    blocks = [(id(theta), name) for theta, name, result in calls if result[-1].size != 16]
+    assert len(set(blocks)) == len(blocks)
+    assert sum(result[-1].size for _, _, result in calls) <= (n + 16) * len(BUILTIN_ENVIRONMENTS)
 
 
 def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):
@@ -80,7 +96,8 @@ def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):
     assert len(sweeps[0].rows) * len(sweeps[0].environment_names) == 6
     assert cli.main(["optimize-altitude", "--env", "urban", "--steps", "20", "--out", out]) == 0
     assert cli.main(["coverage-radius", "--env", "urban", "--out", out]) == 0
-    assert len(planner_kernel) == 4
+    # each planner's bound call, then its one block
+    assert len(planner_kernel) == 6
     assert cli.main(["scenario", "--n-users", "30", "--n-draws", "2", "--out", out]) == 0
     assert len(scenario_kernel) == 1 and scenario_kernel[0][-1].size == 30
 
@@ -107,3 +124,16 @@ def test_workers_keyword_still_accepted():
     assert (scenario.evaluate_links(positions, (50.0, 50.0, 100.0), URBAN, radio,
                                     FormulationMode.STANDARD, workers=2)
             == scenario.evaluate_links(positions, (50.0, 50.0, 100.0), URBAN, radio))
+
+
+def test_planners_skip_most_of_planner_grid(monkeypatch, tmp_path):
+    # planner-grid's two commands: 2e6 altitudes and 2000 m at 0.001 m, the four built-ins;
+    # the bounds left ~7% of the grid's points to the kernel when they were written
+    kernel = counting(monkeypatch, planner, "_coverage_arrays")
+    out = str(tmp_path / "p.csv")
+    assert cli.main(["optimize-altitude", "--env", "all", "--steps", "2000000", "--workers", "2",
+                     "--out", out]) == 0
+    assert cli.main(["coverage-radius", "--env", "all", "--resolution", "0.001", "--workers", "2",
+                     "--out", out]) == 0
+    full = len(BUILTIN_ENVIRONMENTS) * (2_000_000 + 2_000_001)
+    assert sum(result[-1].size for result in kernel) <= full // 4

@@ -663,7 +663,10 @@ class TestCommands:
 
         monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert run_cli(self.PLANNERS[command] + ["--workers", workers,
+        # a threshold far below any loss makes p_cov 1 everywhere, so no bound rules a block
+        # out: the altitude scan runs all 4 blocks, and the radius scan's first batch of
+        # the last ones holds its answer
+        assert run_cli(self.PLANNERS[command] + ["--p-min", "-500", "--workers", workers,
                                                  "--out", tmp_path / "p.csv"]) == 0
         assert sizes == [size]
         # a grid of one block is one span, whatever the environments

@@ -213,15 +213,22 @@ class TestConstantGeometry:
         monkeypatch.setattr(planner, "_angle_and_fspl", recorded)
         monkeypatch.setattr(scenario, "_angle_and_fspl", recorded)
         positions = generate_users(500, 1000.0, seed=2)
+        scans = [
+            (lambda env: optimal_altitude(450.0, (env,), RADIO, h_min=10.0, h_max=3000.0,
+                                          steps=997, mode=mode), (0, 1)),
+            (lambda env: max_coverage_radius(120.0, (env,), RADIO, target=0.5,
+                                             r_max_scan=4000.0, resolution=3.0, mode=mode),
+             (1, 0)),
+            (lambda env: evaluate_links(positions, (300.0, 700.0, 80.0), env, RADIO, mode),
+             (1, 0)),
+        ]
         for env in ENVS:
-            optimal_altitude(450.0, (env,), RADIO, h_min=10.0, h_max=3000.0, steps=997,
-                             mode=mode)
-            max_coverage_radius(120.0, (env,), RADIO, target=0.5, r_max_scan=4000.0,
-                                resolution=3.0, mode=mode)
-            evaluate_links(positions, (300.0, 700.0, 80.0), env, RADIO, mode)
-        # optimal_altitude fixes r0; max_coverage_radius and the links fix h
-        assert [(np.ndim(r0), np.ndim(h)) for r0, h, *_ in calls] == [(0, 1), (1, 0),
-                                                                      (1, 0)] * len(ENVS)
+            # optimal_altitude fixes r0; max_coverage_radius and the links fix h. The
+            # planners' bound points and their blocks alike get the fixed one as a scalar
+            for scan, dims in scans:
+                first = len(calls)
+                scan(env)
+                assert {(np.ndim(r0), np.ndim(h)) for r0, h, *_ in calls[first:]} == {dims}
         for axis in AXES:
             run_sweep(sweep_spec(axis, mode))
         # a sweep's constant coordinate arrives as sweep_grid's view of one double

@@ -12,6 +12,7 @@ import pytest
 from uavcov import planner
 from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
+    EnvironmentProfile,
     MAX_LENGTH_M,
     SUBURBAN,
     URBAN,
@@ -350,8 +351,13 @@ def _altitude_ranges(count: int, seed: int) -> list:
     return [(float(a), float(b)) for a, b in ranges if 0.0 < a < b]
 
 
+def _keep_every_block(n, coordinates, environments, radio, mode) -> list:
+    """A stand-in for ``planner._block_bounds`` that proves nothing, so every block runs."""
+    return [(-math.inf, np.full(-(-n // planner._BLOCK), math.inf)) for _ in environments]
+
+
 def _scanned_altitudes(monkeypatch, h_min, h_max, steps) -> list:
-    """The altitude blocks optimal_altitude hands the model, in scan order."""
+    """The altitude blocks optimal_altitude hands the model, in scan order; none is skipped."""
     blocks = []
 
     def record(r0, h, f_c_hz):
@@ -360,6 +366,7 @@ def _scanned_altitudes(monkeypatch, h_min, h_max, steps) -> list:
 
     monkeypatch.setattr(planner, "_angle_and_fspl", record)
     monkeypatch.setattr(planner, "_coverage_arrays", lambda theta, *rest: _PCov(theta))
+    monkeypatch.setattr(planner, "_block_bounds", _keep_every_block)
     optimal_altitude(500.0, (URBAN,), RadioConfig(), h_min, h_max, steps)
     return blocks
 
@@ -404,7 +411,8 @@ class _Kernel:
 
     optimal_altitude scans altitudes 1, 2, ..., n and max_coverage_radius radii
     0, 1, ..., n - 1, so a point's coordinate gives its index, which the first
-    stage passes on in place of the elevation angle.
+    stage passes on in place of the elevation angle. Crafted values obey no
+    bound, so the planners skip no block.
     """
 
     def __init__(self, values):
@@ -413,6 +421,7 @@ class _Kernel:
     def install(self, monkeypatch):
         monkeypatch.setattr(planner, "_angle_and_fspl", self.angle_and_fspl)
         monkeypatch.setattr(planner, "_coverage_arrays", self)
+        monkeypatch.setattr(planner, "_block_bounds", _keep_every_block)
 
     @staticmethod
     def angle_and_fspl(r0, h, f_c_hz):
@@ -475,28 +484,48 @@ class TestBlockedScans:
                                            URBAN, radio, planner.FormulationMode(mode)).p_cov
 
         monkeypatch.setattr(planner, "_BLOCK", block)
-        kernel = planner._coverage_arrays
-        sizes, blocks = [], []
+        first_stage, kernel = planner._angle_and_fspl, planner._coverage_arrays
+        # each first stage's angle column, kept alive so that no id is reused, with its
+        # (r0, h) coordinates; the kernel's p_cov per call, with those coordinates or None
+        points, calls = {}, []
 
-        def wrapped(*args, **kwargs):
-            result = kernel(*args, **kwargs)
-            sizes.append(result[-1].size)
-            blocks.append(result.p_cov)
+        def angle_and_fspl(r0, h, f_c_hz):
+            columns = first_stage(r0, h, f_c_hz)
+            points[id(columns[0])] = columns[0], np.broadcast_arrays(r0, h)
+            return columns
+
+        def wrapped(theta, *args):
+            result = kernel(theta, *args)
+            calls.append((points.get(id(theta), (None, None))[1], result.p_cov))
             return result
 
+        monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
         monkeypatch.setattr(planner, "_coverage_arrays", wrapped)
+
+        def evaluated(axis, coordinate, whole) -> int:
+            # a call on a block's first stage is that block's byte-equal slice of the
+            # whole-grid call; the one other call is the bound's, over 4 points per block
+            bound_calls, points_run = [], 0
+            for block_points, p_cov in calls:
+                if block_points is None:
+                    bound_calls.append(p_cov.size)
+                    continue
+                values = block_points[coordinate]
+                lo = int(np.searchsorted(axis, values[0]))
+                assert axis[lo:lo + values.size].tobytes() == values.tobytes()
+                assert p_cov.tobytes() == whole[lo:lo + values.size].tobytes()
+                points_run += p_cov.size
+            assert bound_calls == [4 * -(-n // block)]
+            calls.clear()
+            return points_run
+
         (got,) = optimal_altitude(400.0, (URBAN,), radio, 20.0, 3000.0, n, mode)
-        # the tracer's coverage.kernel_points sums the sizes of the wrapped calls
-        assert sum(sizes) == n and len(sizes) == -(-n // block)
-        assert np.concatenate(blocks).tobytes() == whole_h.tobytes()
+        assert evaluated(altitudes, 1, whole_h) < n or block >= n
         best = int(np.argmax(whole_h))
         assert (got.h_star_m, got.p_cov_star) == (altitudes[best], whole_h[best])
 
-        sizes.clear()
-        blocks.clear()
         (got,) = max_coverage_radius(150.0, (URBAN,), radio, 0.6, 0.5 * (n - 1), 0.5, mode)
-        assert sum(sizes) == n
-        assert np.concatenate(blocks).tobytes() == whole_r.tobytes()
+        assert evaluated(radii, 0, whole_r) < n or block >= n
         qualifying = radii[whole_r >= 0.6]
         assert 0 < qualifying.size < n
         assert got == qualifying[-1]
@@ -539,14 +568,20 @@ class TestSpanScans:
         angle_and_fspl = planner._angle_and_fspl
 
         def counted(r0, h, f_c_hz):
-            first_stage.append(np.size(r0) * np.size(h))
+            first_stage.append(np.atleast_1d(h))
             return angle_and_fspl(r0, h, f_c_hz)
 
         monkeypatch.setattr(planner, "_angle_and_fspl", counted)
         radio = RadioConfig(p_min_dbm=-75.0)
-        optima, radii = _scans(ALL_ENVS, radio, 5 * SPAN_BLOCK + 3, mode, workers=2)
-        # the angle and FSPL of each of the 6 blocks of each scan, once for all environments
-        assert sorted(first_stage) == [3, 3] + [SPAN_BLOCK] * 10
+        optima = optimal_altitude(400.0, ALL_ENVS, radio, 20.0, 3000.0, 5 * SPAN_BLOCK + 3, mode,
+                                  workers=2)
+        # the end points of the 6 blocks, then the angle and FSPL of each block that some
+        # environment keeps, once for all environments
+        assert first_stage[0].size == 12
+        kept = [h[0] for h in first_stage[1:]]
+        assert len(set(kept)) == len(kept) and 0 < len(kept) <= 6
+        radii = max_coverage_radius(150.0, ALL_ENVS, radio, 0.6, 0.5 * (5 * SPAN_BLOCK + 2), 0.5,
+                                    mode, workers=2)
         assert len(optima) == len(radii) == len(ALL_ENVS)
         for env, optimum, radius in zip(ALL_ENVS, optima, radii):
             (alone,), (alone_radius,) = _scans((env,), radio, 5 * SPAN_BLOCK + 3, mode)
@@ -563,9 +598,8 @@ class TestSpanScans:
         for got in results.values():
             assert [astuple(o) for o in got[0]] == [astuple(o) for o in results[1][0]]
             assert got[1] == results[1][1]
-        blocks = -(-n // SPAN_BLOCK)
-        # one pool per scan, one thread per span
-        assert pools.sizes == [min(workers, blocks) for workers in range(1, 5) for _ in "ab"]
+        # a pool per altitude scan and per batch of a radius scan, one thread per span
+        assert len(pools.sizes) >= 8 and max(pools.sizes) <= min(4, -(-n // SPAN_BLOCK))
 
     def test_more_threads_than_cores_switching_often(self, monkeypatch):
         # spans share only read-only inputs; each keeps its own results
@@ -593,10 +627,10 @@ class TestSpanScans:
         assert radii == (0.5 * (10 * SPAN_BLOCK - 1),) * len(ALL_ENVS)
 
     def test_last_qualifying_radius_at_the_first_point_of_the_last_span(self, monkeypatch):
-        # 20 points in 4 blocks of 5 over 3 threads: spans of blocks [0], [1] and [2, 3]
+        # 20 points in 4 blocks of 5 at 3 threads: the last 3 blocks run first, one span each
         monkeypatch.setattr(planner, "_BLOCK", 5)
         _Pools(monkeypatch)
-        values = [0.95] * 3 + [0.1] * 7 + [0.95] + [0.1] * 9
+        values = [0.95] * 3 + [0.1] * 7 + [0.95] + [0.1] * 4 + [0.95] + [0.1] * 4
         _Kernel(values).install(monkeypatch)
         spans = []
         map_on_pool = planner._map_on_pool
@@ -608,8 +642,9 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "_map_on_pool", recorded)
         got = max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9, 19.0, 1.0,
                                   workers=3)
-        assert [span[0] for span in spans] == [0, 5, 10]
-        assert got == (10.0, 10.0)
+        # a qualifying point in the first batch, so block 0 never runs
+        assert [span[0] for span in spans] == [5, 10, 15]
+        assert got == (15.0, 15.0)
 
     def test_no_environments_start_no_pool(self, monkeypatch):
         def refuse(max_workers):
@@ -645,3 +680,175 @@ def test_scan_memory_is_one_block(scan, n):
     finally:
         tracemalloc.stop()
     assert peak < SCAN_PEAK_BOUND
+
+
+SIGMAS = (1e-150, 1e-9, 0.5, 3.0, 8.0, 3000.0)
+
+
+def _random_environment(rng) -> EnvironmentProfile:
+    """Random sigmoid and loss parameters; some with equal means, sigmas at both bounds."""
+    def sigma() -> float:
+        return float(rng.choice(SIGMAS) if rng.random() < 0.6 else 10.0 ** rng.uniform(-3, 3))
+
+    mu_los = float(rng.uniform(0.0, 10.0))
+    mu_nlos = mu_los if rng.random() < 0.2 else mu_los + float(rng.uniform(0.0, 40.0))
+    return EnvironmentProfile("random", a=float(10.0 ** rng.uniform(-1, 2)),
+                              b=float(10.0 ** rng.uniform(-2, 1)), mu_los_db=mu_los,
+                              mu_nlos_db=mu_nlos, sigma_los_db=sigma(), sigma_nlos_db=sigma())
+
+
+def _random_altitudes(rng, n: int) -> tuple:
+    """(r_edge, altitudes, coordinates): an altitude grid as optimal_altitude scans it.
+
+    The edge distance may be 0; the span runs from a few ulps to orders of
+    magnitude, and some grids end at ``MAX_LENGTH_M``.
+    """
+    r_edge = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(-3, 5))
+    if rng.random() < 0.2:
+        h_min, h_max = MAX_LENGTH_M * (1.0 - 10.0 ** rng.uniform(-15, -1)), MAX_LENGTH_M
+    else:
+        h_min = float(10.0 ** rng.uniform(-2, 5))
+        h_max = h_min * (1.0 + 10.0 ** rng.uniform(-13, 2))
+    values = np.linspace(h_min, h_max, n)
+    return r_edge, values, lambda lo, hi: (r_edge, values[lo:hi])
+
+
+def _random_radii(rng, n: int) -> tuple:
+    """(h, radii, coordinates): a distance grid from 0 as max_coverage_radius scans it.
+
+    The grid holds about ``n`` points; some altitudes and scan limits reach
+    ``MAX_LENGTH_M``'s order.
+    """
+    h = MAX_LENGTH_M if rng.random() < 0.1 else float(10.0 ** rng.uniform(-2, 5))
+    r_max = float(10.0 ** (rng.uniform(-2, 307) if rng.random() < 0.2 else rng.uniform(-1, 5)))
+    values = planner._grid(0.0, r_max, r_max / (n - 1), "resolution")
+    return h, values, lambda lo, hi: (values[lo:hi], h)
+
+
+def _random_radio(rng, env, mode, theta, fspl) -> RadioConfig:
+    """A threshold that puts the coverage edge near one of the points, on one, or far off.
+
+    On one: a tail's deficit is ~0 there, a step where that tail's sigma is tiny.
+    """
+    choice = rng.random()
+    if choice < 0.15:
+        return RadioConfig(p_min_dbm=-3000.0)  # p_cov stuck at 1 (but at the farthest links)
+    if choice < 0.3:
+        return RadioConfig(p_min_dbm=3000.0)  # p_cov stuck at 0 (but where sigma is huge)
+    columns = planner._coverage_arrays(theta, fspl, env, RadioConfig(),
+                                       planner.FormulationMode(mode))
+    loss = columns.mean_pl_db if mode == "paper-literal" else columns.fspl_db
+    budget = RadioConfig().p_tx_dbm + RadioConfig().g_db
+    if choice < 0.7:
+        p_min = budget - float(rng.choice(loss)) - rng.choice([env.mu_los_db, env.mu_nlos_db])
+    else:
+        p_min = budget - float(np.median(loss)) + float(rng.normal(0.0, 30.0))
+    return RadioConfig(p_min_dbm=float(np.clip(p_min, -3000.0, 3000.0)))
+
+
+def _whole_grid(coordinates, n, env, radio, mode) -> np.ndarray:
+    return planner._coverage_arrays(*_angle_and_fspl(*coordinates(0, n), radio.f_c_hz), env, radio,
+                                    planner.FormulationMode(mode)).p_cov
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_bounds_hold_for_every_point_of_every_block(monkeypatch, seed):
+    """p_cov never exceeds its block's bound, nor at the block's corners a few ulps out.
+
+    The kernel's first stage is monotone along either axis only up to its own
+    rounding, so the bound must also cover points whose angle and FSPL lie
+    those few ulps past the block's end points, even where sigma = 1e-150
+    makes a tail a step.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(40):
+        block = int(rng.choice([1, 7, 64, 257]))
+        monkeypatch.setattr(planner, "_BLOCK", block)
+        scan = _random_altitudes if rng.random() < 0.5 else _random_radii
+        _, values, coordinates = scan(rng, int(rng.integers(2, 1500)))
+        n = len(values)
+        theta, fspl = _angle_and_fspl(*coordinates(0, n), RadioConfig().f_c_hz)
+        env = _random_environment(rng)
+        mode = planner.FormulationMode(rng.choice(["standard", "paper-literal"]))
+        # the edge near a block's first point, where its FSPL is lowest
+        radio = _random_radio(rng, env, mode, theta[::block], fspl[::block])
+        p_cov = planner._coverage_arrays(theta, fspl, env, radio, mode).p_cov
+        ((lower, bound),) = planner._block_bounds(n, coordinates, (env,), radio, mode)
+        assert lower <= p_cov.max(), (seed, case)
+        for j, lo in enumerate(range(0, n, block)):
+            hi = min(lo + block, n)
+            assert not (p_cov[lo:hi] > bound[j]).any(), (seed, case, j)
+            ends = np.array([lo, hi - 1])
+            nudge = 8 * np.spacing(theta[ends]).max()
+            low = fspl[ends].min()
+            corners = planner._coverage_arrays(
+                np.array([theta[ends].min() - nudge, theta[ends].max() + nudge]),
+                np.full(2, low - 8 * np.spacing(low)), env, radio, mode).p_cov
+            assert not (corners > bound[j]).any(), (seed, case, j)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_planners_equal_the_whole_grid_at_one_to_four_workers(monkeypatch, seed):
+    """Both planners against an argmax and a last-qualifying scan of one whole-grid kernel call."""
+    monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(planner, "_BLOCK", 64)
+    kernel, points = planner._coverage_arrays, []
+
+    def counted(*args):
+        result = kernel(*args)
+        points.append(result.p_cov.size)
+        return result
+
+    rng = np.random.default_rng(100 + seed)
+    skipped = 0
+    for case in range(12):
+        r_edge, altitudes, heights = _random_altitudes(rng, int(rng.integers(2, 3000)))
+        h, radii, distances = _random_radii(rng, int(rng.integers(2, 3000)))
+        envs = tuple(_random_environment(rng) for _ in range(int(rng.integers(1, 4))))
+        mode = str(rng.choice(["standard", "paper-literal"]))
+        radio = _random_radio(rng, envs[0], mode, *_angle_and_fspl(*distances(0, len(radii)), 2e9))
+        whole_h = [_whole_grid(heights, len(altitudes), env, radio, mode) for env in envs]
+        whole_r = [_whole_grid(distances, len(radii), env, radio, mode) for env in envs]
+        # a target that some grid point meets exactly, or a random one
+        met = np.concatenate(whole_r)
+        met = met[(met > 0.0) & (met < 1.0)]
+        target = float(rng.choice(met) if met.size and rng.random() < 0.5
+                       else rng.uniform(0.01, 0.99))
+        expect_h = [(altitudes[k], p[k]) for p in whole_h for k in [int(np.argmax(p))]]
+        expect_r = [float(radii[q[-1]]) if q.size else 0.0
+                    for q in (np.flatnonzero(p >= target) for p in whole_r)]
+        monkeypatch.setattr(planner, "_coverage_arrays", counted)
+        for workers in range(1, 5):
+            points.clear()
+            got = optimal_altitude(r_edge, envs, radio, altitudes[0], altitudes[-1],
+                                   len(altitudes), mode, workers)
+            assert [(o.h_star_m, o.p_cov_star) for o in got] == expect_h, (seed, case, workers)
+            assert all(_same(o.p_cov_star, p) for o, (_, p) in zip(got, expect_h))
+            skipped += sum(points) < len(envs) * len(altitudes)
+            got = max_coverage_radius(h, envs, radio, target, radii[-1], radii[1], mode, workers)
+            assert list(got) == expect_r, (seed, case, workers)
+        monkeypatch.setattr(planner, "_coverage_arrays", kernel)
+    assert skipped  # the bound ruled some blocks out
+
+
+def test_a_nan_bound_keeps_its_block(monkeypatch):
+    monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
+    radio, n = RadioConfig(p_min_dbm=-75.0), 20 * SPAN_BLOCK
+    expect = _scans(ALL_ENVS, radio, n)
+    bounds, kernel, points = planner._block_bounds, planner._coverage_arrays, []
+
+    def nan_bounds(*args):
+        return [(lower, np.full_like(bound, math.nan)) for lower, bound in bounds(*args)]
+
+    def counted(*args):
+        result = kernel(*args)
+        points.append(result.p_cov.size)
+        return result
+
+    monkeypatch.setattr(planner, "_block_bounds", nan_bounds)
+    monkeypatch.setattr(planner, "_coverage_arrays", counted)
+    optima = optimal_altitude(400.0, ALL_ENVS, radio, 20.0, 3000.0, n)
+    # each environment's bound call over 4 points per block, then every block
+    assert sum(points) == len(ALL_ENVS) * (4 * 20 + n)
+    radii = max_coverage_radius(150.0, ALL_ENVS, radio, 0.6, 0.5 * (n - 1), 0.5)
+    assert (optima, radii) == expect
