@@ -37,6 +37,13 @@ from .planner import (
 from .reporting import OutputTable, _csv_chunks, emit_table, format_number, render_csv
 from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
+# glibc maps an allocation above its mmap threshold (128 KiB at start) and unmaps it on
+# free; freeing a larger mapped block raises the threshold, and the heap's trim threshold
+# with it, to that block's size. So this 4 MiB array, freed untouched, keeps the planners'
+# 128 KiB block temporaries on the heap (see planner._BLOCK) and adds no resident memory.
+# The CLI owns the process, so it, not the library, sets the allocator's state
+np.empty(1 << 19)
+
 SWEEP_COMMANDS = ("sweep-plos", "sweep-pathloss", "sweep-coverage")
 _RUN_COMMANDS = SWEEP_COMMANDS + ("optimize-altitude", "coverage-radius", "scenario")
 COMMANDS = _RUN_COMMANDS + ("show-envs",)

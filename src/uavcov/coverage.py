@@ -7,20 +7,51 @@ the same generative model serves as the independent cross-check.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
                       LinkGeometry, _angle_and_fspl, _los_and_mean_loss)
 from .errors import InputError, check_in
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _load_erfc():
+    """scipy's ``erfc`` ufunc, without running ``scipy/special/__init__.py``.
+
+    That ``__init__`` loads scipy's array-API backends (array_api_compat, numpy.f2py,
+    numpy.testing, numpy.ma and more): ~0.25 s and ~20 MB of every run's start-up, which
+    the ufunc needs none of. ``scipy.special._special_ufuncs`` holds the very object that
+    ``scipy.special.erfc`` names and links only libstdc++; ``_ufuncs`` would link scipy's
+    OpenBLAS, whose thread busy-waits after loading. An unexecuted ``scipy.special``
+    stands in as the parent package while the submodule loads and then leaves
+    ``sys.modules``, so a later ``import scipy.special`` runs the whole package. A package
+    already imported is used as it is, and a scipy without ``_special_ufuncs`` takes the
+    plain import.
+    """
+    if "scipy.special" not in sys.modules:
+        spec = importlib.util.find_spec("scipy.special")
+        sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+        try:
+            from scipy.special._special_ufuncs import erfc
+            return erfc
+        except ImportError:
+            pass
+        finally:
+            del sys.modules["scipy.special"]
+    from scipy.special import erfc
+    return erfc
+
+
+_erfc = _load_erfc()
 
 # Monte Carlo draws are partitioned into fixed-size chunks; chunk k always
 # consumes the counter-based stream Philox(seed).jumped(k), so the estimate is
@@ -117,7 +148,7 @@ class MonteCarloEstimate:
 
 def q_function(x):
     """Standard normal tail probability P(Z > x)."""
-    out = 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    out = 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
     return float(out) if np.isscalar(x) else out
 
 

@@ -49,7 +49,15 @@ MAX_GRID_POINTS = 1 << 24
 # 2**13, where the threads' many small numpy calls contend for the interpreter lock,
 # 0.76 s at 2**14 and 0.67-0.69 s at 2**15 and 2**16; 2**15 also added ~2.7 MB to the
 # benchmark's peak RSS. Those scans ran every block; now that the planners skip blocks on
-# a bound over each block, the block size also sets how tight that bound is
+# a bound over each block, the block size also sets how tight that bound is.
+# A block's float temporaries, 2**14 doubles, are exactly 128 KiB: glibc's initial mmap
+# threshold. The timings above were taken while scipy's whole-package import had raised
+# that threshold by accident, which hid glibc's trimming. At the initial threshold every
+# block's arrays are mapped and faulted in afresh: optimize-altitude at planner-grid size
+# took a median of ~3900 minor faults in its run (1190-5201) against ~740 with the
+# threshold raised, and the two planner-grid commands ran ~8% slower (in-process, median
+# of 30). cli now raises the threshold at import. A block-size sweep reads ru_minflt as
+# well as time
 _BLOCK = 1 << 14
 
 # A block's bound is the kernel at a corner widened outward, the angles by _WIDEN degrees
