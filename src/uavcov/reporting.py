@@ -22,7 +22,7 @@ TOOL_VERSION = "0.1.0"
 
 # rows per CSV chunk: each chunk is one %-format applied to its flat tuple of cells,
 # so writing a table holds one chunk's Python cells and text, not the whole table's
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 12
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",

@@ -4,8 +4,9 @@ Per-user analytic link statistics come from the channel and coverage modules
 and stay numpy columns, which ``UserColumns`` holds read-only. The empirical
 covered fraction re-draws the shadowing model once per user per draw from a
 stream derived from the scenario seed, so results are reproducible bit for
-bit. Draws are generated in blocks of whole draws, so memory grows with the
-number of users, not with the number of draws.
+bit. The link kernel runs on fixed blocks of users and the draws on fixed flat
+blocks of user-draws, so a scenario holds its per-user columns and a fixed
+working set, whatever the number of users or draws.
 """
 
 from __future__ import annotations
@@ -20,17 +21,21 @@ from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (MAX_DRAWS, FormulationMode, RadioConfig, _coverage_arrays,
                        _draw_covered, noise_power_dbm, received_power_dbm)
 from .errors import InputError, check_in
+from .planner import _BLOCK
 
 AREA_SHAPES = ("square", "disk")
 
-# user-draws per shadowing block: the scenario's working set is a few arrays of
-# this many elements whatever n_draws is (a block holds at least one whole draw,
-# so one draw of n_users is the floor); 2**18 was a little faster than 2**20
-SHADOWING_BLOCK_ELEMENTS = 1 << 18
+# user-draws per shadowing block: the shadowing's working set is a few arrays of this
+# many elements whatever n_users and n_draws are. 10^5 users x 100 draws shadowed in
+# 0.27 s at 2**15 and 2**16 against 0.32 s at 2**17 and 2**18 (in-process, median of
+# 15), and the CLI run peaked at 52.3 MB RSS at 2**16, 55.3 at 2**17 and 57.8 at 2**18
+# (numpy 2.4, x86-64)
+SHADOWING_BLOCK_ELEMENTS = 1 << 16
 
 # the most users one scenario may hold, checked before anything is allocated; a
-# CLI scenario run written to a file peaked at ~66 MB plus ~0.14 KB of RSS per user
-# (10^5 to 5*10^5 users, numpy 2.4, x86-64), so a run at the cap peaks near 0.65 GB
+# CLI scenario run written to a file peaked at ~45 MB plus ~86 B of RSS per user
+# (10^5 to 10^6 users, numpy 2.4, x86-64): its position, eight link columns and
+# shadowing margin. A run at the cap peaked at 394 MB
 MAX_USERS = 1 << 22
 
 
@@ -73,6 +78,9 @@ class ScenarioSpec:
 
 # the per-user columns, in CSV column order
 _COLUMN_NAMES = ("x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov", "snr_db",
+                 "rate_bps")
+# the columns _link_arrays fills block by block; x_m and y_m are views of the positions
+_LINK_COLUMNS = ("r0_m", "theta_deg", "p_los", "fspl_db", "mean_pl_db", "p_cov", "snr_db",
                  "rate_bps")
 
 
@@ -156,22 +164,28 @@ def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square")
 
 
 def _link_arrays(positions, uav, env, radio, mode):
+    # the kernel runs on the planners' blocks of users, so its temporaries are one block
+    # whatever n_users is; every step is elementwise, so each element keeps the bits of one
+    # whole-column call (_fspl's extremes only decide whether its per-link np.where runs)
     x, y = positions[:, 0], positions[:, 1]
-    r0 = np.hypot(x - uav[0], y - uav[1])
-    theta, fspl = _angle_and_fspl(r0, uav[2], radio.f_c_hz)
-    cols = _coverage_arrays(theta, fspl, env, radio, mode)
-    snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
-    # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
-    # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10
-    with np.errstate(over="ignore"):
-        snr = 10.0 ** (snr_db / 10.0)
-        rate = radio.bandwidth_hz * np.where(np.isfinite(snr), np.log2(1.0 + snr),
-                                             snr_db * (math.log2(10.0) / 10.0))
-    return {
-        "x_m": x, "y_m": y, "r0_m": r0, "theta_deg": cols.theta_deg, "p_los": cols.p_los,
-        "fspl_db": cols.fspl_db, "mean_pl_db": cols.mean_pl_db, "p_cov": cols.p_cov,
-        "snr_db": snr_db, "rate_bps": rate,
-    }
+    columns = {"x_m": x, "y_m": y}
+    columns.update((name, np.empty(len(x))) for name in _LINK_COLUMNS)
+    for lo in range(0, len(x), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        r0 = np.hypot(x[block] - uav[0], y[block] - uav[1])
+        theta, fspl = _angle_and_fspl(r0, uav[2], radio.f_c_hz)
+        cols = _coverage_arrays(theta, fspl, env, radio, mode)
+        snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
+        # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
+        # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10
+        with np.errstate(over="ignore"):
+            snr = 10.0 ** (snr_db / 10.0)
+            rate = radio.bandwidth_hz * np.where(np.isfinite(snr), np.log2(1.0 + snr),
+                                                 snr_db * (math.log2(10.0) / 10.0))
+        for name, values in zip(_LINK_COLUMNS, (r0, cols.theta_deg, cols.p_los, cols.fspl_db,
+                                                cols.mean_pl_db, cols.p_cov, snr_db, rate)):
+            columns[name][block] = values
+    return columns
 
 
 def evaluate_links(
@@ -212,30 +226,46 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
     ``d * n_users + i`` of two streams: the uniforms from the scenario's
     shadowing generator, the normals from a copy of it advanced past every
     uniform. That is exactly where a single ``random((n_draws, n_users))``
-    followed by ``standard_normal((n_draws, n_users))`` would take them, so
-    the block size never changes a result.
+    followed by ``standard_normal((n_draws, n_users))`` would take them. The
+    streams are drawn in flat blocks of ``SHADOWING_BLOCK_ELEMENTS`` user-draws,
+    whatever ``n_users`` is; a block splits into the end of a started draw, whole
+    draws and the start of the next, each compared with slices of the users'
+    columns. Each draw keeps an integer count of covered users, and
+    ``count / n_users`` has the bits of the draw's mean, since a float sum of 0/1
+    values is exact, so the block size never changes a result.
     """
-    env, radio = spec.env, spec.radio
+    env, radio, n = spec.env, spec.radio, spec.n_users
+    total = spec.n_draws * n
     # one shadowing realization per (draw, user); stream independent of the
     # position stream so adding draws never disturbs the layout
     uniform_bits = np.random.PCG64(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
     normal_bits = np.random.PCG64()
     normal_bits.state = uniform_bits.state
-    normal_bits.advance(spec.n_draws * spec.n_users)  # one 64-bit output per uniform
+    normal_bits.advance(total)  # one 64-bit output per uniform
     uniforms = np.random.Generator(uniform_bits)
     normals = np.random.Generator(normal_bits)
 
     margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
-    rows = max(1, SHADOWING_BLOCK_ELEMENTS // spec.n_users)
-    fractions = []
-    for first in range(0, spec.n_draws, rows):
-        shape = (min(rows, spec.n_draws - first), spec.n_users)
-        u = uniforms.random(shape)
-        z = normals.standard_normal(shape)
-        covered = _draw_covered(u < p_los, env.mu_los_db + env.sigma_los_db * z <= margin,
-                                env.mu_nlos_db + env.sigma_nlos_db * z <= margin)
-        fractions.extend(covered.mean(axis=1).tolist())
-    return tuple(fractions)
+    counts = np.zeros(spec.n_draws, dtype=np.intp)
+    for lo in range(0, total, SHADOWING_BLOCK_ELEMENTS):
+        hi = min(lo + SHADOWING_BLOCK_ELEMENTS, total)
+        u = uniforms.random(hi - lo)
+        z = normals.standard_normal(hi - lo)
+        # the block's pieces: the end of a started draw, whole draws, the start of a draw
+        first = min(hi, -(-lo // n) * n)
+        last = max(first, hi // n * n)
+        for start, stop in ((lo, first), (first, last), (last, hi)):
+            if start == stop:
+                continue
+            draw, user = divmod(start, n)
+            width = min(stop - start, n)
+            piece, users = slice(start - lo, stop - lo), slice(user, user + width)
+            us, zs = u[piece].reshape(-1, width), z[piece].reshape(-1, width)
+            covered = _draw_covered(us < p_los[users],
+                                    env.mu_los_db + env.sigma_los_db * zs <= margin[users],
+                                    env.mu_nlos_db + env.sigma_nlos_db * zs <= margin[users])
+            counts[draw:draw + len(us)] += np.count_nonzero(covered, axis=1)
+    return tuple((counts / n).tolist())
 
 
 def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:

@@ -333,6 +333,61 @@ class TestStreamedShadowing:
         assert many <= 1.5 * few, (few, many)
 
 
+class TestBoundedWorkingSet:
+    @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 1000])
+    def test_blocked_links_equal_one_whole_call(self, n, mode, monkeypatch):
+        # every 10th user lies ~7e306 m out, where 4*pi*f*d/c overflows, so some blocks
+        # of 7 take _fspl's per-link np.where path and others do not
+        positions = generate_users(n, 1000.0, seed=n)
+        positions[::10] = 5e306
+        uav = (500.0, 500.0, 100.0)
+        sizes = []
+        kernel = scenario._coverage_arrays
+
+        def counted(theta, *args):
+            sizes.append(len(theta))
+            return kernel(theta, *args)
+
+        monkeypatch.setattr(scenario, "_coverage_arrays", counted)
+
+        def links(block):
+            monkeypatch.setattr(scenario, "_BLOCK", block)
+            sizes.clear()
+            cols = scenario._link_arrays(positions, uav, URBAN, RadioConfig(),
+                                         scenario.FormulationMode(mode))
+            return cols, list(sizes)
+
+        whole, whole_sizes = links(n)
+        blocked, blocked_sizes = links(7)
+        assert whole_sizes == [n]
+        assert blocked_sizes == [min(7, n - lo) for lo in range(0, n, 7)]
+        assert list(blocked) == list(whole)
+        for name in whole:
+            assert blocked[name].tobytes() == whole[name].tobytes(), name
+        # a far user's 4*pi*f*d/c is past the largest double, 10**308.25, and its FSPL finite
+        assert np.isfinite(whole["fspl_db"]).all()
+        assert n < 10 or whole["fspl_db"][0] > 20 * 308.25 > whole["fspl_db"][1]
+
+    def test_peak_memory_per_added_user(self):
+        # the link kernel's temporaries and the shadowing's are fixed blocks, so an added
+        # user costs only what is kept: 16 B of position, 8 columns of 8 B, and its 8 B
+        # shadowing margin. One draw of 2**18 users spans several shadowing blocks
+        def peak(n_users):
+            spec = make_spec(n_users=n_users, n_draws=3)
+            tracemalloc.start()
+            try:
+                evaluate_scenario(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = 1 << 15, 1 << 18
+        per_user = (peak(many) - peak(few)) / (many - few)
+        assert per_user <= 96, per_user
+        assert many > scenario.SHADOWING_BLOCK_ELEMENTS
+
+
 class TestUserColumns:
     def make(self, n=5):
         positions = generate_users(n, 1000.0, seed=4)
