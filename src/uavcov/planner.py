@@ -2,8 +2,9 @@
 
 The grid searches answer what an exhaustive scan of the grid answers, bit for
 bit: the coverage objective is not known to be unimodal in altitude, so no
-search assumes it is, and a block of the grid is skipped only where a bound
-proves that it cannot hold the answer (``_block_bounds``). The model runs in
+search assumes it is. Both planners run, in one scan, the blocks of the grid
+that the kernel at the blocks' end points and a bound over each block
+(``_block_bounds``) cannot prove free of the answer. The model runs in
 two stages: the elevation angle and FSPL of a set of points
 (``channel._angle_and_fspl``), which no environment changes, then
 ``_coverage_arrays`` once per environment on those columns. Sweeps and grid
@@ -269,10 +270,10 @@ def _scan(n: int, starts: list, coordinates, environments: tuple, radio: RadioCo
 
 def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
                   mode: FormulationMode) -> list:
-    """Per environment, the largest ``p_cov`` at the blocks' end points and a bound per block.
+    """Per environment, ``p_cov`` at the blocks' first then last points, and a bound per block.
 
-    The end points are grid points, so the first value is at most the grid's
-    maximum; no ``p_cov`` that the kernel computes in block ``j`` exceeds the
+    The end points are grid points, each with the bits that its block's scan
+    gives it; no ``p_cov`` that the kernel computes in block ``j`` exceeds the
     bound's entry ``j``. Along either planner axis the elevation angle and the
     slant distance, so the FSPL, are monotone: a block's angles lie between its
     end points' and its FSPL is at least the smaller end point's. As
@@ -302,7 +303,7 @@ def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
         mixes = (q_nlos + p_los * (q_los - q_nlos)
                  for p_los in (columns.p_los[2 * m:3 * m], columns.p_los[3 * m:]))
         bound = np.maximum(*mixes) + _MARGIN * np.maximum(q_los, q_nlos) + _TINY
-        bounds.append((np.max(columns.p_cov[:2 * m]), bound))
+        bounds.append((columns.p_cov[:2 * m], bound))
     return bounds
 
 
@@ -363,8 +364,8 @@ def optimal_altitude(
 
     # an end point's p_cov is at most the grid's maximum, so every point that ties the
     # maximum lies in a block whose bound is not below it
-    kept = [(np.flatnonzero(~(bound < lower)) * _BLOCK).tolist()
-            for lower, bound in _block_bounds(steps, coordinates, environments, radio, mode)]
+    kept = [(np.flatnonzero(~(bound < np.max(ends))) * _BLOCK).tolist()
+            for ends, bound in _block_bounds(steps, coordinates, environments, radio, mode)]
     optima = []
     for blocks in _scan(steps, kept, coordinates, environments, radio, mode, workers,
                         first_maximum):
@@ -390,11 +391,10 @@ def max_coverage_radius(
     """Largest grid distance within ``r_max_scan`` still meeting the target, per environment.
 
     The answer is the exhaustive grid's, 0 where no grid point qualifies, and
-    no unimodality of the coverage curve is assumed: the blocks whose bound
-    (``_block_bounds``) reaches the target run from the last one backward, a
-    batch of the pool's size at a time, until a batch holds a qualifying point.
-    The scan runs on up to ``workers`` threads; the result does not depend on
-    that number.
+    no unimodality of the coverage curve is assumed: one scan runs the blocks
+    whose bound (``_block_bounds``) reaches the target, from the last block that
+    has an end point meeting it, or from the first block if none has. The scan
+    runs on up to ``workers`` threads; the result does not depend on that number.
     """
     check_in(target, 0.0, 1.0, "target", "coverage target", "", "()")
     check_in(resolution, 0.0, math.inf, "resolution", "scan resolution", "m", "()")
@@ -414,19 +414,13 @@ def max_coverage_radius(
         # the radii are built per block, so no scan holds an array of the whole grid
         return _grid_block(0.0, resolution, lo, hi), h
 
-    candidates = [(np.flatnonzero(~(bound < target)) * _BLOCK).tolist()
-                  for _, bound in _block_bounds(n, coordinates, environments, radio, mode)]
-    batch = _pool_size(workers, -(-n // _BLOCK))
-    lasts = [-1] * len(environments)
-    while any(candidates):
-        runs = [blocks[-batch:] for blocks in candidates]
-        for j, found in enumerate(_scan(n, runs, coordinates, environments, radio, mode,
-                                        workers, last_qualifying)):
-            # every later candidate ran in an earlier batch and held no qualifying point
-            last = max(found, default=-1)
-            if last >= 0:
-                lasts[j], candidates[j] = last, []
-            else:
-                del candidates[j][-batch:]
+    kept = []
+    for ends, bound in _block_bounds(n, coordinates, environments, radio, mode):
+        # the last block with a qualifying end point holds an answer, and its bound reaches
+        # the target; a later qualifying point lies in a later block whose bound does too
+        first = (np.flatnonzero(ends >= target) % len(bound)).max(initial=0)
+        kept.append(((np.flatnonzero(~(bound[first:] < target)) + first) * _BLOCK).tolist())
+    lasts = (max(found, default=-1) for found in _scan(n, kept, coordinates, environments,
+                                                       radio, mode, workers, last_qualifying))
     return tuple(0.0 if last < 0 else float(_grid_block(0.0, resolution, last, last + 1)[0])
                  for last in lasts)

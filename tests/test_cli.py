@@ -664,17 +664,37 @@ class TestCommands:
         monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         # a threshold far below any loss makes p_cov 1 everywhere, so no bound rules a block
-        # out: the altitude scan runs all 4 blocks, and the radius scan's first batch of
-        # the last ones holds its answer
+        # out: the altitude scan runs all 4 blocks, and the radius scan only the last one,
+        # whose last point qualifies, on one thread
+        expect = size if command == "optimize-altitude" else 1
         assert run_cli(self.PLANNERS[command] + ["--p-min", "-500", "--workers", workers,
                                                  "--out", tmp_path / "p.csv"]) == 0
-        assert sizes == [size]
+        assert sizes == [expect]
         # a grid of one block is one span, whatever the environments
         argv = ["optimize-altitude", "--steps", "50"] if command == "optimize-altitude" else [
             "coverage-radius"]
         assert run_cli(argv + ["--env", "all", "--workers", workers,
                                "--out", tmp_path / "p.csv"]) == 0
-        assert sizes == [size, 1]
+        assert sizes == [expect, 1]
+
+    def test_radius_at_planner_grid_size_runs_one_block_per_environment(self, tmp_path,
+                                                                         monkeypatch):
+        points = []
+        kernel = planner._coverage_arrays
+
+        def counted(*args):
+            result = kernel(*args)
+            points.append(result.p_cov.size)
+            return result
+
+        monkeypatch.setattr(planner, "_coverage_arrays", counted)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        assert run_cli(["coverage-radius", "--env", "all", "--resolution", "0.001",
+                        "--workers", "2", "--out", tmp_path / "r.csv"]) == 0
+        # per environment, the bound call's 4 points per block of the 2000001-point grid and
+        # the one block that holds the last qualifying end point: 67504 points in all
+        blocks = -(-2_000_001 // planner._BLOCK)
+        assert sum(points) <= 4 * (4 * blocks + planner._BLOCK)
 
     @pytest.mark.parametrize("command", sorted(PLANNERS))
     def test_planner_without_environments_writes_an_empty_table(self, tmp_path, command):

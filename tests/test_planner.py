@@ -353,7 +353,8 @@ def _altitude_ranges(count: int, seed: int) -> list:
 
 def _keep_every_block(n, coordinates, environments, radio, mode) -> list:
     """A stand-in for ``planner._block_bounds`` that proves nothing, so every block runs."""
-    return [(-math.inf, np.full(-(-n // planner._BLOCK), math.inf)) for _ in environments]
+    m = -(-n // planner._BLOCK)
+    return [(np.full(2 * m, -math.inf), np.full(m, math.inf)) for _ in environments]
 
 
 def _scanned_altitudes(monkeypatch, h_min, h_max, steps) -> list:
@@ -447,6 +448,30 @@ CRAFTED = {
 }
 
 
+# radius scans of 4 blocks of 5 at target 0.9: (p_cov per point, the blocks that run)
+RADIUS_RULE = {
+    # block 1's last point qualifies and block 2's bound is below the target; block 0
+    # qualifies too, but before the last qualifying end point
+    "end-point-then-bound-below": ([0.95] + [0.1] * 8 + [0.95] + [0.1] * 5 + [0.2] * 5, [1]),
+    # block 1's end points fail, but its interior point is the last qualifying one
+    "interior-after-end-point": ([0.1] * 4 + [0.95] + [0.1] * 2 + [0.95] + [0.1] * 12, [0, 1]),
+    # no end point qualifies: the blocks whose bound reaches the target
+    "no-end-point": ([0.1, 0.95] + [0.1] * 10 + [0.92] + [0.1] * 7, [0, 2]),
+    # nothing qualifies; block 1's NaN bound proves nothing, so it runs
+    "none-qualify": ([0.1] * 7 + [NAN] + [0.5] * 12, [1]),
+}
+
+
+def _true_bounds(values):
+    """A stand-in for ``planner._block_bounds``: the true end points, each block's maximum."""
+    def block_bounds(n, coordinates, environments, radio, mode) -> list:
+        blocks = [values[lo:lo + planner._BLOCK] for lo in range(0, n, planner._BLOCK)]
+        ends = np.array([b[0] for b in blocks] + [b[-1] for b in blocks])
+        return [(ends, np.array([b.max() for b in blocks]))] * len(environments)
+
+    return block_bounds
+
+
 def _same(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
 
@@ -470,6 +495,27 @@ class TestBlockedScans:
         qualifying = np.flatnonzero(values >= 0.9)
         got = max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.9, float(n - 1), 1.0)
         assert got == (float(qualifying[-1]) if qualifying.size else 0.0,)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("name", sorted(RADIUS_RULE))
+    def test_radius_runs_from_the_last_qualifying_end_point(self, monkeypatch, name, workers):
+        values, expect_ran = RADIUS_RULE[name]
+        values = np.asarray(values, dtype=float)
+        monkeypatch.setattr(planner, "_BLOCK", 5)
+        _Kernel(values).install(monkeypatch)
+        monkeypatch.setattr(planner, "_block_bounds", _true_bounds(values))
+        ran = []
+
+        def angle_and_fspl(r0, h, f_c_hz):
+            ran.append(int(r0[0]) // 5)
+            return _Kernel.angle_and_fspl(r0, h, f_c_hz)
+
+        monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
+        got = max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.9, float(len(values) - 1),
+                                  1.0, workers=workers)
+        qualifying = np.flatnonzero(values >= 0.9)
+        assert got == (float(qualifying[-1]) if qualifying.size else 0.0,)
+        assert sorted(ran) == expect_ran
 
     @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
     @pytest.mark.parametrize("block", BLOCKS)
@@ -598,7 +644,7 @@ class TestSpanScans:
         for got in results.values():
             assert [astuple(o) for o in got[0]] == [astuple(o) for o in results[1][0]]
             assert got[1] == results[1][1]
-        # a pool per altitude scan and per batch of a radius scan, one thread per span
+        # a pool per altitude scan and per radius scan, one thread per span
         assert len(pools.sizes) >= 8 and max(pools.sizes) <= min(4, -(-n // SPAN_BLOCK))
 
     def test_more_threads_than_cores_switching_often(self, monkeypatch):
@@ -622,12 +668,13 @@ class TestSpanScans:
         # a threshold far below any loss: every p_cov is 1.0
         optima, radii = _scans(ALL_ENVS, RadioConfig(p_min_dbm=-500.0), 10 * SPAN_BLOCK,
                                workers=4)
-        assert pools.sizes == [4, 4]
+        assert pools.sizes == [4, 1]
         assert [(o.h_star_m, o.p_cov_star) for o in optima] == [(20.0, 1.0)] * len(ALL_ENVS)
         assert radii == (0.5 * (10 * SPAN_BLOCK - 1),) * len(ALL_ENVS)
 
     def test_last_qualifying_radius_at_the_first_point_of_the_last_span(self, monkeypatch):
-        # 20 points in 4 blocks of 5 at 3 threads: the last 3 blocks run first, one span each
+        # 20 points in 4 blocks of 5 at 3 threads; the stub proves nothing, so all 4 blocks
+        # run in one scan of 3 spans
         monkeypatch.setattr(planner, "_BLOCK", 5)
         _Pools(monkeypatch)
         values = [0.95] * 3 + [0.1] * 7 + [0.95] + [0.1] * 4 + [0.95] + [0.1] * 4
@@ -642,8 +689,7 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "_map_on_pool", recorded)
         got = max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9, 19.0, 1.0,
                                   workers=3)
-        # a qualifying point in the first batch, so block 0 never runs
-        assert [span[0] for span in spans] == [5, 10, 15]
+        assert spans == [[0], [5], [10, 15]]
         assert got == (15.0, 15.0)
 
     def test_no_environments_start_no_pool(self, monkeypatch):
@@ -773,8 +819,10 @@ def test_block_bounds_hold_for_every_point_of_every_block(monkeypatch, seed):
         # the edge near a block's first point, where its FSPL is lowest
         radio = _random_radio(rng, env, mode, theta[::block], fspl[::block])
         p_cov = planner._coverage_arrays(theta, fspl, env, radio, mode).p_cov
-        ((lower, bound),) = planner._block_bounds(n, coordinates, (env,), radio, mode)
-        assert lower <= p_cov.max(), (seed, case)
+        ((at_ends, bound),) = planner._block_bounds(n, coordinates, (env,), radio, mode)
+        # p_cov at the blocks' first points, then at their last points, bit for bit
+        end_points = np.r_[0:n:block, block - 1:n - 1:block, n - 1]
+        assert at_ends.tobytes() == p_cov[end_points].tobytes(), (seed, case)
         for j, lo in enumerate(range(0, n, block)):
             hi = min(lo + block, n)
             assert not (p_cov[lo:hi] > bound[j]).any(), (seed, case, j)
