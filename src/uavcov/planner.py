@@ -69,12 +69,25 @@ _BLOCK = 1 << 14
 # of the largest of these, so the corner's computed loss lies below every computed loss of
 # its block. Every later rounding is monotone (sum, quotient by sigma or sigma**2, the
 # halving of the deficit), so the corner's deficit is no larger than any of the block's,
-# even where sigma = MIN_SIGMA_DB makes a tail a step. What is left is erfc's own error,
-# within 1e-12 relative (tests/test_kernel_oracle.py bounds both tails so), and the
-# mix's rounding, a few ulps of the larger tail: _MARGIN times the larger corner tail
-# covers both 300 times over, and _TINY the tails below the normal doubles.
+# even where sigma = MIN_SIGMA_DB makes a tail a step.
+# What is left is erfc's own error and the mix's rounding. erfc's rational approximations
+# (W. J. Cody, Math. Comp. 23, 1969) err relative to the smaller of erfc and 2 - erfc, and
+# near saturation the result is 2 - erfc(|x|), rounded at 2: a computed tail is within
+# rho*min(Q, 1 - Q) + 2*eps*Q of the exact tail Q of its deficit, rho = 1e-12
+# (tests/test_kernel_oracle.py's "comp" bound pins this for both tails). As
+# f(Q) = Q + rho*min(Q, 1 - Q) increases in Q for rho < 1, a point's tail is at most
+# f(Q) + 2*eps*Q at the corner's exact tail Q, so within 2*rho*min(q, 1 - q) + 4*eps*q of
+# the corner's computed tail q, to first order: _MARGIN*min(q, 1 - q) + _TAIL_ULPS*q covers
+# that 500 and 8 times over, and stays 32 ulps of 1 on a saturated tail. p_cov mixes the
+# tails linearly in p_los and rises with each, so each tail's charge is weighted by its
+# share of the mix, p_los or 1 - p_los, at each end angle, and the larger of the two sums
+# is added. The mix rounds at the point, at the corner and where the bound adds up, within
+# 4*eps of the larger tail in all: _MIX_ULPS covers that twice, and _TINY the tails below
+# the normal doubles.
 _WIDEN = 1e-6
 _MARGIN = 1e-9
+_TAIL_ULPS = 32 * np.finfo(float).eps
+_MIX_ULPS = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -250,6 +263,8 @@ def _scan(n: int, starts: list, coordinates, environments: tuple, radio: RadioCo
     """
     runs = [set(s) for s in starts]
     blocks = sorted(set().union(*runs))
+    if not blocks:
+        return [[] for _ in environments]
     k = _pool_size(workers, len(blocks))
     spans = [blocks[j * len(blocks) // k:(j + 1) * len(blocks) // k] for j in range(k)]
 
@@ -281,7 +296,8 @@ def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
     both tails fall as the FSPL grows and, in paper-literal mode, rise with
     ``p_los``, so the corner of the highest angle and the lowest FSPL bounds
     them; ``p_cov`` mixes them linearly in ``p_los``, so its bound is the larger
-    mix of the corner's tails at the two end angles. A NaN bound proves nothing.
+    mix of the corner's tails at the two end angles, plus their erfc error and
+    the mix's rounding (derived above ``_MARGIN``). A NaN bound proves nothing.
     The end points and the corners of every block go through the kernel in one
     call per environment.
     """
@@ -300,9 +316,12 @@ def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
     for env in environments:
         columns = _coverage_arrays(*points, env, radio, mode)
         q_los, q_nlos = columns.q_los[3 * m:], columns.q_nlos[3 * m:]
-        mixes = (q_nlos + p_los * (q_los - q_nlos)
-                 for p_los in (columns.p_los[2 * m:3 * m], columns.p_los[3 * m:]))
-        bound = np.maximum(*mixes) + _MARGIN * np.maximum(q_los, q_nlos) + _TINY
+        err_los, err_nlos = (_MARGIN * np.minimum(q, 1.0 - q) + _TAIL_ULPS * q
+                             for q in (q_los, q_nlos))
+        p_ends = (columns.p_los[2 * m:3 * m], columns.p_los[3 * m:])
+        mix = np.maximum(*(q_nlos + p_los * (q_los - q_nlos) for p_los in p_ends))
+        err = np.maximum(*(p_los * err_los + (1.0 - p_los) * err_nlos for p_los in p_ends))
+        bound = mix + err + _MIX_ULPS * np.maximum(q_los, q_nlos) + _TINY
         bounds.append((columns.p_cov[:2 * m], bound))
     return bounds
 

@@ -33,9 +33,9 @@ AREA_SHAPES = ("square", "disk")
 SHADOWING_BLOCK_ELEMENTS = 1 << 16
 
 # the most users one scenario may hold, checked before anything is allocated; a
-# CLI scenario run written to a file peaked at ~45 MB plus ~86 B of RSS per user
-# (10^5 to 10^6 users, numpy 2.4, x86-64): its position, eight link columns and
-# shadowing margin. A run at the cap peaked at 394 MB
+# CLI scenario run written to a file peaked at ~45 MB plus ~77 B of RSS per user
+# (10^5 to 10^6 users, numpy 2.4, x86-64): its position and eight link columns, the
+# shadowing margin among them. A run at the cap peaked at 362 MB
 MAX_USERS = 1 << 22
 
 
@@ -79,8 +79,9 @@ class ScenarioSpec:
 # the per-user columns, in CSV column order
 _COLUMN_NAMES = ("x_m", "y_m", "r0_m", "theta_deg", "p_los", "mean_pl_db", "p_cov", "snr_db",
                  "rate_bps")
-# the columns _link_arrays fills block by block; x_m and y_m are views of the positions
-_LINK_COLUMNS = ("r0_m", "theta_deg", "p_los", "fspl_db", "mean_pl_db", "p_cov", "snr_db",
+# the columns _link_arrays fills block by block; x_m and y_m are views of the positions.
+# margin_db, the link margin that the shadowing draws are compared with, is not printed
+_LINK_COLUMNS = ("r0_m", "theta_deg", "p_los", "margin_db", "mean_pl_db", "p_cov", "snr_db",
                  "rate_bps")
 
 
@@ -175,6 +176,7 @@ def _link_arrays(positions, uav, env, radio, mode):
         r0 = np.hypot(x[block] - uav[0], y[block] - uav[1])
         theta, fspl = _angle_and_fspl(r0, uav[2], radio.f_c_hz)
         cols = _coverage_arrays(theta, fspl, env, radio, mode)
+        margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
         snr_db = received_power_dbm(radio, cols.mean_pl_db) - noise_power_dbm(radio)
         # 10 ** (snr_db / 10) overflows past ~3082 dB, but 1 + x == x in float64 from
         # ~160 dB on, so there log2(1 + x) is log2(x) = snr_db * log2(10) / 10
@@ -182,7 +184,7 @@ def _link_arrays(positions, uav, env, radio, mode):
             snr = 10.0 ** (snr_db / 10.0)
             rate = radio.bandwidth_hz * np.where(np.isfinite(snr), np.log2(1.0 + snr),
                                                  snr_db * (math.log2(10.0) / 10.0))
-        for name, values in zip(_LINK_COLUMNS, (r0, cols.theta_deg, cols.p_los, cols.fspl_db,
+        for name, values in zip(_LINK_COLUMNS, (r0, cols.theta_deg, cols.p_los, margin,
                                                 cols.mean_pl_db, cols.p_cov, snr_db, rate)):
             columns[name][block] = values
     return columns
@@ -219,8 +221,11 @@ def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
     return sum_rate_bps / total_power_w
 
 
-def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) -> tuple:
+def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray) -> tuple:
     """Covered fraction of the users in each of ``spec.n_draws`` shadowing draws.
+
+    ``p_los`` and ``margin`` are the users' LoS probabilities and link margins,
+    the received power over free space less the receiver threshold.
 
     Draw ``d`` of user ``i`` takes the uniform and the normal at flat index
     ``d * n_users + i`` of two streams: the uniforms from the scenario's
@@ -234,7 +239,7 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
     ``count / n_users`` has the bits of the draw's mean, since a float sum of 0/1
     values is exact, so the block size never changes a result.
     """
-    env, radio, n = spec.env, spec.radio, spec.n_users
+    env, n = spec.env, spec.n_users
     total = spec.n_draws * n
     # one shadowing realization per (draw, user); stream independent of the
     # position stream so adding draws never disturbs the layout
@@ -245,7 +250,6 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, fspl: np.ndarray) 
     uniforms = np.random.Generator(uniform_bits)
     normals = np.random.Generator(normal_bits)
 
-    margin = received_power_dbm(radio, fspl) - radio.p_min_dbm
     counts = np.zeros(spec.n_draws, dtype=np.intp)
     for lo in range(0, total, SHADOWING_BLOCK_ELEMENTS):
         hi = min(lo + SHADOWING_BLOCK_ELEMENTS, total)
@@ -277,7 +281,7 @@ def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     cols = _link_arrays(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    fractions = _covered_fractions(spec, cols["p_los"], cols["fspl_db"])
+    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"])
 
     radio = spec.radio
     with np.errstate(over="ignore"):

@@ -696,6 +696,29 @@ class TestCommands:
         blocks = -(-2_000_001 // planner._BLOCK)
         assert sum(points) <= 4 * (4 * blocks + planner._BLOCK)
 
+    def test_altitude_at_planner_grid_size_skips_the_saturated_plateau(self, tmp_path,
+                                                                       monkeypatch):
+        points = []
+        kernel = planner._coverage_arrays
+
+        def counted(*args):
+            result = kernel(*args)
+            points.append(result.p_cov.size)
+            return result
+
+        monkeypatch.setattr(planner, "_coverage_arrays", counted)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        assert run_cli(["optimize-altitude", "--env", "all", "--steps", "2000000",
+                        "--workers", "2", "--out", tmp_path / "h.csv"]) == 0
+        # per environment, the bound call's 4 points per block of the 2000000-point grid,
+        # then the blocks whose bound reaches the largest end point: suburban's 6 around
+        # its optimum, on a plateau where its LoS tail is 1.0 and 1 - p_cov varies only
+        # below 1.2e-9; the last block, of 1152 points, where the other three environments
+        # peak at h_max; and the block before it for urban and dense-urban. 136496 points
+        # in all; a slack of 1e-9 of the larger tail kept 56 suburban blocks, 940464 points
+        blocks, last = -(-2_000_000 // planner._BLOCK), 2_000_000 % planner._BLOCK
+        assert sum(points) <= 4 * 4 * blocks + 8 * planner._BLOCK + 3 * last
+
     @pytest.mark.parametrize("command", sorted(PLANNERS))
     def test_planner_without_environments_writes_an_empty_table(self, tmp_path, command):
         cfg, out = tmp_path / "none.json", tmp_path / "p.csv"

@@ -290,7 +290,8 @@ class TestLinkColumns:
         cols = kernel(r0, np.full_like(r0, uav[2]), env, RADIO, mode)
         for name in ("theta_deg", "p_los", "mean_pl_db", "p_cov"):
             assert bits(records.columns[name]) == bits(getattr(cols, name)), name
-        assert bits(links["fspl_db"]) == bits(cols.fspl_db)
+        margin = received_power_dbm(RADIO, cols.fspl_db) - RADIO.p_min_dbm
+        assert bits(links["margin_db"]) == bits(margin)
         snr = (RADIO.p_tx_dbm + RADIO.g_db - cols.mean_pl_db) - noise_power_dbm(RADIO)
         assert bits(records.columns["snr_db"]) == bits(snr)
 

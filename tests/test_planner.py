@@ -699,6 +699,9 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "ThreadPoolExecutor", refuse)
         assert optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 100, workers=2) == ()
         assert max_coverage_radius(100.0, [], RadioConfig(), 0.9, 500.0, 5.0, workers=2) == ()
+        # nor a scan in which no environment keeps a block: no bound reaches the target
+        assert max_coverage_radius(100.0, ALL_ENVS, RadioConfig(p_min_dbm=50.0), 0.9, 2000.0,
+                                   0.1, workers=2) == (0.0,) * len(ALL_ENVS)
         # the arguments are still checked
         with pytest.raises(InputError):
             optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 1)
@@ -833,6 +836,46 @@ def test_block_bounds_hold_for_every_point_of_every_block(monkeypatch, seed):
                 np.array([theta[ends].min() - nudge, theta[ends].max() + nudge]),
                 np.full(2, low - 8 * np.spacing(low)), env, radio, mode).p_cov
             assert not (corners > bound[j]).any(), (seed, case, j)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_bounds_are_never_looser_than_a_margin_of_the_larger_tail(monkeypatch, seed):
+    """Over the cases above, each bound is at most the mix plus ``_MARGIN`` of the larger
+    corner tail and ``_TINY``, the bound's slack before tails were charged from the nearer
+    of 0 and 1, plus the ulp terms: no input loses pruning, deep tails and
+    paper-literal mode included."""
+    block_bounds, kernel, checked = planner._block_bounds, planner._coverage_arrays, []
+    eps = np.finfo(float).eps
+
+    def compared(n, coordinates, environments, radio, mode):
+        calls = []
+
+        def recorded(*args):
+            calls.append(kernel(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(planner, "_coverage_arrays", recorded)
+        try:
+            result = block_bounds(n, coordinates, environments, radio, mode)
+        finally:
+            monkeypatch.setattr(planner, "_coverage_arrays", kernel)
+        for columns, (_, bound) in zip(calls, result):
+            m = len(bound)
+            q_los, q_nlos = columns.q_los[3 * m:], columns.q_nlos[3 * m:]
+            larger = np.maximum(q_los, q_nlos)
+            mixes = (q_nlos + p_los * (q_los - q_nlos)
+                     for p_los in (columns.p_los[2 * m:3 * m], columns.p_los[3 * m:]))
+            margin = np.maximum(*mixes) + planner._MARGIN * larger + planner._TINY
+            # to within the rounding of the two sums
+            limit = (margin + (planner._TAIL_ULPS + planner._MIX_ULPS) * larger
+                     + 4 * eps * margin)
+            assert not (bound > limit).any(), (seed, len(checked))
+            checked.append(m)
+        return result
+
+    monkeypatch.setattr(planner, "_block_bounds", compared)
+    test_block_bounds_hold_for_every_point_of_every_block(monkeypatch, seed)
+    assert len(checked) == 40
 
 
 @pytest.mark.parametrize("seed", range(6))

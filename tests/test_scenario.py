@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uavcov import scenario
-from uavcov.channel import SUBURBAN, URBAN, EnvironmentProfile, LinkGeometry
+from uavcov.channel import SUBURBAN, URBAN, EnvironmentProfile, LinkGeometry, _angle_and_fspl
 from uavcov.coverage import (
     MAX_DRAWS,
     RadioConfig,
@@ -239,9 +239,8 @@ def link_margins(spec):
     """Each user's LoS probability and link margin, as the reference computes them."""
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     records = evaluate_links(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    fspl = scenario._link_arrays(positions, spec.uav_position, spec.env, spec.radio,
-                                 spec.mode)["fspl_db"]
     radio = spec.radio
+    fspl = _angle_and_fspl(records.columns["r0_m"], spec.uav_h_m, radio.f_c_hz)[1]
     return records.columns["p_los"], radio.p_tx_dbm + radio.g_db - fspl - radio.p_min_dbm
 
 
@@ -365,14 +364,18 @@ class TestBoundedWorkingSet:
         assert list(blocked) == list(whole)
         for name in whole:
             assert blocked[name].tobytes() == whole[name].tobytes(), name
-        # a far user's 4*pi*f*d/c is past the largest double, 10**308.25, and its FSPL finite
-        assert np.isfinite(whole["fspl_db"]).all()
-        assert n < 10 or whole["fspl_db"][0] > 20 * 308.25 > whole["fspl_db"][1]
+        # a far user's 4*pi*f*d/c is past the largest double, 10**308.25, and its link
+        # margin, the budget less its FSPL, finite
+        radio = RadioConfig()
+        budget = radio.p_tx_dbm + radio.g_db - radio.p_min_dbm
+        assert np.isfinite(whole["margin_db"]).all()
+        assert n < 10 or whole["margin_db"][0] < budget - 20 * 308.25 < whole["margin_db"][1]
 
     def test_peak_memory_per_added_user(self):
         # the link kernel's temporaries and the shadowing's are fixed blocks, so an added
-        # user costs only what is kept: 16 B of position, 8 columns of 8 B, and its 8 B
-        # shadowing margin. One draw of 2**18 users spans several shadowing blocks
+        # user costs only what is kept: 16 B of position and 8 columns of 8 B, its
+        # shadowing margin among them. One draw of 2**18 users spans several shadowing
+        # blocks
         def peak(n_users):
             spec = make_spec(n_users=n_users, n_draws=3)
             tracemalloc.start()
