@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -528,8 +529,8 @@ def main(argv=None) -> int:
         return 0
     if config.out is None:
         try:
-            for chunk in _csv_chunks(result):
-                sys.stdout.write(chunk)
+            with closing(_csv_chunks(result, config.workers)) as chunks:
+                sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early (``| head``), which is not an error of this run;
@@ -539,7 +540,7 @@ def main(argv=None) -> int:
             os.close(devnull)
         return 0
     try:
-        emit_table(result, config.out, plot=config.plot)
+        emit_table(result, config.out, plot=config.plot, workers=config.workers)
     except OSError as exc:
         print(f"uavcov: error: cannot write {config.out}: {exc}", file=sys.stderr)
         return 3

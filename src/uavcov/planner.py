@@ -72,9 +72,12 @@ _BLOCK = 1 << 14
 # even where sigma = MIN_SIGMA_DB makes a tail a step.
 # What is left is erfc's own error and the mix's rounding. erfc's rational approximations
 # (W. J. Cody, Math. Comp. 23, 1969) err relative to the smaller of erfc and 2 - erfc, and
-# near saturation the result is 2 - erfc(|x|), rounded at 2: a computed tail is within
-# rho*min(Q, 1 - Q) + 2*eps*Q of the exact tail Q of its deficit, rho = 1e-12
-# (tests/test_kernel_oracle.py's "comp" bound pins this for both tails). As
+# near saturation the result is 2 - erfc(|x|), rounded at 2: a computed tail of at least
+# the smallest normal double is within rho*min(Q, 1 - Q) + 2*eps*Q of the exact tail Q of
+# its deficit, rho = 1e-12 (tests/test_kernel_oracle.py's "comp" bound pins this for both
+# tails). Below that, scipy's erfc returns subnormal tails and then 0, from a deficit of
+# x = 37.6771 where Q is still ~5.9e-311: an absolute error of at most ~0.0026*_TINY,
+# which the _TINY added below covers (the oracle's "tiny" bound pins it at 0.01*_TINY). As
 # f(Q) = Q + rho*min(Q, 1 - Q) increases in Q for rho < 1, a point's tail is at most
 # f(Q) + 2*eps*Q at the corner's exact tail Q, so within 2*rho*min(q, 1 - q) + 4*eps*q of
 # the corner's computed tail q, to first order: _MARGIN*min(q, 1 - q) + _TAIL_ULPS*q covers

@@ -8,20 +8,28 @@ printed with 9 significant digits, ``.`` decimal separator, ``\\n`` endings.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+
+from .planner import _pool_size
 
 TOOL_NAME = "uavcov"
 TOOL_VERSION = "0.1.0"
 
-# rows per CSV chunk: each chunk is one %-format applied to its flat tuple of cells,
-# so writing a table holds one chunk's Python cells and text, not the whole table's
+# rows per CSV chunk. A chunk of float64 columns is formatted in numpy (_float_text), with
+# temporaries of up to 16 bytes per cell that are freed as it goes; any other chunk is one
+# %-format applied to its flat tuple of cells. Either way, writing a table holds a chunk's
+# cells and text per thread, not the whole table's
 _CHUNK_ROWS = 1 << 12
 
 _PALETTE = (
@@ -34,8 +42,9 @@ _PALETTE = (
 class OutputTable:
     """Header + one column per header entry + the metadata that reproduces them.
 
-    A column is a 1-D numpy array of bool, integer, float or str dtype, read through
-    ``.tolist()``; the writers refuse any other column. ``metadata`` keys: ``params``
+    A column is a 1-D numpy array of bool, integer, float or str dtype; the writers refuse
+    any other column. A chunk of rows whose columns are all float64 is printed in numpy,
+    any other through ``.tolist()``, with the same bytes. ``metadata`` keys: ``params``
     (canonical command parameters, required), ``notes`` (optional list of
     human-readable caveats), ``summary`` (optional aggregate dict, e.g. scenario totals).
     """
@@ -88,14 +97,203 @@ def _metadata_block(table: OutputTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
+# '%.9g' of a float64 chunk, in numpy. Each cell a = |v| whose decimal exponent E lies in
+# [-99, 99] is scaled to s = a * fl(10**(8 - E)) in [1e8, 1e9), and its 9 significant
+# digits are m = rint(s). fl(10**k) is the correctly rounded power (exact for 0 <= k <= 22)
+# and the product rounds once, so s lies within (2u + u**2) * s < 2.3e-7 of the exact
+# a * 10**(8 - E), u = 2**-53. Where |s - m| < 0.5 - _G9_MARGIN, the exact product is more
+# than _G9_MARGIN - 2.3e-7 from a half, so m is the correctly rounded mantissa that '%.9g'
+# prints; _G9_MARGIN covers the bound 17 times over. m = 10**9 carries into E + 1, as it
+# does in '%.9g', so an s or an exact product on either side of a power of ten prints the
+# same. The cells left (exact ties and near ties, |E| > 99 after rounding, NaN and the
+# infinities) are printed by Python's own '%.9g', as Grisu3 hands the cases it cannot
+# decide to an exact printer (F. Loitsch, "Printing floating-point numbers quickly and
+# accurately with integers", PLDI 2010). Zeros print from m = 0.
+_G9_MARGIN = 4e-6
+_G9_E = 99  # the exponents of two digits
+# bytes per cell: its text right-aligned in 15, the longest being '-1.23456789e-05' and
+# '-0.000123456789', then its separator
+_G9_WIDTH = 16
+_G9_ROW = f"V{_G9_WIDTH}"
+# one template per layout: E = -4..8 in fixed form, then the exponent form. A character
+# names a cell's source byte: '1'-'9' a digit, '-' the sign, '.' a point printed only before
+# a significant digit, ':' a point always printed, '0' a zero, and 'e', 's', 'T', 'U' the
+# exponent's 'e', sign and two digits
+_G9_LAYOUTS = tuple(["-" + "123456789"[:e + 1] + "." + "123456789"[e + 1:] if e >= 0
+                     else "-0:" + "0" * (-e - 1) + "123456789" for e in range(-4, 9)]
+                    + ["-1.23456789esTU"])
+
+
+@functools.cache
+def _g9_tables() -> SimpleNamespace:
+    # built on first use (~3 ms), so a run that prints no float chunk does not pay for them
+    def words(texts) -> np.ndarray:
+        return np.frombuffer("".join(texts).encode("ascii"), np.uint32)
+
+    # a cell's 16 source bytes are four words: its digits in threes, each with one constant
+    # byte ('-', '.' and '0'), then its exponent's 'e', sign and two digits
+    source = {c: j for j, c in enumerate("123-456.7890esTU")} | {":": 7, " ": 0}
+    layouts = [t.rjust(_G9_WIDTH - 1) for t in _G9_LAYOUTS]
+    exponents = range(-_G9_E, _G9_E + 1)
+    layout_of = [e + 4 if -4 <= e <= 8 else len(layouts) - 1 for e in exponents]
+    # per (sign, layout, significant digits): the bytes printed, the separator always
+    keep = np.ones((2, len(layouts), 9, _G9_WIDTH), bool)
+    for k, t in enumerate(layouts):
+        # a digit before the point is always printed; one after it only if significant
+        whole = sum(c in "123456789" for c in t.partition(".")[0]) if "." in t else 0
+        for neg in (0, 1):
+            for ns in range(1, 10):
+                keep[neg, k, ns - 1, :-1] = [
+                    c != " " and (neg if c == "-" else ns > whole if c == "."
+                                  else int(c) <= max(ns, whole) if c in "123456789" else True)
+                    for c in t]
+    keep = keep.reshape(-1, _G9_WIDTH)
+    return SimpleNamespace(
+        digits=[words(f"%03d{c}" % i for i in range(1000)) for c in "-.0"],
+        trailing_zeros=np.array([3 - len(("%03d" % i).rstrip("0")) for i in range(1000)],
+                                np.int8),
+        ten=np.array([float(f"1e{8 - e}") for e in exponents]),
+        exponent=words("e%+03d" % e for e in exponents),
+        layout=np.array(layout_of, np.int8),
+        # the key of a cell with 9 significant digits, per sign and E
+        key=np.array([(neg * len(layouts) + k) * 9 + 8 for neg in (0, 1) for k in layout_of],
+                     np.int16),
+        source=np.array([[source[c] for c in t + " "] for t in layouts], np.intp),
+        keep=np.ascontiguousarray(keep).view(_G9_ROW).ravel(),
+        length=np.count_nonzero(keep, axis=1),
+    )
+
+
+def _float_text(block: np.ndarray) -> str:
+    """The CSV rows of a C-contiguous 2-D float64 ``block``, each cell as ``'%.9g' % cell``."""
+    tab = _g9_tables()
+    rows, width = block.shape
+    v = block.ravel()
+    n, span = v.size, 2 * _G9_E + 1
+    a = np.abs(v)
+    # NaN, the infinities and 0 fall out of range in the log, or overflow in the scaling
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a)).astype(np.intp) + _G9_E
+        ok = (e >= 0) & (e < span)
+        e[~ok] = _G9_E
+        s = a * tab.ten[e]
+        off = np.flatnonzero((s < 1e8) | (s >= 1e9))  # log10 rounded across a power of ten
+        if off.size:
+            near = e[off] + np.where(s[off] < 1e8, -1, 1)
+            ok[off] &= (near >= 0) & (near < span)
+            e[off] = near = np.clip(near, 0, span - 1)
+            s[off] = scaled = a[off] * tab.ten[near]
+            ok[off] &= (scaled >= 1e8) & (scaled < 1e9)
+        del a
+        m = np.rint(s)
+        s -= m
+        ok &= np.abs(s) < 0.5 - _G9_MARGIN
+        del s
+        m = m.astype(np.int32)
+    carry = np.flatnonzero(m == 1_000_000_000)
+    m[carry] = 100_000_000
+    e[carry] += 1
+    ok[carry] &= e[carry] < span
+    m[~ok] = 0
+    e[~ok] = _G9_E
+    exact = np.flatnonzero(~ok & (v != 0))
+    hi, m = np.divmod(m, 1_000_000)
+    mid, lo = np.divmod(m, 1000)
+    del m
+    zeros = tab.trailing_zeros[lo]
+    z = np.flatnonzero(lo == 0)
+    zeros[z] += tab.trailing_zeros[mid[z]] + (mid[z] == 0) * tab.trailing_zeros[hi[z]]
+    key = tab.key[e + span * np.signbit(v)]
+    key -= np.minimum(zeros, 8)
+    del zeros
+    layout = tab.layout[e]
+    src = np.empty((n, 4), np.uint32)
+    for j, (table, index) in enumerate(zip(tab.digits + [tab.exponent], (hi, mid, lo, e))):
+        np.take(table, index, out=src[:, j], mode="clip")
+    del hi, mid, lo, e
+    # the cells grouped by layout, each group's bytes gathered by one take
+    order = np.argsort(layout, kind="stable")
+    layout = layout[order]
+    grouped = src.view(_G9_ROW).ravel()[order].view(np.uint8).reshape(n, _G9_WIDTH)
+    del src
+    laid = np.empty_like(grouped)
+    cuts = [0, *(np.flatnonzero(layout[1:] != layout[:-1]) + 1).tolist(), n]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        np.take(grouped[start:stop], tab.source[layout[start]], axis=1, out=laid[start:stop],
+                mode="clip")
+    del grouped
+    out = np.empty_like(laid)
+    out.view(_G9_ROW).ravel()[order] = laid.view(_G9_ROW).ravel()
+    del laid, order
+    seps = np.full(width, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    out.reshape(rows, width, _G9_WIDTH)[:, :, -1] = seps
+    keep = tab.keep[key].view(bool).reshape(n, _G9_WIDTH)
+    keep[exact] = False
+    body = out.ravel()[keep.ravel()]
+    del out, keep
+    text = str(body, "ascii")
+    del body
+    if not exact.size:
+        return text
+    # each exact cell goes in at the end of the text of the cells before it
+    lengths = tab.length[key]
+    lengths[exact] = 0
+    ends = np.cumsum(lengths)[exact].tolist()
+    parts, at = [], 0
+    for i, end, cell in zip(exact.tolist(), ends, v[exact].tolist()):
+        parts += (text[at:end], "%.9g" % cell, "\n" if i % width == width - 1 else ",")
+        at = end
+    parts.append(text[at:])
+    return "".join(parts)
+
+
+def _cell_text(columns: list) -> str:
     # one row format per chunk: a column's cells are read as Python scalars, so np.bool_
     # prints as a bool does, and each column takes the format of its first cell's type
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_rows)
-        cells = [column[lo:hi].tolist() for column in columns]
-        row = ",".join(_cell_format(type(col_cells[0])) for col_cells in cells)
-        yield ((row + "\n") * (hi - lo)) % tuple(chain.from_iterable(zip(*cells)))
+    cells = [column.tolist() for column in columns]
+    row = ",".join(_cell_format(type(col_cells[0])) for col_cells in cells)
+    return ((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _chunk_text(columns: list, lo: int, hi: int) -> str:
+    parts = [column[lo:hi] for column in columns]
+    if all(part.dtype == np.float64 for part in parts):
+        return _float_text(np.column_stack(parts))
+    return _cell_text(parts)
+
+
+def _body_chunks(columns: list, n_rows: int, workers: int = 1) -> Iterator[str]:
+    """The text of each ``_CHUNK_ROWS`` rows in order, formatted on up to ``workers`` threads.
+
+    Each chunk's text depends on its rows alone, so no byte depends on ``workers``. At
+    most one chunk per thread is formatted ahead of the one being written.
+    """
+    spans = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
+    threads = _pool_size(workers, len(spans))
+    if threads == 1:
+        for lo, hi in spans:
+            yield _chunk_text(columns, lo, hi)
+        return
+    # the calling thread formats every threads-th chunk itself, between its writes, so that
+    # only threads - 1 threads start: each keeps its own malloc arena, some 3 MB of peak RSS
+    # for the scenario's chunks, where the calling thread reuses what the model freed
+    pool = ThreadPoolExecutor(threads - 1)
+    ahead = {}
+
+    def submit(k: int) -> None:
+        if k < len(spans) and k % threads:
+            ahead[k] = pool.submit(_chunk_text, columns, *spans[k])
+
+    try:
+        for k in range(threads - 1):
+            submit(k)
+        for j, (lo, hi) in enumerate(spans):
+            submit(j + threads - 1)
+            yield ahead.pop(j).result() if j % threads else _chunk_text(columns, lo, hi)
+    finally:
+        # on an error or an early close, drop the chunks not started and join the threads
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _n_rows(table: OutputTable) -> int:
@@ -112,12 +310,19 @@ def _n_rows(table: OutputTable) -> int:
     return len(columns[0]) if columns else 0
 
 
-def _csv_chunks(table: OutputTable) -> Iterator[str]:
+def _csv_chunks(table: OutputTable, workers: int = 1) -> Iterator[str]:
     """Check ``table``, then iterate its CSV text: the metadata block, then one string per chunk.
 
-    A malformed table raises ``ValueError`` here, before any string is produced.
+    A malformed table raises ``ValueError`` here, before any string is produced. The
+    chunks are formatted on up to ``workers`` threads; close the iterator to stop them.
     """
-    return chain((_metadata_block(table),), _body_chunks(table.columns, _n_rows(table)))
+    n_rows = _n_rows(table)
+
+    def chunks() -> Iterator[str]:
+        yield _metadata_block(table)
+        yield from _body_chunks(table.columns, n_rows, workers)
+
+    return chunks()
 
 
 def render_csv(table: OutputTable) -> str:
@@ -150,10 +355,14 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def emit_table(table: OutputTable, path, plot: bool = False) -> None:
-    """Write the CSV (and optionally an SVG chart beside it) atomically, a chunk at a time."""
+def emit_table(table: OutputTable, path, plot: bool = False, workers: int = 1) -> None:
+    """Write the CSV (and optionally an SVG chart beside it) atomically, a chunk at a time.
+
+    The CSV's chunks are formatted on up to ``workers`` threads and written in order.
+    """
     target = Path(path)
-    _atomic_write(target, _csv_chunks(table))
+    with closing(_csv_chunks(table, workers)) as chunks:
+        _atomic_write(target, chunks)
     if plot:
         _atomic_write(target.with_suffix(".svg"), (render_svg(table),))
 

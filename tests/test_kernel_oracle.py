@@ -4,7 +4,8 @@
 angle, the free-space loss, the LoS sigmoid, the mean path loss, both coverage
 deficits, both Gaussian tails and ``p_cov``. The links cover both formulation
 modes and the four built-in environments, and reach the deep tail (``p_cov``
-near 1e-300), the near-certain edge (``1 - p_cov`` near 1e-12), angles next to
+near 1e-300), the subnormal tails where scipy's erfc flushes to 0 (deficits of
+37.5 to 38.6), the near-certain edge (``1 - p_cov`` near 1e-12), angles next to
 0 and 90 degrees, and free-space losses near -13000 and +12000 dB. Their exact
 columns are pinned in ``kernel_oracle_pins.json``; ``PYTHONPATH=src python3
 tests/test_kernel_oracle.py`` prints the table again.
@@ -33,7 +34,11 @@ COLUMNS = CoverageColumns._fields
 # "abs" bounds |kernel - exact| for the deficits, which cross zero at the coverage edge;
 # "comp" bounds a tail's error less 2*EPS*exact, over max(min(exact, 1 - exact), TINY):
 # erfc's error is relative to the nearer of 0 and 1, plus the rounding of a tail near 1.
-# planner._block_bounds charges each tail's error so, at 1000 times the "comp" bound
+# planner._block_bounds charges each tail's error so, at 1000 times the "comp" bound.
+# "tiny" bounds |kernel - exact| / TINY where a tail's deficit lies in FLUSH_BAND, and
+# there it stands in for "rel" and "comp" of that tail and of p_cov: scipy's erfc returns
+# subnormal tails there, then 0 from a deficit of ~37.6771, where the tail is still
+# ~5.9e-311 (0.0026 TINY). planner._block_bounds covers that error with its _TINY
 BOUNDS = {
     ("theta_deg", "rel"): 1e-15,
     ("p_los", "rel"): 2e-15,
@@ -46,10 +51,18 @@ BOUNDS = {
     ("q_los", "comp"): 1e-12,
     ("q_nlos", "comp"): 1e-12,
     ("p_cov", "rel"): 1e-12,
+    ("q_los", "tiny"): 0.01,
+    ("q_nlos", "tiny"): 0.01,
+    ("p_cov", "tiny"): 0.01,
 }
 # below the smallest normal double the relative error is taken against this floor
 TINY = np.finfo(float).tiny
 EPS = np.finfo(float).eps
+
+# deficits from just above the smallest normal tail (Q = TINY near 37.52) to past the
+# smallest subnormal one (near 38.5), and the flush links' deficits within them
+FLUSH_BAND = (37.5, 38.6)
+FLUSH_DEFICITS = (37.55, 37.65, 37.68, 37.75, 38.55)
 
 # the radio of every link, unless the link names a carrier frequency of its own
 RADIO = RadioConfig()
@@ -108,10 +121,14 @@ def links(env_name: str, mode: str) -> list:
             p_cov = mpmath.mpf(exact_columns(0.0, h, RADIO.f_c_hz, env_name, mode)["p_cov"])
             return float(mpmath.log10(1 - p_cov))
 
+    def nlos_deficit(r0):  # the larger tail's deficit, past the deep link; grows with r0
+        return float(exact_columns(r0, 100.0, RADIO.f_c_hz, env_name, mode)["deficit_nlos"])
+
     grid = [(r0, h, RADIO.f_c_hz) for h in GRID_H for r0 in GRID_R0]
     deep = (_search(log_p_cov, 300.0), 100.0, RADIO.f_c_hz)
     near_one = (0.0, _search(log_miss, -12.0), RADIO.f_c_hz)
-    return grid + [deep, near_one, *EDGES]
+    flush = [(_search(nlos_deficit, d), 100.0, RADIO.f_c_hz) for d in FLUSH_DEFICITS]
+    return grid + [deep, near_one, *EDGES, *flush]
 
 
 def pin_table() -> dict:
@@ -137,10 +154,19 @@ def kernel_errors(pins: dict) -> dict:
             r0, h = (np.array([row[i] for row in picked]) for i in (0, 1))
             cols = _coverage_arrays(*_angle_and_fspl(r0, h, f_c_hz), env,
                                     RadioConfig(f_c_hz=f_c_hz), FormulationMode(mode))
+            flushed = {f"q_{tail}": np.array([FLUSH_BAND[0] <= float(row[3][f"deficit_{tail}"])
+                                              <= FLUSH_BAND[1] for row in picked])
+                       for tail in ("los", "nlos")}
+            flushed["p_cov"] = flushed["q_los"] | flushed["q_nlos"]
             for name, kind in BOUNDS:
                 exact = np.array([float(row[3][name]) for row in picked])
                 error = np.abs(getattr(cols, name) - exact)
-                if kind == "rel":
+                if name in flushed:
+                    # "tiny" checks the links in the band, the other kinds the rest
+                    error = np.where(flushed[name] == (kind == "tiny"), error, 0.0)
+                if kind == "tiny":
+                    error = error / TINY
+                elif kind == "rel":
                     error = error / np.maximum(np.abs(exact), TINY)
                 elif kind == "comp":
                     # 1 - exact from the pinned digits, not from exact rounded to a double
@@ -164,16 +190,35 @@ def test_pins_cover_the_tails_angles_and_extremes(pins):
         assert min(fspl) < -13000.0 and max(fspl) > 12000.0
 
 
+def test_pins_reach_the_flush_of_the_tails(pins):
+    # per group: tails in the band that are subnormal, that scipy flushes to 0 while the
+    # exact tail is still a subnormal, and that are below the smallest subnormal
+    for group, rows in pins.items():
+        mode, env_name = group.split("/")
+        picked = [row for row in rows
+                  if FLUSH_BAND[0] <= float(row[3]["deficit_nlos"]) <= FLUSH_BAND[1]]
+        assert len(picked) == len(FLUSH_DEFICITS), group
+        exact = [mpmath.mpf(row[3]["q_nlos"]) for row in picked]
+        r0, h = (np.array([row[i] for row in picked]) for i in (0, 1))
+        q_nlos = _coverage_arrays(*_angle_and_fspl(r0, h, RADIO.f_c_hz),
+                                  BUILTIN_ENVIRONMENTS[env_name], RADIO,
+                                  FormulationMode(mode)).q_nlos
+        assert any(0 < q < TINY for q in q_nlos), group
+        assert any(q == 0 and e > 5e-324 for q, e in zip(q_nlos, exact)), group
+        assert any(e < 2.5e-324 for e in exact), group
+
+
 def test_kernel_columns_within_their_bounds_of_the_exact_model(pins):
     worst = kernel_errors(pins)
     assert {key: error for key, error in worst.items() if error > BOUNDS[key]} == {}
 
 
-# a grid link, the deep tail, the near-certain edge and both free-space extremes
+# a grid link, the deep tail, the near-certain edge, both free-space extremes and a flush link
 @pytest.mark.parametrize("group, index", [("standard/urban", 0), ("standard/suburban", 36),
                                           ("paper-literal/high-rise-urban", 37),
                                           ("paper-literal/dense-urban", 41),
-                                          ("standard/high-rise-urban", 42)])
+                                          ("standard/high-rise-urban", 42),
+                                          ("paper-literal/urban", 45)])
 def test_pins_are_what_the_exact_model_gives(pins, group, index):
     r0, h, f_c_hz, columns = pins[group][index]
     mode, env_name = group.split("/")

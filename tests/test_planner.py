@@ -892,12 +892,27 @@ def test_pruned_planners_equal_the_whole_grid_at_one_to_four_workers(monkeypatch
 
     rng = np.random.default_rng(100 + seed)
     skipped = 0
-    for case in range(12):
-        r_edge, altitudes, heights = _random_altitudes(rng, int(rng.integers(2, 3000)))
-        h, radii, distances = _random_radii(rng, int(rng.integers(2, 3000)))
-        envs = tuple(_random_environment(rng) for _ in range(int(rng.integers(1, 4))))
-        mode = str(rng.choice(["standard", "paper-literal"]))
-        radio = _random_radio(rng, envs[0], mode, *_angle_and_fspl(*distances(0, len(radii)), 2e9))
+    for case in range(13):
+        if case < 12:
+            r_edge, altitudes, heights = _random_altitudes(rng, int(rng.integers(2, 3000)))
+            h, radii, distances = _random_radii(rng, int(rng.integers(2, 3000)))
+            envs = tuple(_random_environment(rng) for _ in range(int(rng.integers(1, 4))))
+            mode = str(rng.choice(["standard", "paper-literal"]))
+            radio = _random_radio(rng, envs[0], mode,
+                                  *_angle_and_fspl(*distances(0, len(radii)), 2e9))
+        else:
+            # one case that prunes on purpose, whatever the random ones do: a built-in
+            # environment on grids of 47 blocks, most of them far below the optimum
+            r_edge, altitudes = 500.0, np.linspace(20.0, 3000.0, 3000)
+            h, radii = 100.0, planner._grid(0.0, 3000.0, 1.0, "resolution")
+
+            def heights(lo, hi):
+                return r_edge, altitudes[lo:hi]
+
+            def distances(lo, hi):
+                return radii[lo:hi], h
+
+            envs, mode, radio = (ALL_ENVS[seed % len(ALL_ENVS)],), "standard", RadioConfig()
         whole_h = [_whole_grid(heights, len(altitudes), env, radio, mode) for env in envs]
         whole_r = [_whole_grid(distances, len(radii), env, radio, mode) for env in envs]
         # a target that some grid point meets exactly, or a random one

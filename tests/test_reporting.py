@@ -1,18 +1,22 @@
 """The chunked CSV writer: the same bytes at every chunk size, bounded memory, no partial output.
 
-``reporting`` writes a table's body ``_CHUNK_ROWS`` rows at a time. The
+``reporting`` writes a table's body ``_CHUNK_ROWS`` rows at a time, on up to
+``--workers`` threads, and formats a chunk of float64 columns in numpy. The
 reference here reads every column through ``.tolist()``, formats each cell with
 ``format_number`` and joins the rows, which is the byte rule the writer must
-keep at every chunk boundary.
+keep at every chunk boundary, thread count and destination.
 """
 
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uavcov import cli, reporting
+from uavcov import cli, planner, reporting
 from uavcov.reporting import OutputTable, emit_table, format_number, render_csv, render_svg
 
 CHUNK = reporting._CHUNK_ROWS
@@ -151,7 +155,7 @@ class TestMalformedTables:
     def test_a_failing_chunk_leaves_no_file(self, tmp_path, monkeypatch):
         table = make_table(5)
 
-        def failing_chunks(table):
+        def failing_chunks(table, workers=1):
             yield "# uavcov\n"
             raise RuntimeError("chunk failed")
 
@@ -183,3 +187,142 @@ def test_emit_table_memory_is_one_chunk(n_users, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def percent_g9(block: np.ndarray) -> str:
+    """Python's own ``'%.9g'`` of every cell of a 2-D block, as CSV rows."""
+    row = ",".join(["%.9g"] * block.shape[1]) + "\n"
+    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def g9_doubles(rng) -> np.ndarray:
+    """Over 10**6 doubles that put '%.9g' in each of its forms and at each rounding edge."""
+    n = 1 << 17
+    signs = rng.choice([-1.0, 1.0], n)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # 9-digit mantissas m + 1/2 and 10- and 11-digit integers ending in 5 or 50: exact ties
+    mantissas = rng.integers(10**8, 10**9, n)
+    ties = np.concatenate([mantissas + 0.5, mantissas * 10.0 + 5, mantissas * 100.0 + 50])
+    # 10 significant digits ending in 5 at any exponent: within an ulp or two of a tie, so
+    # the scaling's own rounding decides them unless they are handed to Python
+    near_ties = (rng.integers(10**8, 10**9, n) * 10 + 5) * 10.0 ** rng.integers(-108, 91, n)
+    ulps = np.arange(-40, 41)
+    # '%g' switches form at 1e-5 and 1e9, and rounds up into 1e-4 and 1e9 from below
+    edges = np.array([1e-5, 9.99999999995e-6, 1e-4, 9.99999999995e-5, 1e8, 1e9,
+                      999999999.5, 99999999.95, 1e99, 9.999999995e99, 1e-99, 9.999999995e-100])
+    edges = edges[:, None] * (1.0 + ulps * np.finfo(float).eps)
+    with np.errstate(over="ignore"):  # the largest overflow to infinity
+        wide = signs * 10.0 ** rng.uniform(-330.0, 310.0, n)
+    return np.concatenate([
+        rng.integers(0, 1 << 64, 2 * n, dtype=np.uint64, endpoint=False).view(np.float64),
+        rng.integers(1, 1 << 52, n // 8, dtype=np.uint64).view(np.float64) * signs[:n // 8],
+        wide,
+        rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 14, n),
+        rng.integers(-10**15, 10**15, n).astype(float),
+        ties * rng.choice([-1.0, 1.0], ties.size), near_ties * signs,
+        powers, -powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        edges.ravel(), -edges.ravel(),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 123456789.5, 5e-324, -5e-324],
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_chunks_print_as_percent_g9(seed):
+    """The numpy path against Python's '%.9g', cell for cell, in rows of 1 to 13 cells."""
+    rng = np.random.default_rng(seed)
+    values = rng.permutation(g9_doubles(rng))
+    assert values.size > 10**6
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(values).any() and np.isinf(values).any()
+    for width, part in zip((1, 2, 9, 13), np.array_split(values, 4)):
+        for lo in range(0, part.size - width + 1, CHUNK * width):
+            block = part[lo:lo + CHUNK * width]
+            block = block[:block.size // width * width].reshape(-1, width)
+            assert reporting._float_text(block) == percent_g9(block), (seed, width, lo)
+
+
+@pytest.fixture(scope="module")
+def float_tables():
+    """A scenario and an all-float sweep of 4 chunks each, at the default chunk size."""
+    scenario = cli.execute(cli.parse_args(["scenario", "--n-users", str(4 * CHUNK),
+                                           "--n-draws", "3", "--seed", "5"]))
+    sweep = cli.execute(cli.parse_args(["sweep-coverage", "--env", "all", "--start", "1",
+                                        "--stop", str(4 * CHUNK), "--step", "1"]))
+    return {"scenario": scenario, "sweep": sweep}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK])
+@pytest.mark.parametrize("kind", ["scenario", "sweep", "str-and-bool"])
+def test_no_byte_depends_on_the_thread_count_or_the_destination(kind, chunk, float_tables,
+                                                                 monkeypatch, tmp_path, capsys):
+    # three chunks and a part; a table with a str or bool column stays on the %-format path
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    n_rows = 3 * chunk + max(chunk // 2, 1)
+    if kind == "str-and-bool":
+        table = make_table(n_rows)
+    else:
+        whole = float_tables[kind]
+        table = OutputTable(whole.header, [column[:n_rows] for column in whole.columns])
+    expected = reference_csv(table)
+    assert render_csv(table) == expected
+    monkeypatch.setattr(cli, "execute", lambda config: table)
+    for workers in range(1, 5):
+        out = tmp_path / f"{workers}.csv"
+        assert cli.main(["sweep-plos", "--workers", str(workers), "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("ascii"), workers
+        assert cli.main(["sweep-plos", "--workers", str(workers)]) == 0
+        assert capsys.readouterr().out == expected, workers
+
+
+class TestPoolStops:
+    """A pool that fails or is stopped early writes nothing partial and leaves no thread."""
+
+    TABLE = OutputTable(["x", "y"], [np.arange(70.0), np.full(70, 0.5)])
+
+    def test_a_chunk_that_raises_on_a_pool_thread_raises_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reporting, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        float_text, threads = reporting._float_text, []
+
+        def failing(block):
+            if block[0, 0] == 7.0:  # the second chunk, which a pool thread formats
+                threads.append(threading.current_thread())
+                raise RuntimeError("chunk failed")
+            return float_text(block)
+
+        monkeypatch.setattr(reporting, "_float_text", failing)
+        before = threading.active_count()
+        old = tmp_path / "old.csv"
+        for workers in (2, 3, 4):
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                emit_table(self.TABLE, tmp_path / "t.csv", workers=workers)
+            assert list(tmp_path.iterdir()) == []
+            assert threading.active_count() == before
+            old.write_text("kept\n")
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                emit_table(self.TABLE, old, workers=workers)
+            assert list(tmp_path.iterdir()) == [old]
+            assert old.read_text() == "kept\n"
+            old.unlink()
+            assert threading.active_count() == before
+        assert len(threads) == 6 and threading.main_thread() not in threads
+
+    def test_a_closed_pipe_ends_the_run_quietly(self, monkeypatch, capsys):
+        # the reader is gone before the first body chunk, whose write fails while the
+        # pool is formatting the next ones
+        table = OutputTable(["x", "y"], [np.arange(6.0 * CHUNK), np.full(6 * CHUNK, 0.5)])
+        monkeypatch.setattr(cli, "execute", lambda config: table)
+        monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        read, write = os.pipe()
+        os.close(read)
+        before = threading.active_count()
+        with open(write, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert cli.main(["sweep-plos", "--workers", "4"]) == 0
+            monkeypatch.undo()
+        assert threading.active_count() == before
+        assert capsys.readouterr().err == ""
