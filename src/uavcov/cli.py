@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -529,8 +528,8 @@ def main(argv=None) -> int:
         return 0
     if config.out is None:
         try:
-            with closing(_csv_chunks(result, config.workers)) as chunks:
-                sys.stdout.writelines(chunks)
+            for chunk in _csv_chunks(result):
+                sys.stdout.write(chunk)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early (``| head``), which is not an error of this run;
@@ -540,7 +539,7 @@ def main(argv=None) -> int:
             os.close(devnull)
         return 0
     try:
-        emit_table(result, config.out, plot=config.plot, workers=config.workers)
+        emit_table(result, config.out, plot=config.plot)
     except OSError as exc:
         print(f"uavcov: error: cannot write {config.out}: {exc}", file=sys.stderr)
         return 3

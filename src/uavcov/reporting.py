@@ -12,8 +12,6 @@ import functools
 import json
 import os
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -21,15 +19,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .planner import _pool_size
-
 TOOL_NAME = "uavcov"
 TOOL_VERSION = "0.1.0"
 
 # rows per CSV chunk. A chunk of float64 columns is formatted in numpy (_float_text), with
 # temporaries of up to 16 bytes per cell that are freed as it goes; any other chunk is one
-# %-format applied to its flat tuple of cells. Either way, writing a table holds a chunk's
-# cells and text per thread, not the whole table's
+# %-format applied to its flat tuple of cells. Either way, writing a table holds one chunk's
+# cells and text, not the whole table's
 _CHUNK_ROWS = 1 << 12
 
 _PALETTE = (
@@ -248,52 +244,17 @@ def _float_text(block: np.ndarray) -> str:
     return "".join(parts)
 
 
-def _cell_text(columns: list) -> str:
-    # one row format per chunk: a column's cells are read as Python scalars, so np.bool_
-    # prints as a bool does, and each column takes the format of its first cell's type
-    cells = [column.tolist() for column in columns]
-    row = ",".join(_cell_format(type(col_cells[0])) for col_cells in cells)
-    return ((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-
-
-def _chunk_text(columns: list, lo: int, hi: int) -> str:
-    parts = [column[lo:hi] for column in columns]
-    if all(part.dtype == np.float64 for part in parts):
-        return _float_text(np.column_stack(parts))
-    return _cell_text(parts)
-
-
-def _body_chunks(columns: list, n_rows: int, workers: int = 1) -> Iterator[str]:
-    """The text of each ``_CHUNK_ROWS`` rows in order, formatted on up to ``workers`` threads.
-
-    Each chunk's text depends on its rows alone, so no byte depends on ``workers``. At
-    most one chunk per thread is formatted ahead of the one being written.
-    """
-    spans = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
-    threads = _pool_size(workers, len(spans))
-    if threads == 1:
-        for lo, hi in spans:
-            yield _chunk_text(columns, lo, hi)
-        return
-    # the calling thread formats every threads-th chunk itself, between its writes, so that
-    # only threads - 1 threads start: each keeps its own malloc arena, some 3 MB of peak RSS
-    # for the scenario's chunks, where the calling thread reuses what the model freed
-    pool = ThreadPoolExecutor(threads - 1)
-    ahead = {}
-
-    def submit(k: int) -> None:
-        if k < len(spans) and k % threads:
-            ahead[k] = pool.submit(_chunk_text, columns, *spans[k])
-
-    try:
-        for k in range(threads - 1):
-            submit(k)
-        for j, (lo, hi) in enumerate(spans):
-            submit(j + threads - 1)
-            yield ahead.pop(j).result() if j % threads else _chunk_text(columns, lo, hi)
-    finally:
-        # on an error or an early close, drop the chunks not started and join the threads
-        pool.shutdown(wait=True, cancel_futures=True)
+def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        parts = [column[lo:lo + _CHUNK_ROWS] for column in columns]
+        if all(part.dtype == np.float64 for part in parts):
+            yield _float_text(np.column_stack(parts))
+            continue
+        # one row format per chunk: a column's cells are read as Python scalars, so np.bool_
+        # prints as a bool does, and each column takes the format of its first cell's type
+        cells = [part.tolist() for part in parts]
+        row = ",".join(_cell_format(type(col_cells[0])) for col_cells in cells)
+        yield ((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
 
 def _n_rows(table: OutputTable) -> int:
@@ -310,19 +271,12 @@ def _n_rows(table: OutputTable) -> int:
     return len(columns[0]) if columns else 0
 
 
-def _csv_chunks(table: OutputTable, workers: int = 1) -> Iterator[str]:
+def _csv_chunks(table: OutputTable) -> Iterator[str]:
     """Check ``table``, then iterate its CSV text: the metadata block, then one string per chunk.
 
-    A malformed table raises ``ValueError`` here, before any string is produced. The
-    chunks are formatted on up to ``workers`` threads; close the iterator to stop them.
+    A malformed table raises ``ValueError`` here, before any string is produced.
     """
-    n_rows = _n_rows(table)
-
-    def chunks() -> Iterator[str]:
-        yield _metadata_block(table)
-        yield from _body_chunks(table.columns, n_rows, workers)
-
-    return chunks()
+    return chain((_metadata_block(table),), _body_chunks(table.columns, _n_rows(table)))
 
 
 def render_csv(table: OutputTable) -> str:
@@ -355,14 +309,10 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def emit_table(table: OutputTable, path, plot: bool = False, workers: int = 1) -> None:
-    """Write the CSV (and optionally an SVG chart beside it) atomically, a chunk at a time.
-
-    The CSV's chunks are formatted on up to ``workers`` threads and written in order.
-    """
+def emit_table(table: OutputTable, path, plot: bool = False) -> None:
+    """Write the CSV (and optionally an SVG chart beside it) atomically, a chunk at a time."""
     target = Path(path)
-    with closing(_csv_chunks(table, workers)) as chunks:
-        _atomic_write(target, chunks)
+    _atomic_write(target, _csv_chunks(table))
     if plot:
         _atomic_write(target.with_suffix(".svg"), (render_svg(table),))
 

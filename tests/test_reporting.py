@@ -1,22 +1,21 @@
 """The chunked CSV writer: the same bytes at every chunk size, bounded memory, no partial output.
 
-``reporting`` writes a table's body ``_CHUNK_ROWS`` rows at a time, on up to
-``--workers`` threads, and formats a chunk of float64 columns in numpy. The
+``reporting`` writes a table's body ``_CHUNK_ROWS`` rows at a time, and
+formats a chunk of float64 columns in numpy. The
 reference here reads every column through ``.tolist()``, formats each cell with
 ``format_number`` and joins the rows, which is the byte rule the writer must
-keep at every chunk boundary, thread count and destination.
+keep at every chunk boundary, worker count and destination.
 """
 
 import os
 import re
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uavcov import cli, planner, reporting
+from uavcov import cli, reporting
 from uavcov.reporting import OutputTable, emit_table, format_number, render_csv, render_svg
 
 CHUNK = reporting._CHUNK_ROWS
@@ -155,7 +154,7 @@ class TestMalformedTables:
     def test_a_failing_chunk_leaves_no_file(self, tmp_path, monkeypatch):
         table = make_table(5)
 
-        def failing_chunks(table, workers=1):
+        def failing_chunks(table):
             yield "# uavcov\n"
             raise RuntimeError("chunk failed")
 
@@ -253,12 +252,10 @@ def float_tables():
 
 @pytest.mark.parametrize("chunk", [1, 7, CHUNK])
 @pytest.mark.parametrize("kind", ["scenario", "sweep", "str-and-bool"])
-def test_no_byte_depends_on_the_thread_count_or_the_destination(kind, chunk, float_tables,
+def test_no_byte_depends_on_the_worker_count_or_the_destination(kind, chunk, float_tables,
                                                                  monkeypatch, tmp_path, capsys):
     # three chunks and a part; a table with a str or bool column stays on the %-format path
     monkeypatch.setattr(reporting, "_CHUNK_ROWS", chunk)
-    monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
-                        raising=False)
     n_rows = 3 * chunk + max(chunk // 2, 1)
     if kind == "str-and-bool":
         table = make_table(n_rows)
@@ -276,53 +273,14 @@ def test_no_byte_depends_on_the_thread_count_or_the_destination(kind, chunk, flo
         assert capsys.readouterr().out == expected, workers
 
 
-class TestPoolStops:
-    """A pool that fails or is stopped early writes nothing partial and leaves no thread."""
-
-    TABLE = OutputTable(["x", "y"], [np.arange(70.0), np.full(70, 0.5)])
-
-    def test_a_chunk_that_raises_on_a_pool_thread_raises_here(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(reporting, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        float_text, threads = reporting._float_text, []
-
-        def failing(block):
-            if block[0, 0] == 7.0:  # the second chunk, which a pool thread formats
-                threads.append(threading.current_thread())
-                raise RuntimeError("chunk failed")
-            return float_text(block)
-
-        monkeypatch.setattr(reporting, "_float_text", failing)
-        before = threading.active_count()
-        old = tmp_path / "old.csv"
-        for workers in (2, 3, 4):
-            with pytest.raises(RuntimeError, match="chunk failed"):
-                emit_table(self.TABLE, tmp_path / "t.csv", workers=workers)
-            assert list(tmp_path.iterdir()) == []
-            assert threading.active_count() == before
-            old.write_text("kept\n")
-            with pytest.raises(RuntimeError, match="chunk failed"):
-                emit_table(self.TABLE, old, workers=workers)
-            assert list(tmp_path.iterdir()) == [old]
-            assert old.read_text() == "kept\n"
-            old.unlink()
-            assert threading.active_count() == before
-        assert len(threads) == 6 and threading.main_thread() not in threads
-
-    def test_a_closed_pipe_ends_the_run_quietly(self, monkeypatch, capsys):
-        # the reader is gone before the first body chunk, whose write fails while the
-        # pool is formatting the next ones
-        table = OutputTable(["x", "y"], [np.arange(6.0 * CHUNK), np.full(6 * CHUNK, 0.5)])
-        monkeypatch.setattr(cli, "execute", lambda config: table)
-        monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        read, write = os.pipe()
-        os.close(read)
-        before = threading.active_count()
-        with open(write, "w", encoding="utf-8") as stdout:
-            monkeypatch.setattr(sys, "stdout", stdout)
-            assert cli.main(["sweep-plos", "--workers", "4"]) == 0
-            monkeypatch.undo()
-        assert threading.active_count() == before
-        assert capsys.readouterr().err == ""
+def test_a_closed_pipe_ends_the_run_quietly(monkeypatch, capsys):
+    # the reader is gone before the first body chunk is written
+    table = OutputTable(["x", "y"], [np.arange(6.0 * CHUNK), np.full(6 * CHUNK, 0.5)])
+    monkeypatch.setattr(cli, "execute", lambda config: table)
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["sweep-plos"]) == 0
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
