@@ -468,7 +468,7 @@ def _scenario_table(config: RunConfig, envs: list, radio: RadioConfig) -> Output
     spec = ScenarioSpec(env=envs[0], radio=radio,
                         **{f.name: params[f.name] for f in fields(ScenarioSpec)
                            if f.name not in ("env", "radio")})
-    result = evaluate_scenario(spec)
+    result = evaluate_scenario(spec, workers=config.workers)
     # the per-user columns, in CSV column order
     columns = result.records.columns
     return OutputTable(header=list(columns), columns=list(columns.values()),

@@ -12,6 +12,8 @@ working set, whatever the number of users or draws.
 from __future__ import annotations
 
 import math
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -21,15 +23,16 @@ from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (MAX_DRAWS, FormulationMode, RadioConfig, _coverage_arrays,
                        _draw_covered, noise_power_dbm, received_power_dbm)
 from .errors import InputError, check_in
-from .planner import _BLOCK
+from .planner import _BLOCK, _pool_size
 
 AREA_SHAPES = ("square", "disk")
 
 # user-draws per shadowing block: the shadowing's working set is a few arrays of this
 # many elements whatever n_users and n_draws are. 10^5 users x 100 draws shadowed in
-# 0.27 s at 2**15 and 2**16 against 0.32 s at 2**17 and 2**18 (in-process, median of
-# 15), and the CLI run peaked at 52.3 MB RSS at 2**16, 55.3 at 2**17 and 57.8 at 2**18
-# (numpy 2.4, x86-64)
+# 0.194, 0.189, 0.187 and 0.195 s at 2**14, 2**15, 2**16 and 2**17 on the calling thread,
+# and in 0.137, 0.131, 0.128 and 0.130 s with the normals on the helper thread
+# (in-process, median of 9), and the CLI run peaked at 51.6-51.8 MB RSS from 2**14 to
+# 2**16 against 53.7-53.9 MB at 2**17, at either thread count (numpy 2.4, 2-vCPU x86-64)
 SHADOWING_BLOCK_ELEMENTS = 1 << 16
 
 # the most users one scenario may hold, checked before anything is allocated; a
@@ -221,7 +224,15 @@ def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
     return sum_rate_bps / total_power_w
 
 
-def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray) -> tuple:
+def _done(fn, *args) -> Future:
+    # fn(*args) run now, as a finished future, so that one loop serves both paths
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray,
+                       workers: int = 1) -> tuple:
     """Covered fraction of the users in each of ``spec.n_draws`` shadowing draws.
 
     ``p_los`` and ``margin`` are the users' LoS probabilities and link margins,
@@ -238,6 +249,15 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     columns. Each draw keeps an integer count of covered users, and
     ``count / n_users`` has the bits of the draw's mean, since a float sum of 0/1
     values is exact, so the block size never changes a result.
+
+    The normals of block ``k + 2`` are drawn into one of three buffers while
+    block ``k`` is compared. When ``workers`` and the usable CPUs are both at
+    least 2 they are drawn on one helper thread, the only one a scenario
+    starts, and otherwise on the calling thread. The normal stream is one
+    generator consumed in block order either way, so the fractions do not depend
+    on ``workers``. It is not split further: the ziggurat takes a variable number
+    of outputs per normal, so no block's position in the stream is known before
+    the blocks ahead of it are drawn.
     """
     env, n = spec.env, spec.n_users
     total = spec.n_draws * n
@@ -250,38 +270,60 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     uniforms = np.random.Generator(uniform_bits)
     normals = np.random.Generator(normal_bits)
 
+    starts = range(0, total, SHADOWING_BLOCK_ELEMENTS)
+    size = min(SHADOWING_BLOCK_ELEMENTS, total)
+    u = np.empty(size)
+    # block k's normals are in z_blocks[k % 3]: the block compared, the next, and the one
+    # being drawn into the buffer that the block before the compared one released
+    z_blocks = [np.empty(size) for _ in range(3)]
+
+    def fill(k):
+        lo = starts[k]
+        normals.standard_normal(out=z_blocks[k % 3][:min(lo + size, total) - lo])
+
     counts = np.zeros(spec.n_draws, dtype=np.intp)
-    for lo in range(0, total, SHADOWING_BLOCK_ELEMENTS):
-        hi = min(lo + SHADOWING_BLOCK_ELEMENTS, total)
-        u = uniforms.random(hi - lo)
-        z = normals.standard_normal(hi - lo)
-        # the block's pieces: the end of a started draw, whole draws, the start of a draw
-        first = min(hi, -(-lo // n) * n)
-        last = max(first, hi // n * n)
-        for start, stop in ((lo, first), (first, last), (last, hi)):
-            if start == stop:
-                continue
-            draw, user = divmod(start, n)
-            width = min(stop - start, n)
-            piece, users = slice(start - lo, stop - lo), slice(user, user + width)
-            us, zs = u[piece].reshape(-1, width), z[piece].reshape(-1, width)
-            covered = _draw_covered(us < p_los[users],
-                                    env.mu_los_db + env.sigma_los_db * zs <= margin[users],
-                                    env.mu_nlos_db + env.sigma_nlos_db * zs <= margin[users])
-            counts[draw:draw + len(us)] += np.count_nonzero(covered, axis=1)
+    # an executor starts its thread at the first submit, so the inline path starts none
+    with ThreadPoolExecutor(1) as pool:
+        submit = pool.submit if _pool_size(workers, 2) == 2 else _done
+        ahead = deque(submit(fill, k) for k in range(min(2, len(starts))))
+        for k, lo in enumerate(starts):
+            hi = min(lo + size, total)
+            ahead.popleft().result()
+            if k + 2 < len(starts):
+                ahead.append(submit(fill, k + 2))
+            uniforms.random(out=u[:hi - lo])
+            z = z_blocks[k % 3]
+            # the block's pieces: the end of a started draw, whole draws, the start of a draw
+            first = min(hi, -(-lo // n) * n)
+            last = max(first, hi // n * n)
+            for start, stop in ((lo, first), (first, last), (last, hi)):
+                if start == stop:
+                    continue
+                draw, user = divmod(start, n)
+                width = min(stop - start, n)
+                piece, users = slice(start - lo, stop - lo), slice(user, user + width)
+                us, zs = u[piece].reshape(-1, width), z[piece].reshape(-1, width)
+                covered = _draw_covered(us < p_los[users],
+                                        env.mu_los_db + env.sigma_los_db * zs <= margin[users],
+                                        env.mu_nlos_db + env.sigma_nlos_db * zs <= margin[users])
+                counts[draw:draw + len(us)] += np.count_nonzero(covered, axis=1)
     return tuple((counts / n).tolist())
 
 
-def evaluate_scenario(spec: ScenarioSpec) -> ScenarioResult:
+def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     """Generate users, evaluate every link, and aggregate the area metrics.
 
     ``covered_fraction_draws`` holds one covered fraction per shadowing draw;
     each draw realizes an independent LoS/NLoS pick and excess loss for every
-    user. All randomness derives from ``spec.seed``.
+    user. All randomness derives from ``spec.seed``. ``workers`` is an integer
+    of at least 1; at 2 or more, and with 2 or more usable CPUs, the shadowing's
+    normals are drawn on one helper thread, ahead of the draws that the calling
+    thread compares. The result does not depend on ``workers``.
     """
+    check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     cols = _link_arrays(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"])
+    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"], workers)
 
     radio = spec.radio
     with np.errstate(over="ignore"):

@@ -13,7 +13,9 @@ tests/test_kernel_oracle.py`` prints the table again.
 Each column of ``_coverage_arrays(*_angle_and_fspl(...))`` must lie within each
 of its bounds in ``BOUNDS`` of the pinned value. The bounds are the kernel's error as
 measured under numpy 2.4.6 and scipy 1.17.1 on x86-64, with a margin; a change
-that moves a column past its bound made the model less accurate there.
+that moves a column past its bound made the model less accurate there. Beyond the
+pins, ``q_function`` is held to the tails' bounds at 4000 deficits drawn across
+[-40, 40] with a fixed seed, against mpmath at 40 digits.
 """
 
 import json
@@ -25,7 +27,8 @@ import numpy as np
 import pytest
 
 from uavcov.channel import BUILTIN_ENVIRONMENTS, SPEED_OF_LIGHT, _angle_and_fspl
-from uavcov.coverage import CoverageColumns, FormulationMode, RadioConfig, _coverage_arrays
+from uavcov.coverage import (CoverageColumns, FormulationMode, RadioConfig, _coverage_arrays,
+                             q_function)
 
 PINS = Path(__file__).with_name("kernel_oracle_pins.json")
 DIGITS = 50
@@ -159,23 +162,30 @@ def kernel_errors(pins: dict) -> dict:
                        for tail in ("los", "nlos")}
             flushed["p_cov"] = flushed["q_los"] | flushed["q_nlos"]
             for name, kind in BOUNDS:
-                exact = np.array([float(row[3][name]) for row in picked])
-                error = np.abs(getattr(cols, name) - exact)
+                error = scaled_errors(kind, getattr(cols, name),
+                                      [row[3][name] for row in picked])
                 if name in flushed:
                     # "tiny" checks the links in the band, the other kinds the rest
                     error = np.where(flushed[name] == (kind == "tiny"), error, 0.0)
-                if kind == "tiny":
-                    error = error / TINY
-                elif kind == "rel":
-                    error = error / np.maximum(np.abs(exact), TINY)
-                elif kind == "comp":
-                    # 1 - exact from the pinned digits, not from exact rounded to a double
-                    complement = np.array([float(1 - mpmath.mpf(row[3][name]))
-                                           for row in picked])
-                    error = (np.maximum(error - 2 * EPS * exact, 0.0)
-                             / np.maximum(np.minimum(exact, complement), TINY))
                 worst[name, kind] = max(worst[name, kind], float(error.max()))
     return worst
+
+
+def scaled_errors(kind: str, kernel: np.ndarray, exact_digits: list) -> np.ndarray:
+    """``|kernel - exact|`` of each value as ``BOUNDS``' ``kind`` measures it; the exact
+    values are given as decimal strings."""
+    exact = np.array([float(digits) for digits in exact_digits])
+    error = np.abs(kernel - exact)
+    if kind == "tiny":
+        return error / TINY
+    if kind == "rel":
+        return error / np.maximum(np.abs(exact), TINY)
+    if kind == "comp":
+        # 1 - exact from the pinned digits, not from exact rounded to a double
+        complement = np.array([float(1 - mpmath.mpf(digits)) for digits in exact_digits])
+        return (np.maximum(error - 2 * EPS * exact, 0.0)
+                / np.maximum(np.minimum(exact, complement), TINY))
+    return error
 
 
 def test_pins_cover_the_tails_angles_and_extremes(pins):
@@ -210,6 +220,23 @@ def test_pins_reach_the_flush_of_the_tails(pins):
 
 def test_kernel_columns_within_their_bounds_of_the_exact_model(pins):
     worst = kernel_errors(pins)
+    assert {key: error for key, error in worst.items() if error > BOUNDS[key]} == {}
+
+
+def test_q_function_within_the_tails_bounds_at_random_deficits():
+    # the pins are fixed links; these deficits fall anywhere in [-40, 40], at 40 digits
+    x = np.random.default_rng(20).uniform(-40.0, 40.0, 4000)
+    with mpmath.workdps(40):
+        exact = [mpmath.nstr(mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2)) / 2, 25)
+                 for v in x.tolist()]
+    in_band = (x >= FLUSH_BAND[0]) & (x <= FLUSH_BAND[1])
+    # deficits on both tails, in the flush band, and just below it, where Q < 1e-300
+    assert x.min() < -39.0 and np.count_nonzero(in_band) >= 20
+    assert np.count_nonzero((x > 37.05) & (x < FLUSH_BAND[0])) >= 10
+    kernel = q_function(x)
+    worst = {(name, kind): float(np.where(in_band == (kind == "tiny"),
+                                          scaled_errors(kind, kernel, exact), 0.0).max())
+             for name, kind in BOUNDS if name in ("q_los", "q_nlos")}
     assert {key: error for key, error in worst.items() if error > BOUNDS[key]} == {}
 
 

@@ -25,7 +25,8 @@ from uavcov.coverage import (MAX_DRAWS, RadioConfig, branch_argument, coverage_m
 from uavcov.errors import InputError, check_in
 from uavcov.planner import (AXIS_ALTITUDE, AXIS_DISTANCE, AXIS_ELEVATION, SweepSpec,
                             max_coverage_radius, optimal_altitude, sweep_grid)
-from uavcov.scenario import ScenarioSpec, energy_efficiency, evaluate_links, generate_users
+from uavcov.scenario import (ScenarioSpec, energy_efficiency, evaluate_links, evaluate_scenario,
+                             generate_users)
 
 FORM = re.compile(r"^.+ must lie in [\[(]\S+, \S+[\])]( \S+)?, got .+$")
 GEOM = LinkGeometry(100.0, 100.0)
@@ -56,6 +57,10 @@ def radius(**kwargs):
 
 def scenario(**kwargs):
     return ScenarioSpec(**{**dict(n_users=10, env=URBAN, radio=RadioConfig(), seed=1), **kwargs})
+
+
+def scenario_run(**kwargs):
+    return evaluate_scenario(scenario(), **kwargs)
 
 
 def links(positions, uav=ORIGIN_UAV):
@@ -128,7 +133,7 @@ ROWS = {
     # the CLI refuses --workers below 1 itself, so only library callers reach these
     **{f"{name}-workers-{label}": (lambda call=call, value=value: call(workers=value),
                                    "workers", False, True)
-       for name, call in (("altitude", altitude), ("radius", radius))
+       for name, call in (("altitude", altitude), ("radius", radius), ("scenario", scenario_run))
        for label, value in (("fraction", 1.5), ("zero", 0), ("negative", -3), ("bool", True),
                             ("nan", math.nan))},
     "radius-target-one": (lambda: radius(target=1.0), "target", True, True),
@@ -248,8 +253,8 @@ def test_every_raise_is_an_input_error_with_a_field():
 
 
 # the fields that the library names but no CLI flag sets: the arguments of the public
-# functions that the CLI does not call, and the planners' worker count, which the CLI
-# checks as --workers before the library sees it
+# functions that the CLI does not call, and the planners' and the scenario's worker count,
+# which the CLI checks as --workers before the library sees it
 CLI_UNREACHABLE = ("d_m", "theta_deg", "mu_db", "sigma_db", "path_loss_db", "n_samples",
                    "positions", "total_power_w", "workers")
 

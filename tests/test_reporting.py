@@ -240,6 +240,24 @@ def test_float_chunks_print_as_percent_g9(seed):
             assert reporting._float_text(block) == percent_g9(block), (seed, width, lo)
 
 
+@pytest.mark.parametrize("n_rows, chunks_in_numpy", [(180, []), (CHUNK + 1, [CHUNK, 1])])
+def test_only_a_float_table_of_more_than_one_chunk_takes_the_numpy_path(n_rows, chunks_in_numpy,
+                                                                        monkeypatch):
+    # 13 float64 columns, as a Monte Carlo sweep prints; one chunk of them keeps the %-format
+    rng = np.random.default_rng(n_rows)
+    cells = rng.normal(size=(13, n_rows)) * 10.0 ** rng.integers(-6, 12, (13, 1))
+    table = OutputTable([f"c{j}" for j in range(13)], list(cells), metadata={})
+    float_text, calls = reporting._float_text, []
+
+    def counted(block):
+        calls.append(len(block))
+        return float_text(block)
+
+    monkeypatch.setattr(reporting, "_float_text", counted)
+    assert render_csv(table) == reference_csv(table)
+    assert calls == chunks_in_numpy
+
+
 @pytest.fixture(scope="module")
 def float_tables():
     """A scenario and an all-float sweep of 4 chunks each, at the default chunk size."""

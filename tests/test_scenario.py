@@ -1,12 +1,13 @@
 """Disaster-area population, per-user link statistics, aggregate metrics."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from uavcov import scenario
+from uavcov import planner, scenario
 from uavcov.channel import SUBURBAN, URBAN, EnvironmentProfile, LinkGeometry, _angle_and_fspl
 from uavcov.coverage import (
     MAX_DRAWS,
@@ -292,23 +293,109 @@ def shadowing_case(name):
     return make_spec(radio=RadioConfig(p_min_dbm=p_min), **spec)
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four usable CPUs, so that workers=2 draws the normals on the helper thread on any host."""
+    monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+
+
+def started_threads(monkeypatch) -> list:
+    """The threads started from here on, recorded as they start."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
 class TestStreamedShadowing:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 20])
     @pytest.mark.parametrize("shape", [(1, 1), (37, 11), (200, 25), (1500, 3)])
-    def test_any_block_size_reproduces_dense_draws(self, block, shape, monkeypatch):
+    def test_any_block_size_reproduces_dense_draws(self, block, shape, workers, four_cpus,
+                                                   monkeypatch):
         n_users, n_draws = shape
         spec = make_spec(n_users=n_users, n_draws=n_draws, seed=n_users + n_draws)
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", block)
-        got = evaluate_scenario(spec).summary.covered_fraction_draws
+        got = evaluate_scenario(spec, workers=workers).summary.covered_fraction_draws
         assert got == dense_covered_fractions(spec)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block", [7, 1 << 20])
     @pytest.mark.parametrize("case", sorted(SHADOWING_CASES))
-    def test_extreme_and_tie_cases_reproduce_dense_draws(self, case, block, monkeypatch):
+    def test_extreme_and_tie_cases_reproduce_dense_draws(self, case, block, workers, four_cpus,
+                                                         monkeypatch):
         spec = shadowing_case(case)
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", block)
-        got = evaluate_scenario(spec).summary.covered_fraction_draws
+        got = evaluate_scenario(spec, workers=workers).summary.covered_fraction_draws
         assert got == dense_covered_fractions(spec)
+
+    def test_draws_do_not_depend_on_the_worker_count(self, four_cpus, monkeypatch):
+        # blocks of 1000 split the draws of 1500 users at a different user in each block
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 1000)
+        spec = make_spec(n_users=1500, n_draws=9, seed=3)
+        results = [evaluate_scenario(spec, workers=workers) for workers in range(1, 5)]
+        for result in results[1:]:
+            assert result.summary == results[0].summary
+            assert result.records == results[0].records
+
+    @pytest.mark.parametrize("workers, helpers", [(1, 0), (2, 1), (3, 1), (4, 1)])
+    def test_one_helper_thread_at_most(self, workers, helpers, four_cpus, monkeypatch):
+        started = started_threads(monkeypatch)
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 7)
+        evaluate_scenario(make_spec(), workers=workers)
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_no_helper_thread_on_one_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
+        started = started_threads(monkeypatch)
+        evaluate_scenario(make_spec(), workers=4)
+        assert started == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raise_in_the_compare_propagates(self, workers, four_cpus, monkeypatch):
+        draw_covered, calls = scenario._draw_covered, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 100:
+                raise RuntimeError("compare failed")
+            return draw_covered(*args)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(scenario, "_draw_covered", failing)
+        with pytest.raises(RuntimeError, match="compare failed"):
+            evaluate_scenario(make_spec(), workers=workers)
+        assert len(calls) == 100
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raise_in_the_fill_propagates(self, workers, four_cpus, monkeypatch):
+        # the normals' generator fails on its 100th block; the uniforms' draw as before
+        calls = []
+
+        class FailingNormals(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append(threading.current_thread())
+                if len(calls) == 100:
+                    raise RuntimeError("fill failed")
+                return super().standard_normal(*args, **kwargs)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(np.random, "Generator", FailingNormals)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            evaluate_scenario(make_spec(), workers=workers)
+        # at workers=2 the fills already queued behind the failed one may still run
+        assert 100 <= len(calls) <= 102
+        # the fills ran on the calling thread at workers=1 and on the helper at workers=2
+        assert (calls[0] is threading.main_thread()) == (workers == 1)
+        assert threading.active_count() == baseline
 
     def test_cases_reach_the_extremes_and_the_ties(self):
         assert link_margins(shadowing_case("plos-near-0"))[0].max() < 1e-6
@@ -318,12 +405,13 @@ class TestStreamedShadowing:
             margin = link_margins(shadowing_case(name))[1]
             assert np.all(np.abs(margin - SHADOWING_CASES[name][4]) <= 2e-13), name
 
-    def test_peak_memory_flat_in_n_draws(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_flat_in_n_draws(self, workers, four_cpus):
         def peak(n_draws):
             spec = make_spec(n_users=20_000, n_draws=n_draws)
             tracemalloc.start()
             try:
-                evaluate_scenario(spec)
+                evaluate_scenario(spec, workers=workers)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -371,7 +459,8 @@ class TestBoundedWorkingSet:
         assert np.isfinite(whole["margin_db"]).all()
         assert n < 10 or whole["margin_db"][0] < budget - 20 * 308.25 < whole["margin_db"][1]
 
-    def test_peak_memory_per_added_user(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_per_added_user(self, workers, four_cpus):
         # the link kernel's temporaries and the shadowing's are fixed blocks, so an added
         # user costs only what is kept: 16 B of position and 8 columns of 8 B, its
         # shadowing margin among them. One draw of 2**18 users spans several shadowing
@@ -380,7 +469,7 @@ class TestBoundedWorkingSet:
             spec = make_spec(n_users=n_users, n_draws=3)
             tracemalloc.start()
             try:
-                evaluate_scenario(spec)
+                evaluate_scenario(spec, workers=workers)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
