@@ -23,9 +23,9 @@ TOOL_NAME = "uavcov"
 TOOL_VERSION = "0.1.0"
 
 # rows per CSV chunk. A chunk of a table of float64 columns and more than one chunk is
-# formatted in numpy (_float_text), with temporaries of up to 16 bytes per cell that are freed
-# as it goes; any other chunk is one %-format applied to its flat tuple of cells. Either way, writing a table holds one chunk's
-# cells and text, not the whole table's
+# formatted in numpy (_float_text), with temporaries of up to 16 bytes per cell that are
+# freed as it goes; any other chunk is one %-format applied to its flat tuple of cells.
+# Either way, writing a table holds one chunk's cells and text, not the whole table's
 _CHUNK_ROWS = 1 << 12
 
 _PALETTE = (
@@ -40,9 +40,10 @@ class OutputTable:
 
     A column is a 1-D numpy array of bool, integer, float or str dtype; the writers refuse
     any other column. The chunks of a table of more than one chunk whose columns are all
-    float64 are printed in numpy, any other through ``.tolist()``, with the same bytes. ``metadata`` keys: ``params``
-    (canonical command parameters, required), ``notes`` (optional list of
-    human-readable caveats), ``summary`` (optional aggregate dict, e.g. scenario totals).
+    float64 are printed in numpy, any other through ``.tolist()``, with the same bytes.
+    ``metadata`` keys: ``params`` (canonical command parameters, required), ``notes``
+    (optional list of human-readable caveats), ``summary`` (optional aggregate dict, e.g.
+    scenario totals).
     """
 
     header: list[str]

@@ -12,7 +12,6 @@ working set, whatever the number of users or draws.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -232,7 +231,7 @@ def _done(fn, *args) -> Future:
 
 
 def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray,
-                       workers: int = 1) -> tuple:
+                       workers: int) -> tuple:
     """Covered fraction of the users in each of ``spec.n_draws`` shadowing draws.
 
     ``p_los`` and ``margin`` are the users' LoS probabilities and link margins,
@@ -285,10 +284,10 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     # an executor starts its thread at the first submit, so the inline path starts none
     with ThreadPoolExecutor(1) as pool:
         submit = pool.submit if _pool_size(workers, 2) == 2 else _done
-        ahead = deque(submit(fill, k) for k in range(min(2, len(starts))))
+        ahead = [submit(fill, k) for k in range(min(2, len(starts)))]
         for k, lo in enumerate(starts):
             hi = min(lo + size, total)
-            ahead.popleft().result()
+            ahead.pop(0).result()
             if k + 2 < len(starts):
                 ahead.append(submit(fill, k + 2))
             uniforms.random(out=u[:hi - lo])
