@@ -342,19 +342,15 @@ class TestStreamedShadowing:
             assert result.summary == results[0].summary
             assert result.records == results[0].records
 
-    @pytest.mark.parametrize("workers, helpers", [(1, 0), (2, 1), (3, 1), (4, 1)])
-    def test_one_helper_thread_at_most(self, workers, helpers, four_cpus, monkeypatch):
+    @pytest.mark.parametrize("cpus, workers, helpers", [(4, 1, 0), (4, 2, 1), (4, 3, 1),
+                                                        (4, 4, 1), (1, 4, 0)])
+    def test_one_helper_thread_at_most(self, cpus, workers, helpers, monkeypatch):
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: cpus)
         started = started_threads(monkeypatch)
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 7)
         evaluate_scenario(make_spec(), workers=workers)
         assert len(started) == helpers
         assert not any(thread.is_alive() for thread in started)
-
-    def test_no_helper_thread_on_one_usable_cpu(self, monkeypatch):
-        monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
-        started = started_threads(monkeypatch)
-        evaluate_scenario(make_spec(), workers=4)
-        assert started == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_raise_in_the_compare_propagates(self, workers, four_cpus, monkeypatch):
