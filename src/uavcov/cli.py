@@ -34,7 +34,8 @@ from .planner import (
     sweep_grid,
 )
 # render_csv is bound here, unused, so that a wrapper set on this module sees any call
-from .reporting import OutputTable, _csv_chunks, emit_table, format_number, render_csv
+from .reporting import (OutputTable, _BodyPrefetch, _csv_chunks, emit_table, format_number,
+                        render_csv)
 from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
 # glibc maps an allocation above its mmap threshold (128 KiB at start) and unmaps it on
@@ -468,11 +469,16 @@ def _scenario_table(config: RunConfig, envs: list, radio: RadioConfig) -> Output
     spec = ScenarioSpec(env=envs[0], radio=radio,
                         **{f.name: params[f.name] for f in fields(ScenarioSpec)
                            if f.name not in ("env", "radio")})
-    result = evaluate_scenario(spec, workers=config.workers)
+    # the CSV body is formatted while the shadowing waits for its normals; the summary
+    # line that comes before it needs the shadowing's result
+    body = _BodyPrefetch()
+    result = evaluate_scenario(spec, workers=config.workers,
+                               idle=lambda records: body.steps(list(records.columns.values())))
     # the per-user columns, in CSV column order
     columns = result.records.columns
     return OutputTable(header=list(columns), columns=list(columns.values()),
-                       metadata={"params": params, "summary": asdict(result.summary)})
+                       metadata={"params": params, "summary": asdict(result.summary)},
+                       prefetch=body)
 
 
 def _env_listing() -> str:

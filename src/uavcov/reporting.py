@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+import tempfile
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -25,8 +27,11 @@ TOOL_VERSION = "0.1.0"
 # rows per CSV chunk. A chunk of a table of float64 columns and more than one chunk is
 # formatted in numpy (_float_text), with temporaries of up to 16 bytes per cell that are
 # freed as it goes; any other chunk is one %-format applied to its flat tuple of cells.
-# Either way, writing a table holds one chunk's cells and text, not the whole table's
-_CHUNK_ROWS = 1 << 12
+# Either way, writing a table holds one chunk's cells and text, not the whole table's. The
+# 10^5-row scenario body took 76-92 ms at 2**10, 2**11 and 2**12 rows per chunk (median of
+# 9, numpy 2.4, x86-64); the smaller chunk halves each chunk's temporaries, and one chunk
+# is one step of a prefetch (_BodyPrefetch)
+_CHUNK_ROWS = 1 << 11
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -43,12 +48,14 @@ class OutputTable:
     float64 are printed in numpy, any other through ``.tolist()``, with the same bytes.
     ``metadata`` keys: ``params`` (canonical command parameters, required), ``notes``
     (optional list of human-readable caveats), ``summary`` (optional aggregate dict, e.g.
-    scenario totals).
+    scenario totals). ``prefetch``, if set, is a ``_BodyPrefetch`` of these columns; the
+    first CSV write reads the body from it.
     """
 
     header: list[str]
     columns: list
     metadata: dict = field(default_factory=dict)
+    prefetch: _BodyPrefetch | None = field(default=None, repr=False, compare=False)
 
 
 def format_number(value) -> str:
@@ -262,6 +269,65 @@ def _body_chunks(columns: list, n_rows: int) -> Iterator[str]:
         yield ((row + "\n") * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
 
+class _BodyPrefetch:
+    """A table's CSV body, formatted ahead of its writer one chunk per ``step``.
+
+    The chunks are ``_body_chunks``' own, so the bytes are those of a plain write.
+    ``steps(columns)`` takes the table's columns and returns an iterator whose every
+    ``next`` takes one step and yields true. A step appends the next chunk to an
+    unnamed temporary file, made on the first step, so the text waits on disk, not in
+    memory. Iteration yields the spooled text back one chunk at a time, then the chunks
+    not yet formatted. A file that cannot be made or written stops the prefetch, and
+    the chunks left are formatted as they are iterated. The file is closed once read
+    back, or when the prefetch is dropped unread.
+    """
+
+    def __init__(self):
+        self._chunks = iter(())
+        self._spool = None
+        self._close = None
+        self._lengths = []  # the bytes of each spooled chunk
+        self._held = []  # a chunk formatted but not spooled
+        self._stopped = False
+
+    def steps(self, columns: list) -> Iterator[bool]:
+        self._chunks = _body_chunks(columns, len(columns[0]))
+        return iter(self.step, False)
+
+    def step(self) -> bool:
+        """Format and spool one chunk; false once none is left or the spool failed."""
+        text = None if self._stopped else next(self._chunks, None)
+        if text is None:
+            self._stopped = True
+            return False
+        data = text.encode()
+        try:
+            if self._spool is None:
+                self._spool = tempfile.TemporaryFile()
+                self._close = weakref.finalize(self, self._spool.close)
+            self._spool.write(data)
+            self._spool.flush()
+        except OSError:
+            # the chunk is kept here; the bytes of a partial write are never read back
+            self._held.append(text)
+            self._stopped = True
+            return False
+        self._lengths.append(len(data))
+        return True
+
+    def __iter__(self) -> Iterator[str]:
+        self._stopped = True
+        if self._spool is not None:
+            try:
+                self._spool.seek(0)
+                for length in self._lengths:
+                    yield self._spool.read(length).decode()
+            finally:
+                self._close()
+        yield from self._held
+        yield from self._chunks
+
+
 def _n_rows(table: OutputTable) -> int:
     # the one check of a table's shape, for the CSV and the SVG writer alike
     columns = table.columns
@@ -281,7 +347,11 @@ def _csv_chunks(table: OutputTable) -> Iterator[str]:
 
     A malformed table raises ``ValueError`` here, before any string is produced.
     """
-    return chain((_metadata_block(table),), _body_chunks(table.columns, _n_rows(table)))
+    n_rows = _n_rows(table)
+    # a prefetched body is read once; a later write formats the columns afresh
+    body, table.prefetch = table.prefetch, None
+    return chain((_metadata_block(table),),
+                 _body_chunks(table.columns, n_rows) if body is None else body)
 
 
 def render_csv(table: OutputTable) -> str:

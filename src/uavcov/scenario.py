@@ -12,6 +12,7 @@ working set, whatever the number of users or draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -33,6 +34,13 @@ AREA_SHAPES = ("square", "disk")
 # (in-process, median of 9), and the CLI run peaked at 51.6-51.8 MB RSS from 2**14 to
 # 2**16 against 53.7-53.9 MB at 2**17, at either thread count (numpy 2.4, 2-vCPU x86-64)
 SHADOWING_BLOCK_ELEMENTS = 1 << 16
+
+# blocks of normals drawn ahead of the block compared, each in a buffer of its own. The
+# 10^5-user CLI scenario at --workers 2, its CSV body formatted while the shadowing waits,
+# ran in a median 0.217 s at a lead of 2 and 0.208 s at 3 (8 alternating fresh runs each,
+# numpy 2.4, 2-vCPU x86-64). One step, a chunk of text, took ~1.8 ms, and a block of
+# normals ~0.8 ms, so a lead of 2 lets the helper run dry during a step
+_LEAD = 3
 
 # the most users one scenario may hold, checked before anything is allocated; a
 # CLI scenario run written to a file peaked at ~45 MB plus ~77 B of RSS per user
@@ -231,7 +239,7 @@ def _done(fn, *args) -> Future:
 
 
 def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray,
-                       workers: int) -> tuple:
+                       workers: int, idle: Iterator) -> tuple:
     """Covered fraction of the users in each of ``spec.n_draws`` shadowing draws.
 
     ``p_los`` and ``margin`` are the users' LoS probabilities and link margins,
@@ -249,14 +257,18 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     ``count / n_users`` has the bits of the draw's mean, since a float sum of 0/1
     values is exact, so the block size never changes a result.
 
-    The normals of block ``k + 2`` are drawn into one of three buffers while
-    block ``k`` is compared. When ``workers`` and the usable CPUs are both at
-    least 2 they are drawn on one helper thread, the only one a scenario
-    starts, and otherwise on the calling thread. The normal stream is one
-    generator consumed in block order either way, so the fractions do not depend
-    on ``workers``. It is not split further: the ziggurat takes a variable number
-    of outputs per normal, so no block's position in the stream is known before
-    the blocks ahead of it are drawn.
+    The normals of block ``k + _LEAD`` are drawn into one of ``_LEAD + 1`` buffers
+    while block ``k`` is compared. When ``workers`` and the usable CPUs are both at
+    least 2 they are drawn on one helper thread, the only one a scenario starts, and
+    otherwise on the calling thread. The normal stream is one generator consumed in
+    block order either way, so the fractions do not depend on ``workers``. It is not
+    split further: the ziggurat takes a variable number of outputs per normal, so no
+    block's position in the stream is known before the blocks ahead of it are drawn.
+
+    While the next block's normals are not yet drawn, the calling thread takes one
+    step of ``idle`` at a time in place of waiting; ``idle``'s items are true until it
+    runs out, and what is left of it is left untaken. A fill run on the calling thread
+    is done before it is waited for, so there no step is taken.
     """
     env, n = spec.env, spec.n_users
     total = spec.n_draws * n
@@ -272,26 +284,30 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     starts = range(0, total, SHADOWING_BLOCK_ELEMENTS)
     size = min(SHADOWING_BLOCK_ELEMENTS, total)
     u = np.empty(size)
-    # block k's normals are in z_blocks[k % 3]: the block compared, the next, and the one
-    # being drawn into the buffer that the block before the compared one released
-    z_blocks = [np.empty(size) for _ in range(3)]
+    # block k's normals are in z_blocks[k % buffers]: the block compared, the ones drawn
+    # ahead of it, and the one being drawn into the buffer that the block before the
+    # compared one released
+    buffers = _LEAD + 1
+    z_blocks = [np.empty(size) for _ in range(buffers)]
 
     def fill(k):
         lo = starts[k]
-        normals.standard_normal(out=z_blocks[k % 3][:min(lo + size, total) - lo])
+        normals.standard_normal(out=z_blocks[k % buffers][:min(lo + size, total) - lo])
 
     counts = np.zeros(spec.n_draws, dtype=np.intp)
     # an executor starts its thread at the first submit, so the inline path starts none
     with ThreadPoolExecutor(1) as pool:
         submit = pool.submit if _pool_size(workers, 2) == 2 else _done
-        ahead = [submit(fill, k) for k in range(min(2, len(starts)))]
+        ahead = [submit(fill, k) for k in range(min(_LEAD, len(starts)))]
         for k, lo in enumerate(starts):
             hi = min(lo + size, total)
+            while not ahead[0].done() and next(idle, False):
+                pass
             ahead.pop(0).result()
-            if k + 2 < len(starts):
-                ahead.append(submit(fill, k + 2))
+            if k + _LEAD < len(starts):
+                ahead.append(submit(fill, k + _LEAD))
             uniforms.random(out=u[:hi - lo])
-            z = z_blocks[k % 3]
+            z = z_blocks[k % buffers]
             # the block's pieces: the end of a started draw, whole draws, the start of a draw
             first = min(hi, -(-lo // n) * n)
             last = max(first, hi // n * n)
@@ -309,7 +325,8 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     return tuple((counts / n).tolist())
 
 
-def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
+def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
+                      idle: Callable[[UserColumns], Iterator] | None = None) -> ScenarioResult:
     """Generate users, evaluate every link, and aggregate the area metrics.
 
     ``covered_fraction_draws`` holds one covered fraction per shadowing draw;
@@ -318,11 +335,18 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     of at least 1; at 2 or more, and with 2 or more usable CPUs, the shadowing's
     normals are drawn on one helper thread, ahead of the draws that the calling
     thread compares. The result does not depend on ``workers``.
+
+    ``idle``, if given, is called with the result's records once the links are
+    evaluated, and returns an iterator of work whose items are true: the calling
+    thread takes its steps one at a time while it would otherwise wait for the
+    helper's normals, and leaves the rest untaken. At ``workers=1`` it takes none.
     """
     check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     cols = _link_arrays(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"], workers)
+    records = UserColumns(cols)
+    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"], workers,
+                                   iter(()) if idle is None else idle(records))
 
     radio = spec.radio
     with np.errstate(over="ignore"):
@@ -342,5 +366,5 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
         total_power_w=total_power_w,
         energy_efficiency_bpj=efficiency,
     )
-    return ScenarioResult(records=UserColumns(cols), summary=summary)
+    return ScenarioResult(records=records, summary=summary)
 

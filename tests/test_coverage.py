@@ -431,6 +431,28 @@ class TestMonteCarloReference:
         assert p_los(theta["plos-near-1"], SUBURBAN) > 1.0 - 1e-9
 
 
+def test_a_cell_draws_every_chunk_from_one_bit_generator(monkeypatch):
+    # chunk k's stream is set on the cell's one Philox, where jumped(k) would build a
+    # fresh one per chunk; the draws are those of the reference's jumped(k) streams
+    made = []
+
+    class OnePhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+        def jumped(self, *args, **kwargs):
+            raise AssertionError("a chunk stream was jumped")
+
+    geom, env, p_min = SAMPLER_CASES["mid"]
+    radio, n_samples = make_radio(p_min_dbm=p_min), 3 * _MC_CHUNK + 17
+    monkeypatch.setattr(np.random, "Philox", OnePhilox)
+    mc = coverage_monte_carlo(geom, env, radio, n_samples=n_samples, seed=9)
+    assert len(made) == 1
+    monkeypatch.undo()
+    assert mc.estimate == reference_covered(geom, env, radio, n_samples, 9) / n_samples
+
+
 finite = dict(allow_nan=False, allow_infinity=False)
 
 

@@ -182,7 +182,8 @@ def scaled_errors(kind: str, kernel: np.ndarray, exact_digits: list) -> np.ndarr
         return error / np.maximum(np.abs(exact), TINY)
     if kind == "comp":
         # 1 - exact from the pinned digits, not from exact rounded to a double
-        complement = np.array([float(1 - mpmath.mpf(digits)) for digits in exact_digits])
+        with mpmath.workdps(DIGITS):
+            complement = np.array([float(1 - mpmath.mpf(digits)) for digits in exact_digits])
         return (np.maximum(error - 2 * EPS * exact, 0.0)
                 / np.maximum(np.minimum(exact, complement), TINY))
     return error

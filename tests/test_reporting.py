@@ -7,15 +7,20 @@ reference here reads every column through ``.tolist()``, formats each cell with
 keep at every chunk boundary, worker count and destination.
 """
 
+import errno
+import gc
 import os
 import re
 import sys
+import tempfile
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from uavcov import cli, reporting
+from uavcov import cli, planner, reporting, scenario
 from uavcov.reporting import OutputTable, emit_table, format_number, render_csv, render_svg
 
 CHUNK = reporting._CHUNK_ROWS
@@ -302,3 +307,172 @@ def test_a_closed_pipe_ends_the_run_quietly(monkeypatch, capsys):
         assert cli.main(["sweep-plos"]) == 0
         monkeypatch.undo()
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3, 4, 6])
+def test_a_prefetch_reads_back_the_plain_body(steps, spools, monkeypatch):
+    # four chunks: none, some or all of them spooled before the write
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", 7)
+    table = make_table(3 * 7 + 5)
+    expected = reference_csv(table)
+    prefetch = reporting._BodyPrefetch()
+    taken = prefetch.steps(table.columns)
+    assert [next(taken, False) for _ in range(steps)] == [True] * min(steps, 4) + [False] * (
+        steps - min(steps, 4))
+    assert len(spools) == min(steps, 1)
+    table.prefetch = prefetch
+    assert render_csv(table) == expected
+    # the spool is closed once read back, while the prefetch lives on
+    assert all(spool.closed for spool in spools)
+    # the prefetch is read once; a second write formats the columns afresh
+    assert table.prefetch is None
+    assert render_csv(table) == expected
+
+
+def test_a_spooled_body_is_read_back_one_chunk_at_a_time(tmp_path):
+    # 2**16 float rows, every chunk spooled: ~6 MB of text, of which the writer holds one
+    # chunk's (~0.2 MB as bytes and as str) at a time
+    rows = 1 << 16
+    columns = [np.sqrt(np.arange(rows) + 0.5 * j) for j in range(9)]
+    table = OutputTable([f"c{j}" for j in range(9)], columns, {})
+    prefetch = reporting._BodyPrefetch()
+    assert sum(prefetch.steps(columns)) == rows // CHUNK
+    table.prefetch = prefetch
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        emit_table(table, tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    table.prefetch = None
+    assert (tmp_path / "t.csv").read_text(encoding="ascii") == render_csv(table)
+
+
+# 5 chunks of body and 20 blocks of shadowing
+SCENARIO = ["scenario", "--n-users", str(5 * CHUNK - 100), "--n-draws", "20", "--seed", "3"]
+
+
+@pytest.fixture
+def slow_shadowing(monkeypatch):
+    """Each block of normals takes 2 ms more, so that at workers=2 the calling thread
+    waits for the helper thread, and four usable CPUs, so that workers=2 starts it."""
+    monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", CHUNK * 5 - 100)
+
+    class SlowNormals(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            time.sleep(0.002)
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", SlowNormals)
+
+
+@pytest.fixture
+def spools(monkeypatch) -> list:
+    """The temporary files made from here on, recorded as they are made."""
+    made, make = [], tempfile.TemporaryFile
+
+    def record(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", record)
+    return made
+
+
+@pytest.fixture(scope="module")
+def scenario_csv() -> str:
+    """The scenario's CSV as written at workers=1, where nothing is prefetched."""
+    return render_csv(cli.execute(cli.parse_args(SCENARIO)))
+
+
+class TestPrefetchedScenarioBody:
+    def test_a_prefetched_body_keeps_the_bytes(self, slow_shadowing, spools, scenario_csv,
+                                               tmp_path, capsys):
+        out = tmp_path / "scenario.csv"
+        assert cli.main(SCENARIO + ["--workers", "2", "--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == scenario_csv
+        assert cli.main(SCENARIO + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == scenario_csv
+        # one spool per run, each closed once read back
+        assert len(spools) == 2
+        assert all(spool.closed for spool in spools)
+
+    @pytest.mark.parametrize("cpus, workers", [(4, 1), (1, 2)])
+    def test_no_file_without_the_helper_thread(self, cpus, workers, slow_shadowing, spools,
+                                               scenario_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "scenario.csv"
+        assert cli.main(SCENARIO + ["--workers", str(workers), "--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == scenario_csv
+        assert spools == []
+
+    @pytest.mark.parametrize("failing", ["make", "second write"])
+    def test_a_spool_failure_keeps_the_bytes(self, failing, slow_shadowing, scenario_csv,
+                                             tmp_path, monkeypatch):
+        made, make = [], tempfile.TemporaryFile
+
+        class FullDisk:
+            """A spool whose second write stores part of its bytes and then fails."""
+
+            def __init__(self):
+                if failing == "make":
+                    raise OSError(errno.ENOSPC, "no space left on device")
+                self.file, self.writes = make(), 0
+                made.append(self)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    self.file.write(data[:100])
+                    raise OSError(errno.ENOSPC, "no space left on device")
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", FullDisk)
+        out = tmp_path / "scenario.csv"
+        assert cli.main(SCENARIO + ["--workers", "2", "--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii") == scenario_csv
+        assert [spool.writes for spool in made] == ([] if failing == "make" else [2])
+        assert all(spool.closed for spool in made)
+
+    @pytest.mark.parametrize("path", ["fill", "compare", "closed pipe", "unwritable out"])
+    def test_no_spool_is_left_open(self, path, slow_shadowing, spools, tmp_path, monkeypatch):
+        # each path stops the run after the body was spooled in part
+        out = ["--out", str(tmp_path / ("missing/scenario.csv" if path == "unwritable out"
+                                        else "scenario.csv"))]
+        fails = {"fill": (np.random.Generator, "standard_normal"),
+                 "compare": (scenario, "_draw_covered")}
+        if path in fails:
+            owner, name = fails[path]
+            original, calls = getattr(owner, name), []
+
+            def failing(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 15:
+                    raise RuntimeError(f"{path} failed")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if path in fails:
+                with pytest.raises(RuntimeError, match=f"{path} failed"):
+                    cli.main(SCENARIO + ["--workers", "2"] + out)
+            elif path == "closed pipe":
+                read, write = os.pipe()
+                os.close(read)
+                with open(write, "w", encoding="utf-8") as stdout:
+                    monkeypatch.setattr(sys, "stdout", stdout)
+                    assert cli.main(SCENARIO + ["--workers", "2"]) == 0
+                    monkeypatch.setattr(sys, "stdout", sys.__stdout__)
+            else:
+                assert cli.main(SCENARIO + ["--workers", "2"] + out) == 3
+            gc.collect()
+        assert len(spools) == 1
+        assert spools[0].closed
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -1,8 +1,9 @@
 """What a fresh ``uavcov`` process loads, and the heap state its planners run in.
 
 The model's one call outside numpy is scipy's ``erfc`` ufunc. ``coverage`` loads it from
-``scipy.special._special_ufuncs`` without running ``scipy/special/__init__.py``, whose
-array-API backends cost ~0.25 s and ~20 MB of every invocation's start-up. These tests
+``scipy.special._special_ufuncs`` without running ``scipy/__init__.py`` or
+``scipy/special/__init__.py``, whose array-API backends cost ~0.25 s and ~20 MB of every
+invocation's start-up. These tests
 check, in child interpreters where the import order matters, that the narrow load
 happens, that it leaves the whole package importable, and that it never stands in for a
 package already imported.
@@ -42,8 +43,9 @@ def test_cli_import_loads_only_the_erfc_ufunc():
     assert [name for name in HEAVY if name in loaded] == []
     # the planners never draw, so numpy's lazy random module stays unloaded
     assert "numpy.random" not in loaded
-    # the unexecuted stand-in package is gone, so a later import runs the real one
+    # the unexecuted stand-in packages are gone, so a later import runs the real ones
     assert "scipy.special" not in loaded
+    assert "scipy" not in loaded
 
 
 def test_the_kernel_ufunc_is_scipys_erfc():
