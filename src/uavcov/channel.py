@@ -197,13 +197,3 @@ def _los_and_mean_loss(theta_deg, fspl_db, env: EnvironmentProfile):
     """LoS probability and mean path loss of one environment, from the first stage's columns."""
     pl = _los_sigmoid(theta_deg, env)
     return pl, fspl_db + env.mu_los_db * pl + env.mu_nlos_db * (1.0 - pl)
-
-
-def mean_path_loss_db(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float) -> float:
-    """Mean path loss in dB: free-space loss plus the LoS/NLoS-averaged excess.
-
-    Always lies between FSPL + mu_los and FSPL + mu_nlos.
-    """
-    check_in(f_c_hz, 0.0, math.inf, "f_c_hz", "carrier frequency", "Hz", "()")
-    theta, fspl = _angle_and_fspl(geom.r0_m, geom.h_m, f_c_hz)
-    return float(_los_and_mean_loss(theta, fspl, env)[1])

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (MAX_ABS_DB, MAX_ABS_FSPL_DB, MIN_SIGMA_DB, EnvironmentProfile,
-                      LinkGeometry, _angle_and_fspl, _los_and_mean_loss)
+from .channel import (MAX_ABS_DB, EnvironmentProfile, LinkGeometry, _angle_and_fspl,
+                      _los_and_mean_loss)
 from .errors import InputError, check_in
 
 _SQRT2 = math.sqrt(2.0)
@@ -34,8 +34,10 @@ def _load_erfc():
     ``scipy.special._special_ufuncs`` holds the very object that ``scipy.special.erfc``
     names and links only libstdc++; ``_ufuncs`` would link scipy's OpenBLAS, whose thread
     busy-waits after loading. Unexecuted ``scipy`` and ``scipy.special`` modules stand in
-    as the parent packages while the submodule loads and then leave ``sys.modules``, so a
-    later ``import scipy.special`` runs the whole packages. A package already imported is
+    as the parent packages while the submodule loads and then leave ``sys.modules``, the
+    submodule with its stand-in parent. So a later ``import scipy.special`` runs the whole
+    packages and loads the submodule again, which binds it as the package's attribute;
+    the extension's cached init gives it the same ufunc. A package already imported is
     used as it is, and a scipy without ``_special_ufuncs`` takes the plain import.
     """
     stand_ins = [name for name in ("scipy", "scipy.special") if name not in sys.modules]
@@ -47,6 +49,8 @@ def _load_erfc():
     except ImportError:
         pass
     finally:
+        if "scipy.special" in stand_ins:
+            stand_ins.append("scipy.special._special_ufuncs")
         for name in stand_ins:
             sys.modules.pop(name, None)
     from scipy.special import erfc
@@ -152,30 +156,6 @@ def q_function(x):
     """Standard normal tail probability P(Z > x)."""
     out = 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
     return float(out) if np.isscalar(x) else out
-
-
-def branch_argument(
-    radio: RadioConfig,
-    path_loss_db: float,
-    mu_db: float,
-    sigma_db: float,
-    mode: FormulationMode | str = FormulationMode.STANDARD,
-) -> float:
-    """Deficit argument of one coverage branch (fed to the Gaussian tail).
-
-    ``path_loss_db`` is the free-space loss in ``standard`` mode and the full
-    LoS/NLoS-averaged path loss in ``paper-literal`` mode; the mode also picks
-    the normalizer (standard deviation vs. variance). Each argument is bounded
-    as the model bounds it, so the result is finite.
-    """
-    mode = FormulationMode(mode)
-    check_in(sigma_db, MIN_SIGMA_DB, math.inf, "sigma_db", "shadowing deviation", "dB", "[)")
-    check_in(mu_db, -MAX_ABS_DB, MAX_ABS_DB, "mu_db", "mean excess loss", "dB")
-    # the averaged path loss of paper-literal mode adds one mean excess loss to the FSPL
-    limit = MAX_ABS_FSPL_DB + (MAX_ABS_DB if mode is FormulationMode.PAPER_LITERAL else 0.0)
-    check_in(path_loss_db, -limit, limit, "path_loss_db", f"path loss in {mode.value} mode",
-             "dB")
-    return _deficit(radio, path_loss_db, mu_db, sigma_db, mode)
 
 
 def _deficit(radio: RadioConfig, loss, mu: float, sigma: float, mode: FormulationMode):

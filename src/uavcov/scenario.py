@@ -225,12 +225,6 @@ def evaluate_links(
     return UserColumns(_link_arrays(positions, uav, env, radio, FormulationMode(mode)))
 
 
-def energy_efficiency(sum_rate_bps: float, total_power_w: float) -> float:
-    """System sum-rate per watt of transmit power, in bits per joule."""
-    check_in(total_power_w, 0.0, math.inf, "total_power_w", "total power", "W", "()")
-    return sum_rate_bps / total_power_w
-
-
 def _done(fn, *args) -> Future:
     # fn(*args) run now, as a finished future, so that one loop serves both paths
     future = Future()
@@ -336,6 +330,10 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
     normals are drawn on one helper thread, ahead of the draws that the calling
     thread compares. The result does not depend on ``workers``.
 
+    The summary's sum rate and energy efficiency need only the links, so one that leaves
+    a double (``InputError`` naming ``bandwidth_hz`` or ``p_tx_dbm``) is refused before
+    any draw is made or ``idle`` is called.
+
     ``idle``, if given, is called with the result's records once the links are
     evaluated, and returns an iterator of work whose items are true: the calling
     thread takes its steps one at a time while it would otherwise wait for the
@@ -344,21 +342,19 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
     check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)
     cols = _link_arrays(positions, spec.uav_position, spec.env, spec.radio, spec.mode)
-    records = UserColumns(cols)
-    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"], workers,
-                                   iter(()) if idle is None else idle(records))
-
-    radio = spec.radio
     with np.errstate(over="ignore"):
         sum_rate = float(np.sum(cols["rate_bps"]))
-    total_power_w = 10.0 ** ((radio.p_tx_dbm - 30.0) / 10.0)
-    efficiency = energy_efficiency(sum_rate, total_power_w)
-    # legal but extreme radio values and geometry can still carry these past a double
     if not math.isfinite(sum_rate):
         raise InputError("sum rate overflows a double", field="bandwidth_hz")
+    # p_tx_dbm >= -MAX_ABS_DB makes this at least 1e-303 W, a positive normal double
+    total_power_w = 10.0 ** ((spec.radio.p_tx_dbm - 30.0) / 10.0)
+    efficiency = sum_rate / total_power_w
     if not math.isfinite(efficiency):
         raise InputError(f"energy efficiency {sum_rate} bps / {total_power_w} W overflows a "
                          "double", field="p_tx_dbm")
+    records = UserColumns(cols)
+    fractions = _covered_fractions(spec, cols["p_los"], cols["margin_db"], workers,
+                                   iter(()) if idle is None else idle(records))
     summary = ScenarioSummary(
         mean_p_cov=float(np.mean(cols["p_cov"])),
         covered_fraction_draws=fractions,
@@ -367,4 +363,3 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
         energy_efficiency_bpj=efficiency,
     )
     return ScenarioResult(records=records, summary=summary)
-

@@ -21,7 +21,6 @@ from uavcov.channel import (
     URBAN,
     LinkGeometry,
     fspl_db,
-    mean_path_loss_db,
     p_los,
     p_nlos,
     slant_distance,
@@ -112,11 +111,12 @@ def test_criterion_03_identity_suite():
         rr, hh = np.meshgrid(r0_grid, h_grid)
         points = [(float(r), float(h)) for r, h in zip(rr.ravel(), hh.ravel())]
         assert len(points) == 10_000
+        radio = RadioConfig()
         for env in ALL_ENVS:
             for r0, h in points:
                 geom = LinkGeometry(r0, h)
                 base = fspl_db(2e9, slant_distance(geom))
-                pl = mean_path_loss_db(geom, env, 2e9)
+                pl = coverage_probability(geom, env, radio).mean_pl_db
                 assert base + env.mu_los_db - 1e-9 <= pl <= base + env.mu_nlos_db + 1e-9
     report(3, "probability, Gaussian-tail, and path-loss-band identities hold at tolerance")
 

@@ -24,15 +24,13 @@ from uavcov.channel import (
     URBAN,
     EnvironmentProfile,
     LinkGeometry,
-    _angle_and_fspl,
     elevation_angle_deg,
     fspl_db,
-    mean_path_loss_db,
     p_los,
     p_nlos,
     slant_distance,
 )
-from uavcov.coverage import FormulationMode, RadioConfig, _coverage_arrays, coverage_probability
+from uavcov.coverage import FormulationMode, RadioConfig, coverage_probability
 from uavcov.errors import InputError
 
 # mpmath oracles (50 dps), truncated to double precision
@@ -46,6 +44,11 @@ PLOS_SUBURBAN_45 = 0.99999536255046426857
 FSPL_2GHZ_100M = 78.468383135162997712
 DOUBLING_DB = 6.0205999132796239043
 MEAN_PL_100_100_SUBURBAN_2GHZ = 81.578780014498106451
+
+
+def mean_pl(geom: LinkGeometry, env: EnvironmentProfile, f_c_hz: float = 2e9) -> float:
+    """The kernel's mean path loss of one link, as ``coverage_probability`` reports it."""
+    return coverage_probability(geom, env, RadioConfig(f_c_hz=f_c_hz)).mean_pl_db
 
 
 class TestEnvironmentProfile:
@@ -156,7 +159,7 @@ class TestGeometry:
         assert math.isfinite(float(np.hypot(r0, MAX_LENGTH_M)))
         geom = LinkGeometry(MAX_LENGTH_M, MAX_LENGTH_M)
         assert math.isfinite(slant_distance(geom))
-        assert math.isfinite(mean_path_loss_db(geom, URBAN, 2e9))
+        assert math.isfinite(mean_pl(geom, URBAN))
 
     @pytest.mark.parametrize("mode", list(FormulationMode))
     def test_scalar_helpers_are_the_kernel_bits(self, mode):
@@ -213,10 +216,10 @@ class TestLosProbability:
             warnings.simplefilter("error")
             pl = p_los(theta, steep)
             assert p_los(0.0, steep) == 0.0 and p_nlos(0.0, steep) == 1.0
-            mean_pl = mean_path_loss_db(LinkGeometry(1e4, 1.0), steep, 2e9)
+            loss = mean_pl(LinkGeometry(1e4, 1.0), steep)
         assert np.all(pl[theta < 24.5] == 0.0) and np.all(pl[theta >= 25.0] > 0.0)
         assert pl[-1] == 1.0
-        assert mean_pl == fspl_db(2e9, math.hypot(1e4, 1.0)) + 20.0
+        assert loss == fspl_db(2e9, math.hypot(1e4, 1.0)) + 20.0
 
     def test_complement_identity_on_grid(self):
         theta = np.arange(0.0, 90.5, 0.5)
@@ -329,7 +332,7 @@ class TestPathLoss:
         # 4*pi*f overflows before the distance is applied
         f_c = 1.5e308
         logs = math.log10(4 * math.pi / 299792458.0) + math.log10(f_c) + math.log10(200.0)
-        pl = mean_path_loss_db(LinkGeometry(0.0, 200.0), URBAN, f_c)
+        pl = mean_pl(LinkGeometry(0.0, 200.0), URBAN, f_c)
         assert math.isfinite(pl)
         assert pl == pytest.approx(20 * logs, abs=URBAN.mu_nlos_db + 1e-9)
 
@@ -344,12 +347,12 @@ class TestMeanPathLoss:
     def test_zero_excess_equals_fspl(self):
         env = EnvironmentProfile("clear", a=9.6, b=0.28, mu_los_db=0.0, mu_nlos_db=0.0)
         geom = LinkGeometry(250.0, 100.0)
-        assert mean_path_loss_db(geom, env, 2e9) == pytest.approx(
+        assert mean_pl(geom, env) == pytest.approx(
             fspl_db(2e9, slant_distance(geom)), abs=1e-12
         )
 
     def test_mean_pl_oracle(self):
-        got = mean_path_loss_db(LinkGeometry(100.0, 100.0), SUBURBAN, 2e9)
+        got = mean_pl(LinkGeometry(100.0, 100.0), SUBURBAN)
         assert got == pytest.approx(MEAN_PL_100_100_SUBURBAN_2GHZ, abs=1e-9)
 
     def test_bounded_by_excess_loss_band(self):
@@ -358,37 +361,28 @@ class TestMeanPathLoss:
             geom = LinkGeometry(float(rng.uniform(0, 2000)), float(rng.uniform(10, 1500)))
             for env in BUILTIN_ENVIRONMENTS.values():
                 base = fspl_db(2e9, slant_distance(geom))
-                pl = mean_path_loss_db(geom, env, 2e9)
+                pl = mean_pl(geom, env)
                 assert base + env.mu_los_db - 1e-9 <= pl <= base + env.mu_nlos_db + 1e-9
 
     def test_overhead_limit(self):
         # r0 -> 0 tends continuously to the zenith evaluation
         h = 150.0
-        limit = mean_path_loss_db(LinkGeometry(0.0, h), URBAN, 2e9)
+        limit = mean_pl(LinkGeometry(0.0, h), URBAN)
         expect = fspl_db(2e9, h) + URBAN.mu_los_db * p_los(90.0, URBAN) + URBAN.mu_nlos_db * p_nlos(
             90.0, URBAN
         )
         assert limit == pytest.approx(expect, abs=1e-12)
-        near = mean_path_loss_db(LinkGeometry(1e-9, h), URBAN, 2e9)
+        near = mean_pl(LinkGeometry(1e-9, h), URBAN)
         assert near == pytest.approx(limit, abs=1e-9)
-
-    def test_equals_the_coverage_kernel_bit_for_bit(self):
-        radio = RadioConfig(f_c_hz=2.4e9)
-        for env in BUILTIN_ENVIRONMENTS.values():
-            for r0 in (0.0, 15.0, 200.0, 1234.5):
-                for h in (1.0, 100.0, 750.0):
-                    kernel = _coverage_arrays(*_angle_and_fspl(r0, h, radio.f_c_hz), env,
-                                              radio, FormulationMode.STANDARD).mean_pl_db
-                    assert mean_path_loss_db(LinkGeometry(r0, h), env, 2.4e9) == float(kernel)
 
     @pytest.mark.parametrize("f_c", [float("nan"), np.float64("nan"), 0.0, -2e9, float("inf")])
     def test_bad_frequency_names_its_field(self, f_c):
         with pytest.raises(InputError) as info:
-            mean_path_loss_db(LinkGeometry(100.0, 100.0), URBAN, f_c)
+            RadioConfig(f_c_hz=f_c)
         assert info.value.field == "f_c_hz"
 
     def test_continuous_in_r0(self):
         h = 100.0
         r = np.linspace(0.0, 500.0, 2001)
-        pl = np.array([mean_path_loss_db(LinkGeometry(float(x), h), URBAN, 2e9) for x in r])
+        pl = np.array([mean_pl(LinkGeometry(float(x), h), URBAN) for x in r])
         assert np.max(np.abs(np.diff(pl))) < 0.1

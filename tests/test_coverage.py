@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from uavcov.channel import (
     BUILTIN_ENVIRONMENTS,
     MAX_ABS_DB,
-    MAX_ABS_FSPL_DB,
     MAX_LENGTH_M,
     MIN_SIGMA_DB,
     SUBURBAN,
@@ -31,7 +30,6 @@ from uavcov.coverage import (
     _MC_CHUNK,
     FormulationMode,
     RadioConfig,
-    branch_argument,
     coverage_monte_carlo,
     coverage_probability,
     noise_power_dbm,
@@ -121,71 +119,29 @@ class TestQFunction:
         assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestBranchArgument:
+class TestDeficits:
+    """The kernel's deficits, read from ``coverage_probability``; the oracle in
+    ``test_kernel_oracle.py`` pins their formula in both modes to 50 digits."""
+
+    GEOM = LinkGeometry(0.0, 100.0)
+
     def test_exact_balance_gives_zero(self):
-        radio = make_radio(p_min_dbm=40.0 + 3.0 - 78.468 - 0.1)
-        arg = branch_argument(radio, path_loss_db=78.468, mu_db=0.1, sigma_db=3.0)
-        assert arg == pytest.approx(0.0, abs=1e-12)
-
-    def test_threshold_linearity(self):
-        radio = make_radio(p_min_dbm=-80.0)
-        lowered = make_radio(p_min_dbm=-80.0 - 3.0)
-        a0 = branch_argument(radio, 78.468, 0.1, 3.0)
-        a1 = branch_argument(lowered, 78.468, 0.1, 3.0)
-        assert a0 - a1 == pytest.approx(1.0, abs=1e-12)
-
-    def test_standard_mode_oracle(self):
-        # (-80 - 40 - 3 + 78.468 + 0.1) / 3
-        arg = branch_argument(make_radio(), 78.468, 0.1, 3.0)
-        assert arg == pytest.approx(-14.810666666666666667, abs=1e-9)
-
-    def test_paper_literal_divides_by_variance(self):
-        radio = make_radio()
-        lit = branch_argument(radio, 81.5788, 0.1, 3.0, mode=FormulationMode.PAPER_LITERAL)
-        expect = (-80.0 + 81.5788 - 40.0 - 3.0 + 0.1) / 9.0
-        assert lit == pytest.approx(expect, abs=1e-12)
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(InputError):
-            branch_argument(make_radio(), 78.468, 0.1, 0.0)
-        with pytest.raises(InputError):
-            branch_argument(make_radio(), 78.468, 0.1, -2.0)
-
-    def test_sigma_below_the_floor_refused(self):
-        # sigma**2 underflows to 0 here; the floor refuses it before the division
-        with pytest.raises(InputError) as info:
-            branch_argument(RadioConfig(), 100.0, 1.0, 1e-200, "paper-literal")
-        assert info.value.field == "sigma_db"
-        with pytest.raises(InputError):
-            branch_argument(RadioConfig(), 100.0, 1.0, math.nextafter(MIN_SIGMA_DB, 0.0))
-        assert math.isfinite(branch_argument(RadioConfig(), 100.0, 1.0, MIN_SIGMA_DB,
-                                             "paper-literal"))
-
-    @pytest.mark.parametrize("path_loss, mu, field", [
-        (100.0, 1.7e308, "mu_db"),
-        (1.7e308, 1.0, "path_loss_db"),
-        (100.0, math.nan, "mu_db"),
-        (math.inf, 1.0, "path_loss_db"),
-        (math.nan, 1.0, "path_loss_db"),
-        (100.0, math.nextafter(-MAX_ABS_DB, -math.inf), "mu_db"),
-        (math.nextafter(MAX_ABS_FSPL_DB, math.inf), 1.0, "path_loss_db"),
-    ])
-    def test_mean_and_path_loss_bounded(self, path_loss, mu, field):
-        # each of these made an infinite or NaN deficit
-        with pytest.raises(InputError) as info:
-            branch_argument(RadioConfig(), path_loss, mu, 0.5)
-        assert info.value.field == field
+        fspl = coverage_probability(self.GEOM, SUBURBAN, make_radio()).fspl_db
+        radio = make_radio(p_min_dbm=40.0 + 3.0 - fspl - SUBURBAN.mu_los_db)
+        assert coverage_probability(self.GEOM, SUBURBAN, radio).deficit_los == pytest.approx(
+            0.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", list(FormulationMode))
-    def test_deficit_finite_at_the_bounds(self, mode):
-        # paper-literal's averaged path loss holds one mean excess loss beside the FSPL
-        limit = MAX_ABS_FSPL_DB + (MAX_ABS_DB if mode is FormulationMode.PAPER_LITERAL else 0.0)
-        radio = RadioConfig(p_tx_dbm=-MAX_ABS_DB, g_db=-MAX_ABS_DB, p_min_dbm=MAX_ABS_DB)
-        assert math.isfinite(branch_argument(radio, limit, MAX_ABS_DB, MIN_SIGMA_DB, mode))
-        assert math.isfinite(branch_argument(radio, -limit, -MAX_ABS_DB, MIN_SIGMA_DB, mode))
-        with pytest.raises(InputError) as info:
-            branch_argument(radio, math.nextafter(limit, math.inf), 0.0, 3.0, mode)
-        assert info.value.field == "path_loss_db"
+    def test_threshold_linearity(self, mode):
+        # lowering the threshold by one deviation lowers the standard deficit by 1, and
+        # the paper-literal one, normalized by the variance, by 1 / sigma
+        power = 2 if mode is FormulationMode.PAPER_LITERAL else 1
+        for sigma, field in ((SUBURBAN.sigma_los_db, "deficit_los"),
+                             (SUBURBAN.sigma_nlos_db, "deficit_nlos")):
+            a0 = getattr(coverage_probability(self.GEOM, SUBURBAN, make_radio(), mode), field)
+            a1 = getattr(coverage_probability(self.GEOM, SUBURBAN,
+                                              make_radio(p_min_dbm=-80.0 - sigma), mode), field)
+            assert a0 - a1 == pytest.approx(sigma / sigma ** power, abs=1e-12)
 
     @pytest.mark.parametrize("mode", list(FormulationMode))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -205,20 +161,10 @@ class TestBranchArgument:
         assert bd.p_cov == (0.0 if sign > 0 else 1.0)
 
     def test_mode_accepts_strings(self):
-        assert branch_argument(make_radio(), 80.0, 1.0, 3.0, mode="standard") == branch_argument(
-            make_radio(), 80.0, 1.0, 3.0, mode=FormulationMode.STANDARD
-        )
-
-    def test_breakdown_deficits_match_branch_argument_bitwise(self):
-        geom = LinkGeometry(320.0, 140.0)
-        radio = make_radio(p_min_dbm=-63.0)
-        bd = coverage_probability(geom, URBAN, radio)
-        assert bd.deficit_los == branch_argument(
-            radio, bd.fspl_db, URBAN.mu_los_db, URBAN.sigma_los_db
-        )
-        assert bd.deficit_nlos == branch_argument(
-            radio, bd.fspl_db, URBAN.mu_nlos_db, URBAN.sigma_nlos_db
-        )
+        radio = make_radio()
+        for mode in FormulationMode:
+            assert coverage_probability(self.GEOM, URBAN, radio, mode.value) == (
+                coverage_probability(self.GEOM, URBAN, radio, mode))
 
 
 class TestLinkBudget:

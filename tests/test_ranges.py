@@ -18,15 +18,12 @@ import numpy as np
 import pytest
 
 from uavcov import cli
-from uavcov.channel import (MAX_LENGTH_M, URBAN, EnvironmentProfile, LinkGeometry, fspl_db,
-                            mean_path_loss_db, p_los)
-from uavcov.coverage import (MAX_DRAWS, RadioConfig, branch_argument, coverage_monte_carlo,
-                             coverage_probability)
+from uavcov.channel import MAX_LENGTH_M, URBAN, EnvironmentProfile, LinkGeometry, fspl_db, p_los
+from uavcov.coverage import MAX_DRAWS, RadioConfig, coverage_monte_carlo, coverage_probability
 from uavcov.errors import InputError, check_in
 from uavcov.planner import (AXIS_ALTITUDE, AXIS_DISTANCE, AXIS_ELEVATION, SweepSpec,
                             max_coverage_radius, optimal_altitude, sweep_grid)
-from uavcov.scenario import (ScenarioSpec, energy_efficiency, evaluate_links, evaluate_scenario,
-                             generate_users)
+from uavcov.scenario import ScenarioSpec, evaluate_links, evaluate_scenario, generate_users
 
 FORM = re.compile(r"^.+ must lie in [\[(]\S+, \S+[\])]( \S+)?, got .+$")
 GEOM = LinkGeometry(100.0, 100.0)
@@ -89,23 +86,14 @@ ROWS = {
     "fspl-distance-negative": (lambda: fspl_db(2e9, [1.0, -3.0]), "d_m", False, True),
     "fspl-shapes-do-not-broadcast": (lambda: fspl_db(np.ones(2), np.ones(3)), "d_m", False,
                                      False),
-    "mean-path-loss-frequency-nan": (lambda: mean_path_loss_db(GEOM, URBAN, math.nan), "f_c_hz",
-                                     False, True),
-    "mean-path-loss-frequency-array": (lambda: mean_path_loss_db(GEOM, URBAN, np.array(2e9)),
-                                       "f_c_hz", False, True),
     "radio-p-tx-huge": (lambda: RadioConfig(p_tx_dbm=1e9), "p_tx_dbm", True, True),
     "radio-g-nan": (lambda: RadioConfig(g_db=math.nan), "g_db", True, True),
     "radio-p-min-inf": (lambda: RadioConfig(p_min_dbm=-math.inf), "p_min_dbm", True, True),
     "radio-noise-huge": (lambda: RadioConfig(noise_density_dbm_hz=3001.0),
                          "noise_density_dbm_hz", True, True),
     "radio-frequency-nan": (lambda: RadioConfig(f_c_hz=math.nan), "f_c_hz", True, True),
+    "radio-frequency-array": (lambda: RadioConfig(f_c_hz=np.array(2e9)), "f_c_hz", True, True),
     "radio-bandwidth-zero": (lambda: RadioConfig(bandwidth_hz=0.0), "bandwidth_hz", True, True),
-    "branch-sigma-zero": (lambda: branch_argument(RadioConfig(), 100.0, 1.0, 0.0), "sigma_db",
-                          False, True),
-    "branch-mu-nan": (lambda: branch_argument(RadioConfig(), 100.0, math.nan, 3.0), "mu_db",
-                      False, True),
-    "branch-path-loss-inf": (lambda: branch_argument(RadioConfig(), math.inf, 1.0, 3.0),
-                             "path_loss_db", False, True),
     "mc-samples-zero": (lambda: monte_carlo(n_samples=0), "n_samples", False, True),
     "mc-samples-fraction": (lambda: monte_carlo(n_samples=2.5), "n_samples", False, True),
     "mc-samples-bool": (lambda: monte_carlo(n_samples=True), "n_samples", False, True),
@@ -166,15 +154,11 @@ ROWS = {
                                 "uav_x_m", True, True),
     "links-uav-h-negative": (lambda: links(np.array([[1.0, 2.0]]), (0.0, 0.0, -100.0)),
                              "uav_h_m", True, True),
-    "energy-efficiency-power-zero": (lambda: energy_efficiency(1e6, 0.0), "total_power_w", False,
-                                     True),
     # the CLI restricts --mode to its choices, so only library callers reach these
     "sweep-mode": (lambda: sweep(mode="bogus"), "mode", False, False),
     "scenario-mode": (lambda: scenario(mode="bogus"), "mode", False, False),
     "coverage-mode": (lambda: coverage_probability(GEOM, URBAN, RadioConfig(), mode="bogus"),
                       "mode", False, False),
-    "branch-mode": (lambda: branch_argument(RadioConfig(), 100.0, 1.0, 3.0, mode="bogus"),
-                    "mode", False, False),
     "altitude-mode": (lambda: altitude(mode="bogus"), "mode", False, False),
     "radius-mode": (lambda: radius(mode="bogus"), "mode", False, False),
     "links-mode": (lambda: evaluate_links(np.array([[1.0, 2.0]]), ORIGIN_UAV, URBAN,
@@ -255,8 +239,7 @@ def test_every_raise_is_an_input_error_with_a_field():
 # the fields that the library names but no CLI flag sets: the arguments of the public
 # functions that the CLI does not call, and the planners' and the scenario's worker count,
 # which the CLI checks as --workers before the library sees it
-CLI_UNREACHABLE = ("d_m", "theta_deg", "mu_db", "sigma_db", "path_loss_db", "n_samples",
-                   "positions", "total_power_w", "workers")
+CLI_UNREACHABLE = ("d_m", "theta_deg", "n_samples", "positions", "workers")
 
 
 def _named_fields(trees: list) -> set:

@@ -476,3 +476,28 @@ class TestPrefetchedScenarioBody:
         assert len(spools) == 1
         assert spools[0].closed
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--p-tx=-3000", "--g-db", "3000"], "--p-tx"),
+        (["--bandwidth", "1e305", "--p-tx", "3000", "--g-db", "3000", "--noise-density=-3000",
+          "--f-c", "1e-300"], "--bandwidth"),
+    ], ids=["efficiency", "sum-rate"])
+    def test_an_overflowing_summary_is_refused_before_the_shadowing(
+            self, extra, flag, slow_shadowing, spools, tmp_path, monkeypatch, capsys):
+        # the summary needs the links only, so no normal is drawn and no body spooled
+        fills, fill = [], np.random.Generator.standard_normal
+
+        def counted(*args, **kwargs):
+            fills.append(None)
+            return fill(*args, **kwargs)
+
+        monkeypatch.setattr(np.random.Generator, "standard_normal", counted)
+        out = tmp_path / "scenario.csv"
+        errors = []
+        for workers in ("1", "2"):
+            assert cli.main(SCENARIO + extra + ["--workers", workers, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and f"error: {flag}: " in errors[1]
+        assert not out.exists()
+        assert spools == []
+        assert fills == []

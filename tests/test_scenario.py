@@ -21,7 +21,6 @@ from uavcov.scenario import (
     MAX_USERS,
     ScenarioSpec,
     UserColumns,
-    energy_efficiency,
     evaluate_links,
     evaluate_scenario,
     generate_users,
@@ -156,6 +155,8 @@ class TestEvaluateScenario:
         assert result.summary.energy_efficiency_bpj == pytest.approx(
             result.summary.sum_rate_bps / 10.0, rel=1e-12
         )
+        summary = result.summary
+        assert summary.energy_efficiency_bpj == summary.sum_rate_bps / summary.total_power_w
         assert len(result.summary.covered_fraction_draws) == 25
 
     def test_analytic_fields_independent_of_n_draws(self):
@@ -500,27 +501,3 @@ class TestUserColumns:
         assert a == b
         assert a != self.make(6)
         assert a != "not records"
-
-
-class TestEnergyEfficiency:
-    def test_direct_division(self):
-        assert energy_efficiency(5e6, 10.0) == 5e5
-
-    def test_zero_rate(self):
-        assert energy_efficiency(0.0, 3.0) == 0.0
-
-    def test_power_scaling(self):
-        assert energy_efficiency(1e7, 20.0) == pytest.approx(
-            energy_efficiency(1e7, 10.0) / 2.0, rel=1e-15
-        )
-
-    def test_rate_doubling(self):
-        assert energy_efficiency(2 * 3.7e6, 10.0) == pytest.approx(
-            2.0 * energy_efficiency(3.7e6, 10.0), rel=1e-15
-        )
-
-    def test_rejects_non_positive_power(self):
-        with pytest.raises(InputError):
-            energy_efficiency(1e6, 0.0)
-        with pytest.raises(InputError):
-            energy_efficiency(1e6, -2.0)
