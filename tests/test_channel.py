@@ -375,6 +375,22 @@ class TestMeanPathLoss:
         near = mean_pl(LinkGeometry(1e-9, h), URBAN)
         assert near == pytest.approx(limit, abs=1e-9)
 
+    def test_independent_of_the_mode_and_the_power_fields(self):
+        # only the geometry, the environment and the carrier set the mean path loss: it is
+        # the FSPL plus the LoS-weighted excess losses, whatever the mode and link budget
+        radios = (RadioConfig(f_c_hz=2.4e9),
+                  RadioConfig(f_c_hz=2.4e9, p_tx_dbm=-30.0, g_db=12.0, p_min_dbm=-120.0,
+                              noise_density_dbm_hz=-150.0, bandwidth_hz=1e3))
+        for env in BUILTIN_ENVIRONMENTS.values():
+            for r0 in (0.0, 15.0, 200.0, 1234.5):
+                for h in (1.0, 100.0, 750.0):
+                    geom = LinkGeometry(r0, h)
+                    seen = {coverage_probability(geom, env, radio, mode).mean_pl_db
+                            for radio in radios for mode in FormulationMode}
+                    bd = coverage_probability(geom, env, radios[0])
+                    assert seen == {bd.fspl_db + env.mu_los_db * bd.p_los
+                                    + env.mu_nlos_db * (1.0 - bd.p_los)}
+
     @pytest.mark.parametrize("f_c", [float("nan"), np.float64("nan"), 0.0, -2e9, float("inf")])
     def test_bad_frequency_names_its_field(self, f_c):
         with pytest.raises(InputError) as info:

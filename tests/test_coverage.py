@@ -143,6 +143,86 @@ class TestDeficits:
                                               make_radio(p_min_dbm=-80.0 - sigma), mode), field)
             assert a0 - a1 == pytest.approx(sigma / sigma ** power, abs=1e-12)
 
+    def test_standard_mode_oracle(self):
+        # (-80 - 40 - 3 + FSPL(2 GHz, 100 m) + mu) / sigma, with mpmath at 50 digits
+        bd = coverage_probability(self.GEOM, SUBURBAN, make_radio())
+        assert bd.deficit_los == pytest.approx(-14.810538954945667429, abs=1e-12)
+        assert bd.deficit_nlos == pytest.approx(-2.9414521081046252860, abs=1e-12)
+
+    def test_paper_literal_divides_by_variance(self):
+        # the averaged path loss in place of the FSPL, over sigma**2; mpmath at 50 digits
+        bd = coverage_probability(self.GEOM, SUBURBAN, make_radio(), FormulationMode.PAPER_LITERAL)
+        assert bd.deficit_los == pytest.approx(-4.9257352072025552317, abs=1e-12)
+        assert bd.deficit_nlos == pytest.approx(-0.36611901351285932945, abs=1e-12)
+        assert bd.deficit_los == pytest.approx(
+            (-80.0 - 40.0 - 3.0 + bd.mean_pl_db + SUBURBAN.mu_los_db) / 9.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(FormulationMode))
+    def test_breakdown_deficits_match_the_formula_bitwise(self, mode):
+        # the radio's three fields are summed first, then the loss and the mean excess loss
+        radio = make_radio(p_min_dbm=-63.0)
+        bd = coverage_probability(LinkGeometry(320.0, 140.0), URBAN, radio, mode)
+        literal = mode is FormulationMode.PAPER_LITERAL
+        loss = bd.mean_pl_db if literal else bd.fspl_db
+        budget = radio.p_min_dbm - radio.p_tx_dbm - radio.g_db
+        for mu, sigma, got in ((URBAN.mu_los_db, URBAN.sigma_los_db, bd.deficit_los),
+                               (URBAN.mu_nlos_db, URBAN.sigma_nlos_db, bd.deficit_nlos)):
+            assert got == (budget + loss + mu) / (sigma * sigma if literal else sigma)
+
+    @pytest.mark.parametrize("mode", list(FormulationMode))
+    def test_sigma_at_the_floor_keeps_the_deficits_finite(self, mode):
+        # sigma**2 = 1e-300 is still a normal double, so paper-literal's quotient is finite
+        env = EnvironmentProfile("floor", a=5.2, b=0.35, mu_los_db=0.1, mu_nlos_db=21.0,
+                                 sigma_los_db=MIN_SIGMA_DB, sigma_nlos_db=MIN_SIGMA_DB)
+        bd = coverage_probability(self.GEOM, env, make_radio(), mode)
+        assert all(math.isfinite(value) for value in bd)
+        assert bd.deficit_los < -1e150 and bd.deficit_nlos < -1e150
+        assert bd.p_cov == 1.0
+        with pytest.raises(InputError) as info:
+            EnvironmentProfile("floor", a=5.2, b=0.35, mu_los_db=0.1, mu_nlos_db=21.0,
+                               sigma_los_db=math.nextafter(MIN_SIGMA_DB, 0.0))
+        assert info.value.field == "sigma_los_db"
+
+    @pytest.mark.parametrize("field, bound, past", [
+        ("p_tx_dbm", -MAX_ABS_DB, math.nextafter(-MAX_ABS_DB, -math.inf)),
+        ("p_tx_dbm", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("g_db", -MAX_ABS_DB, math.nextafter(-MAX_ABS_DB, -math.inf)),
+        ("g_db", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("p_min_dbm", -MAX_ABS_DB, math.nextafter(-MAX_ABS_DB, -math.inf)),
+        ("p_min_dbm", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("f_c_hz", 5e-324, 0.0),
+        ("f_c_hz", 1.7976931348623157e308, math.inf),
+        ("mu_los_db", 21.0, math.nextafter(21.0, math.inf)),
+        ("mu_nlos_db", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("sigma_los_db", MIN_SIGMA_DB, math.nextafter(MIN_SIGMA_DB, 0.0)),
+        ("sigma_los_db", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("sigma_nlos_db", MIN_SIGMA_DB, math.nextafter(MIN_SIGMA_DB, 0.0)),
+        ("sigma_nlos_db", MAX_ABS_DB, math.nextafter(MAX_ABS_DB, math.inf)),
+        ("r0_m", MAX_LENGTH_M, math.nextafter(MAX_LENGTH_M, math.inf)),
+        ("h_m", MAX_LENGTH_M, math.nextafter(MAX_LENGTH_M, math.inf)),
+        ("h_m", 5e-324, 0.0),
+    ])
+    def test_every_deficit_input_is_bounded_where_it_is_made(self, field, bound, past):
+        # each value the deficits read is checked by the object that carries it: at its
+        # bound the kernel's columns are finite in both modes, one double past it is refused
+        def build(value):
+            env = dict(a=5.2, b=0.35, mu_los_db=0.1, mu_nlos_db=21.0)
+            geom = dict(r0_m=100.0, h_m=100.0)
+            radio = {}
+            owner = (env if field.startswith(("mu_", "sigma_"))
+                     else geom if field in geom else radio)
+            owner[field] = value
+            return (LinkGeometry(**geom), EnvironmentProfile("edge", **env),
+                    make_radio(**radio))
+
+        for mode in FormulationMode:
+            bd = coverage_probability(*build(bound), mode)
+            assert all(math.isfinite(value) for value in bd), mode
+            assert 0.0 <= bd.p_cov <= 1.0
+        with pytest.raises(InputError) as info:
+            build(past)
+        assert info.value.field == field
+
     @pytest.mark.parametrize("mode", list(FormulationMode))
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_deficits_finite_at_the_extremes_of_every_legal_field(self, mode, sign):

@@ -154,6 +154,13 @@ ROWS = {
                                 "uav_x_m", True, True),
     "links-uav-h-negative": (lambda: links(np.array([[1.0, 2.0]]), (0.0, 0.0, -100.0)),
                              "uav_h_m", True, True),
+    # legal fields whose summary leaves a double; each names the flag that a caller lowers
+    "scenario-efficiency-overflow": (lambda: evaluate_scenario(scenario(
+        radio=RadioConfig(p_tx_dbm=-3000.0, g_db=3000.0))), "p_tx_dbm", True, False),
+    "scenario-sum-rate-overflow": (lambda: evaluate_scenario(scenario(
+        radio=RadioConfig(bandwidth_hz=1e305, p_tx_dbm=3000.0, g_db=3000.0,
+                          noise_density_dbm_hz=-3000.0, f_c_hz=1e-300))), "bandwidth_hz",
+                                   True, False),
     # the CLI restricts --mode to its choices, so only library callers reach these
     "sweep-mode": (lambda: sweep(mode="bogus"), "mode", False, False),
     "scenario-mode": (lambda: scenario(mode="bogus"), "mode", False, False),

@@ -501,3 +501,56 @@ class TestUserColumns:
         assert a == b
         assert a != self.make(6)
         assert a != "not records"
+
+
+class TestEnergyEfficiency:
+    """``ScenarioSummary.energy_efficiency_bpj``: the sum rate over the transmit power."""
+
+    def test_direct_division(self):
+        for p_tx in (40.0, 10.0, -25.5):
+            summary = evaluate_scenario(make_spec(radio=RadioConfig(p_tx_dbm=p_tx),
+                                                  n_draws=1)).summary
+            assert summary.total_power_w == 10.0 ** ((p_tx - 30.0) / 10.0)
+            assert summary.energy_efficiency_bpj == summary.sum_rate_bps / summary.total_power_w
+
+    def test_zero_rate(self):
+        # at the lowest legal transmit power every SNR rounds 1 + snr to 1, so no user has a
+        # rate; the power, 1e-303 W, is still a positive double and nothing is refused
+        summary = evaluate_scenario(make_spec(radio=RadioConfig(p_tx_dbm=-3000.0),
+                                              n_draws=1)).summary
+        assert summary.sum_rate_bps == 0.0 and summary.energy_efficiency_bpj == 0.0
+        assert summary.total_power_w == pytest.approx(1e-303, rel=1e-12)
+
+    def test_power_scaling(self):
+        # 10 dB more transmit power and 10 dB less gain keep every received power, so the
+        # rate stays and the efficiency falls tenfold
+        base = evaluate_scenario(make_spec(n_draws=1)).summary
+        louder = evaluate_scenario(make_spec(radio=RadioConfig(p_min_dbm=-70.0, p_tx_dbm=50.0,
+                                                               g_db=-7.0), n_draws=1)).summary
+        assert louder.sum_rate_bps == base.sum_rate_bps
+        assert louder.total_power_w == 10.0 * base.total_power_w
+        assert louder.energy_efficiency_bpj == pytest.approx(base.energy_efficiency_bpj / 10.0,
+                                                             rel=1e-15)
+
+    def test_threshold_leaves_it_unchanged(self):
+        # the receiver threshold sets coverage, not the Shannon rate
+        base = evaluate_scenario(make_spec(n_draws=1)).summary
+        strict = evaluate_scenario(make_spec(radio=RadioConfig(p_min_dbm=-60.0),
+                                             n_draws=1)).summary
+        assert strict.mean_p_cov < base.mean_p_cov
+        assert (strict.sum_rate_bps, strict.total_power_w, strict.energy_efficiency_bpj) == (
+            base.sum_rate_bps, base.total_power_w, base.energy_efficiency_bpj)
+
+    @pytest.mark.parametrize("radio, field", [
+        (RadioConfig(p_tx_dbm=-3000.0, g_db=3000.0), "p_tx_dbm"),
+        (RadioConfig(bandwidth_hz=1e305, p_tx_dbm=3000.0, g_db=3000.0,
+                     noise_density_dbm_hz=-3000.0, f_c_hz=1e-300), "bandwidth_hz"),
+    ], ids=["efficiency", "sum-rate"])
+    def test_an_overflow_is_refused_before_any_draw(self, radio, field, monkeypatch):
+        def never(*args):
+            raise AssertionError("the shadowing ran")
+
+        monkeypatch.setattr(scenario, "_covered_fractions", never)
+        with pytest.raises(InputError) as info:
+            evaluate_scenario(make_spec(radio=radio), workers=2, idle=never)
+        assert info.value.field == field
