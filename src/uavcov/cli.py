@@ -40,8 +40,9 @@ from .scenario import AREA_SHAPES, ScenarioSpec, evaluate_scenario
 
 # glibc maps an allocation above its mmap threshold (128 KiB at start) and unmaps it on
 # free; freeing a larger mapped block raises the threshold, and the heap's trim threshold
-# with it, to that block's size. So this 4 MiB array, freed untouched, keeps the planners'
-# 128 KiB block temporaries on the heap (see planner._BLOCK) and adds no resident memory.
+# with it, to that block's size. So this 4 MiB array, freed untouched, keeps the 128 KiB
+# temporaries of the planners' runs and the scenario's link blocks on the heap (see
+# planner._RUN_BLOCKS and scenario._BLOCK) and adds no resident memory.
 # The CLI owns the process, so it, not the library, sets the allocator's state
 np.empty(1 << 19)
 

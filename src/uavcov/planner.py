@@ -9,16 +9,19 @@ two stages: the elevation angle and FSPL of a set of points
 (``channel._angle_and_fspl``), which no environment changes, then
 ``_coverage_arrays`` once per environment on those columns. Sweeps and grid
 searches alike take every environment in one call and run on one block
-engine, ``_scan``: it cuts the grid into blocks, computes the first stage of
-each block it is asked for once for all environments, and hands each
-environment's block columns to a reducer. Contiguous spans of blocks run on a
+engine, ``_scan``: it merges the contiguous blocks it is asked for into runs
+of at most ``_RUN_BLOCKS`` blocks, computes the first stage of each run once
+for all environments, and hands each environment's runs of those columns to a
+reducer. The bound is taken over narrow blocks, which keeps it tight, while
+the kernel runs on runs as long as a sweep's. Contiguous spans of runs go on a
 thread pool (``_map_on_pool``, which also runs the CLI's Monte Carlo cells).
-Each span keeps per-block results that merge in block order, so no result
+Each span keeps per-run results that merge in grid order, so no result
 depends on the number of threads.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,22 +47,34 @@ DEFAULT_ALTITUDE_SWEEP = (50.0, 2000.0, 1.0)
 # float64 array of this many points takes 128 MiB
 MAX_GRID_POINTS = 1 << 24
 
-# the planners run the model on blocks of this many points, whose temporaries stay in
-# cache. The two scans of perfbench's planner-grid (4 environments x 2e6 points each)
-# at two threads took (median of 5; x86-64, 2 vCPUs) 1.32 s at 2**12 and 0.98 s at
-# 2**13, where the threads' many small numpy calls contend for the interpreter lock,
-# 0.76 s at 2**14 and 0.67-0.69 s at 2**15 and 2**16; 2**15 also added ~2.7 MB to the
-# benchmark's peak RSS. Those scans ran every block; now that the planners skip blocks on
-# a bound over each block, the block size also sets how tight that bound is.
-# A block's float temporaries, 2**14 doubles, are exactly 128 KiB: glibc's initial mmap
-# threshold. The timings above were taken while scipy's whole-package import had raised
-# that threshold by accident, which hid glibc's trimming. At the initial threshold every
-# block's arrays are mapped and faulted in afresh: optimize-altitude at planner-grid size
-# took a median of ~3900 minor faults in its run (1190-5201) against ~740 with the
-# threshold raised, and the two planner-grid commands ran ~8% slower (in-process, median
-# of 30). cli now raises the threshold at import. A block-size sweep reads ru_minflt as
-# well as time
-_BLOCK = 1 << 14
+# the planners bound the model, and keep or skip it, on blocks of this many points: a
+# narrower block has a tighter bound, so fewer points run, but 4 bound points per block.
+# planner-grid's two commands (4 environments; 2e6 altitudes, 2e6 + 1 radii), in-process
+# cli.main at --workers 2, blocks run in runs of 2**14 points at every width, median of
+# 30 interleaved runs (10 at --p-min -500; x86-64, 2 vCPUs):
+#
+#   width  kernel points  ms     paper-literal points  ms     --p-min -500 ms
+#   2**10     95 680      14.7        213 056          24.1        242
+#   2**11     79 776      13.9        250 400          26.2        246
+#   2**12     96 928      16.1        322 848          27.9        237
+#   2**13    134 176      16.4        450 208          35.3        237
+#   2**14    204 000      20.5        659 296          43.7        231
+#
+# The bound points are counted in. --p-min -500 rules no block out, so every width runs
+# the same 2**14-point runs there, and its spread is wider than its moves.
+# A run's float temporaries, 2**14 doubles, are exactly 128 KiB: glibc's initial mmap
+# threshold. At that threshold every run's arrays are mapped and faulted in afresh:
+# optimize-altitude at planner-grid size took a median of ~3900 minor faults in its run
+# (1190-5201) against ~740 with the threshold raised, and the two planner-grid commands
+# ran ~8% slower (in-process, median of 30). cli raises the threshold at import
+_BLOCK = 1 << 11
+
+# kept blocks reach the kernel merged into runs of at most this many blocks, cut at the
+# multiples of their length, 2**14 points: a scan of every block, a sweep's included,
+# makes the 2**14-point calls that block sizes were tuned on when every block ran. There
+# 2**12 and 2**13 took 1.32 and 0.98 s against 0.76 s at 2**14, where the threads' many
+# small numpy calls contend for the interpreter lock, and 2**15 added ~2.7 MB of peak RSS
+_RUN_BLOCKS = 8
 
 # A block's bound is the kernel at a corner widened outward, the angles by _WIDEN degrees
 # and the FSPL down by _WIDEN dB. The first stage is off from the exact model by a few
@@ -171,14 +186,14 @@ def _grid_points(start: float, stop: float, step: float, field: str) -> int:
     return math.floor(span) + 1
 
 
-def _grid_block(start: float, step: float, lo: int, hi: int) -> np.ndarray:
-    # a float arange keeps integer start and step from giving an integer grid; point k
-    # is start + step*k with the same bits whichever block it falls in
-    return start + step * np.arange(lo, hi, dtype=float)
+def _grid_at(start: float, step: float, k: np.ndarray) -> np.ndarray:
+    # a float product keeps integer start and step from giving an integer grid; point k
+    # is start + step*k with the same bits whichever run or end point asks for it
+    return start + np.multiply(step, k, dtype=float)
 
 
 def _grid(start: float, stop: float, step: float, field: str) -> np.ndarray:
-    return _grid_block(start, step, 0, _grid_points(start, stop, step, field))
+    return _grid_at(start, step, np.arange(_grid_points(start, stop, step, field)))
 
 
 def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,12 +231,18 @@ def sweep_grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate LoS probability, mean path loss, and coverage on the grid, block by block."""
+    """Evaluate LoS probability, mean path loss, and coverage on the grid, run by run."""
     values, r0, h = sweep_grid(spec)
     every = [range(0, len(values), _BLOCK)] * len(spec.environments)
-    blocks = _scan(len(values), every, lambda lo, hi: (r0[lo:hi], h[lo:hi]), spec.environments,
-                   spec.radio, spec.mode, 1, lambda lo, c: (c.p_los, c.mean_pl_db, c.p_cov))
-    # each block keeps three columns; one environment's are joined, and dropped, at a time
+
+    def coordinates(k: np.ndarray):
+        # the scan asks for contiguous runs: slices keep the constant coordinate a view
+        run = slice(k[0], k[-1] + 1)
+        return r0[run], h[run]
+
+    blocks = _scan(len(values), every, coordinates, spec.environments, spec.radio, spec.mode, 1,
+                   lambda lo, c: (c.p_los, c.mean_pl_db, c.p_cov))
+    # each run keeps three columns; one environment's are joined, and dropped, at a time
     joined = [tuple(map(np.concatenate, zip(*blocks.pop(0)))) for _ in spec.environments]
     p_los, mean_pl_db, p_cov = zip(*joined)
     return SweepResult(spec.axis, tuple(env.name for env in spec.environments), values,
@@ -251,35 +272,63 @@ def _map_on_pool(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _runs(blocks, n: int) -> list:
+    """The ascending block starts ``blocks`` of an ``n``-point grid as contiguous runs.
+
+    Each run is a list ``[lo, hi)``. It holds at most ``_RUN_BLOCKS`` blocks:
+    it ends at every multiple of ``_RUN_BLOCKS * _BLOCK``, so a scan of every
+    block runs in aligned runs of that length.
+    """
+    length = _RUN_BLOCKS * _BLOCK
+    runs = []
+    for lo in blocks:
+        if runs and runs[-1][1] == lo and lo % length:
+            runs[-1][1] = lo + _BLOCK
+        else:
+            runs.append([lo, lo + _BLOCK])
+    if runs:  # only the grid's last block can be short
+        runs[-1][1] = min(runs[-1][1], n)
+    return runs
+
+
 def _scan(n: int, starts: list, coordinates, environments: tuple, radio: RadioConfig,
           mode: FormulationMode, workers: int, reduce) -> list:
-    """``reduce(lo, columns)`` for the blocks ``[lo, hi)`` of an ``n``-point scan, per environment.
+    """``reduce(lo, columns)`` for the runs ``[lo, hi)`` of an ``n``-point scan, per environment.
 
     ``starts[j]`` holds the ascending starts of the blocks that environment
-    ``j`` runs. ``coordinates(lo, hi)`` gives a block's (r0, h). Each block
-    that some environment runs has its elevation angle and FSPL computed once,
-    and the kernel then runs on them once per environment that runs the block;
-    ``reduce`` gets its ``CoverageColumns``, which live for one block unless
-    ``reduce`` keeps some of them. The blocks are cut into contiguous spans,
-    one per pool thread. Returns one list per environment of its block results
-    in block order, whatever the spans.
+    ``j`` runs, which ``_runs`` merges into that environment's runs.
+    ``coordinates(k)`` gives the (r0, h) of the grid points ``k``, an integer
+    array. The blocks that some environment runs merge into runs of their own
+    too, each of which has its elevation angle and FSPL computed once; the
+    kernel then runs once on each environment's run, a slice of those columns.
+    ``reduce`` gets its ``CoverageColumns``, which live for one run unless
+    ``reduce`` keeps some of them. The merged runs are cut into contiguous
+    spans, one per pool thread. Returns one list per environment of its run
+    results in grid order, whatever the spans.
     """
-    runs = [set(s) for s in starts]
-    blocks = sorted(set().union(*runs))
-    if not blocks:
+    merged = _runs(sorted(set().union(*starts)), n)
+    if not merged:
         return [[] for _ in environments]
-    k = _pool_size(workers, len(blocks))
-    spans = [blocks[j * len(blocks) // k:(j + 1) * len(blocks) // k] for j in range(k)]
+    # each environment's runs lie inside the merged runs, which end at the same multiples
+    firsts = [lo for lo, _ in merged]
+    plan = [(lo, hi, [[] for _ in environments]) for lo, hi in merged]
+    for j, blocks in enumerate(starts):
+        for lo, hi in _runs(blocks, n):
+            plan[bisect.bisect_right(firsts, lo) - 1][2][j].append((lo, hi))
+    k = _pool_size(workers, len(plan))
+    spans = [plan[j * len(plan) // k:(j + 1) * len(plan) // k] for j in range(k)]
 
     def run(span: list) -> list:
         results = [[] for _ in environments]
-        for lo in span:
-            theta, fspl = _angle_and_fspl(*coordinates(lo, min(lo + _BLOCK, n)), radio.f_c_hz)
-            for out, env, env_runs in zip(results, environments, runs):
-                if lo in env_runs:
+        for first, last, env_runs in span:
+            theta, fspl = _angle_and_fspl(*coordinates(np.arange(first, last)), radio.f_c_hz)
+            for out, env, runs in zip(results, environments, env_runs):
+                for lo, hi in runs:
+                    part = slice(lo - first, hi - first)
                     # a global looked up per call, so a wrapper set on this module sees
-                    # every block
-                    out.append(reduce(lo, _coverage_arrays(theta, fspl, env, radio, mode)))
+                    # every run
+                    out.append(reduce(lo, _coverage_arrays(theta[part], fspl[part], env, radio,
+                                                           mode)))
         return results
 
     per_span = _map_on_pool(run, spans, k)
@@ -290,9 +339,10 @@ def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
                   mode: FormulationMode) -> list:
     """Per environment, ``p_cov`` at the blocks' first then last points, and a bound per block.
 
-    The end points are grid points, each with the bits that its block's scan
-    gives it; no ``p_cov`` that the kernel computes in block ``j`` exceeds the
-    bound's entry ``j``. Along either planner axis the elevation angle and the
+    ``coordinates(k)`` applies the axis's one grid rule to the index array
+    ``k``, so the end points, taken in one call, have the bits that the scan
+    gives them; no ``p_cov`` that the kernel computes in block ``j`` exceeds
+    the bound's entry ``j``. Along either planner axis the elevation angle and the
     slant distance, so the FSPL, are monotone: a block's angles lie between its
     end points' and its FSPL is at least the smaller end point's. As
     ``EnvironmentProfile`` holds ``a, b, sigma > 0`` and ``mu_los <= mu_nlos``,
@@ -306,11 +356,8 @@ def _block_bounds(n: int, coordinates, environments: tuple, radio: RadioConfig,
     """
     starts = np.arange(0, n, _BLOCK)
     m = len(starts)
-    ends = np.concatenate([starts, np.minimum(starts + _BLOCK, n) - 1]).tolist()
-    # the planners' fixed coordinate stays one scalar, as in their blocks
-    r0, h = (np.hstack(axis) if np.ndim(axis[0]) else axis[0]
-             for axis in zip(*(coordinates(k, k + 1) for k in ends)))
-    theta, fspl = _angle_and_fspl(r0, h, radio.f_c_hz)
+    ends = np.concatenate([starts, np.minimum(starts + _BLOCK, n) - 1])
+    theta, fspl = _angle_and_fspl(*coordinates(ends), radio.f_c_hz)
     low_fspl = np.minimum(fspl[:m], fspl[m:]) - _WIDEN
     points = (np.concatenate([theta, np.minimum(theta[:m], theta[m:]) - _WIDEN,
                               np.maximum(theta[:m], theta[m:]) + _WIDEN]),
@@ -365,24 +412,20 @@ def optimal_altitude(
     span = h_max - h_min
     step = span / (steps - 1)
 
-    def altitudes(lo: int, hi: int) -> np.ndarray:
-        # numpy's linspace(h_min, h_max, steps)[lo:hi] bit for bit, built per block so
-        # that no scan holds the whole axis: its start + k*step, its k/(steps-1)*span
-        # where the step underflows to 0, and its last point pinned to h_max
-        if step:
-            block = _grid_block(h_min, step, lo, hi)
-        else:
-            block = h_min + np.arange(lo, hi, dtype=float) / (steps - 1) * span
-        if hi == steps:
-            block[-1] = h_max
-        return block
+    def altitudes(k: np.ndarray) -> np.ndarray:
+        # numpy's linspace(h_min, h_max, steps)[k] bit for bit, built per run so that no
+        # scan holds the whole axis: its start + k*step, its k/(steps-1)*span where the
+        # step underflows to 0, and its last point pinned to h_max
+        grid = _grid_at(h_min, step, k) if step else h_min + k / (steps - 1) * span
+        grid[k == steps - 1] = h_max
+        return grid
 
     def first_maximum(lo: int, columns):
         i = int(np.argmax(columns.p_cov))
         return lo + i, columns.p_cov[i]
 
-    def coordinates(lo: int, hi: int):
-        return r_edge, altitudes(lo, hi)
+    def coordinates(k: np.ndarray):
+        return r_edge, altitudes(k)
 
     # an end point's p_cov is at most the grid's maximum, so every point that ties the
     # maximum lies in a block whose bound is not below it
@@ -395,7 +438,7 @@ def optimal_altitude(
         # whole grid
         firsts, maxima = zip(*blocks)
         k = int(np.argmax(maxima))
-        optima.append(AltitudeOptimum(h_star_m=float(altitudes(firsts[k], firsts[k] + 1)[0]),
+        optima.append(AltitudeOptimum(h_star_m=float(altitudes(np.array([firsts[k]]))[0]),
                                       p_cov_star=float(maxima[k])))
     return tuple(optima)
 
@@ -432,9 +475,9 @@ def max_coverage_radius(
         qualifying = np.flatnonzero(columns.p_cov >= target)
         return lo + int(qualifying[-1]) if qualifying.size else -1
 
-    def coordinates(lo: int, hi: int):
-        # the radii are built per block, so no scan holds an array of the whole grid
-        return _grid_block(0.0, resolution, lo, hi), h
+    def coordinates(k: np.ndarray):
+        # the radii are built per run, so no scan holds an array of the whole grid
+        return _grid_at(0.0, resolution, k), h
 
     kept = []
     for ends, bound in _block_bounds(n, coordinates, environments, radio, mode):
@@ -444,5 +487,5 @@ def max_coverage_radius(
         kept.append(((np.flatnonzero(~(bound[first:] < target)) + first) * _BLOCK).tolist())
     lasts = (max(found, default=-1) for found in _scan(n, kept, coordinates, environments,
                                                        radio, mode, workers, last_qualifying))
-    return tuple(0.0 if last < 0 else float(_grid_block(0.0, resolution, last, last + 1)[0])
+    return tuple(0.0 if last < 0 else float(_grid_at(0.0, resolution, last))
                  for last in lasts)

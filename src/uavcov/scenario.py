@@ -23,9 +23,13 @@ from .channel import MAX_LENGTH_M, EnvironmentProfile, _angle_and_fspl
 from .coverage import (MAX_DRAWS, FormulationMode, RadioConfig, _coverage_arrays,
                        _draw_covered, noise_power_dbm, received_power_dbm)
 from .errors import InputError, check_in
-from .planner import _BLOCK, _pool_size
+from .planner import _pool_size
 
 AREA_SHAPES = ("square", "disk")
+
+# users per link block: the link kernel's temporaries, 2**14 doubles each, are 128 KiB,
+# which cli keeps on the heap by raising glibc's mmap threshold at import
+_BLOCK = 1 << 14
 
 # user-draws per shadowing block: the shadowing's working set is a few arrays of this
 # many elements whatever n_users and n_draws are. 10^5 users x 100 draws shadowed in
@@ -175,8 +179,8 @@ def generate_users(n: int, area_side_m: float, seed: int, shape: str = "square")
 
 
 def _link_arrays(positions, uav, env, radio, mode):
-    # the kernel runs on the planners' blocks of users, so its temporaries are one block
-    # whatever n_users is; every step is elementwise, so each element keeps the bits of one
+    # the kernel runs on blocks of users, so its temporaries are one block whatever
+    # n_users is; every step is elementwise, so each element keeps the bits of one
     # whole-column call (_fspl's extremes only decide whether its per-link np.where runs)
     x, y = positions[:, 0], positions[:, 1]
     columns = {"x_m": x, "y_m": y}

@@ -57,14 +57,13 @@ def test_kernel_bindings_return_p_cov_last(module):
 def test_planner_kernel_once_per_environment_per_block(monkeypatch, tmp_path, command):
     # the tracer's coverage.kernel_points sums result[-1].size over the wrapped calls, so
     # every point the planners evaluate, their bounds' included, must pass through them
-    n = 3 * planner._BLOCK + 5
+    n = 3 * planner._RUN_BLOCKS * planner._BLOCK + 5
     grid = (["--steps", str(n)] if command == "optimize-altitude" else
             ["--target", "0.5", "--resolution", str(2000.0 / (n - 1))])
     kernel, calls = planner._coverage_arrays, []
 
     def wrapper(theta, fspl, env, *args):
         result = kernel(theta, fspl, env, *args)
-        # the angle column is kept, so that its id is not reused
         calls.append((theta, env.name, result))
         return result
 
@@ -75,13 +74,18 @@ def test_planner_kernel_once_per_environment_per_block(monkeypatch, tmp_path, co
     assert all(result[-1] is result.p_cov for _, _, result in calls)
     # the kernel takes both tails of each point it evaluates, and nothing else takes one
     assert sum(tail.size for tail in tails) == 2 * sum(result[-1].size for _, _, result in calls)
-    # one bound call per environment over 4 points of each of the 4 blocks; then each block
-    # that an environment runs, once for that environment
-    bounds = [name for _, name, result in calls if result[-1].size == 16]
-    assert sorted(bounds) == sorted(BUILTIN_ENVIRONMENTS)
-    blocks = [(id(theta), name) for theta, name, result in calls if result[-1].size != 16]
-    assert len(set(blocks)) == len(blocks)
-    assert sum(result[-1].size for _, _, result in calls) <= (n + 16) * len(BUILTIN_ENVIRONMENTS)
+    # first, on the calling thread, one bound call per environment over 4 points of each of
+    # the 25 blocks, on columns of its own; then each run of blocks that an environment
+    # runs, once for that environment, on a slice of the run's first stage
+    envs = len(BUILTIN_ENVIRONMENTS)
+    bounds, runs = calls[:envs], calls[envs:]
+    assert sorted(name for _, name, _ in bounds) == sorted(BUILTIN_ENVIRONMENTS)
+    assert all(theta.base is None and result[-1].size == 4 * 25 for theta, _, result in bounds)
+    assert all(theta.base is not None for theta, _, _ in runs)
+    for name in BUILTIN_ENVIRONMENTS:
+        mine = [theta for theta, env, _ in runs if env == name]
+        assert not any(np.may_share_memory(a, b) for i, a in enumerate(mine) for b in mine[:i])
+    assert sum(result[-1].size for _, _, result in calls) <= (n + 4 * 25) * envs
 
 
 def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):
@@ -96,7 +100,7 @@ def test_wrapped_bindings_see_every_call(monkeypatch, tmp_path):
     assert len(sweeps[0].rows) * len(sweeps[0].environment_names) == 6
     assert cli.main(["optimize-altitude", "--env", "urban", "--steps", "20", "--out", out]) == 0
     assert cli.main(["coverage-radius", "--env", "urban", "--out", out]) == 0
-    # each planner's bound call, then its one block
+    # each planner's bound call, then its one run
     assert len(planner_kernel) == 6
     assert cli.main(["scenario", "--n-users", "30", "--n-draws", "2", "--out", out]) == 0
     assert len(scenario_kernel) == 1 and scenario_kernel[0][-1].size == 30

@@ -628,12 +628,12 @@ class TestCommands:
         assert sizes == [1, 1]  # the sweep's block scan, then the Monte Carlo cells
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
-    # planner grids of three blocks and a part, with every built-in environment
+    # planner grids of three runs of blocks and a part, with every built-in environment
+    RUN = planner._RUN_BLOCKS * planner._BLOCK
     PLANNERS = {
-        "optimize-altitude": ["optimize-altitude", "--env", "all", "--steps",
-                              str(3 * planner._BLOCK + 5)],
+        "optimize-altitude": ["optimize-altitude", "--env", "all", "--steps", str(3 * RUN + 5)],
         "coverage-radius": ["coverage-radius", "--env", "all", "--target", "0.5",
-                            "--resolution", str(2000.0 / (3 * planner._BLOCK + 4))],
+                            "--resolution", str(2000.0 / (3 * RUN + 4))],
     }
 
     @pytest.mark.parametrize("command", sorted(PLANNERS))
@@ -649,7 +649,7 @@ class TestCommands:
     @pytest.mark.parametrize("workers, cpus, size", [
         (100_000, 2, 2),  # capped at the usable CPUs
         (3, 8, 3),
-        (100_000, 64, 4),  # capped at the 4 blocks of the grid: one span of blocks each
+        (100_000, 64, 4),  # capped at the 4 runs of the grid: one span of runs each
         (1, 8, 1),
     ])
     def test_planner_pool_size_is_bounded(self, tmp_path, monkeypatch, command, workers, cpus,
@@ -664,21 +664,20 @@ class TestCommands:
         monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         # a threshold far below any loss makes p_cov 1 everywhere, so no bound rules a block
-        # out: the altitude scan runs all 4 blocks, and the radius scan only the last one,
+        # out: the altitude scan runs all 4 runs, and the radius scan only the last block,
         # whose last point qualifies, on one thread
         expect = size if command == "optimize-altitude" else 1
         assert run_cli(self.PLANNERS[command] + ["--p-min", "-500", "--workers", workers,
                                                  "--out", tmp_path / "p.csv"]) == 0
         assert sizes == [expect]
-        # a grid of one block is one span, whatever the environments
+        # a grid of one run is one span, whatever the environments
         argv = ["optimize-altitude", "--steps", "50"] if command == "optimize-altitude" else [
             "coverage-radius"]
         assert run_cli(argv + ["--env", "all", "--workers", workers,
                                "--out", tmp_path / "p.csv"]) == 0
         assert sizes == [expect, 1]
 
-    def test_radius_at_planner_grid_size_runs_one_block_per_environment(self, tmp_path,
-                                                                         monkeypatch):
+    def test_radius_at_planner_grid_size_pins_its_kernel_points(self, tmp_path, monkeypatch):
         points = []
         kernel = planner._coverage_arrays
 
@@ -691,10 +690,11 @@ class TestCommands:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
         assert run_cli(["coverage-radius", "--env", "all", "--resolution", "0.001",
                         "--workers", "2", "--out", tmp_path / "r.csv"]) == 0
-        # per environment, the bound call's 4 points per block of the 2000001-point grid and
-        # the one block that holds the last qualifying end point: 67504 points in all
-        blocks = -(-2_000_001 // planner._BLOCK)
-        assert sum(points) <= 4 * (4 * blocks + planner._BLOCK)
+        # per environment, the bound call's 4 points per block of the 2000001-point grid,
+        # 977 blocks of 2048 points, and the one block that holds the last qualifying end
+        # point: 4 * (4 * 977 + 2048) = 23824 points in all (67504 with 2**14-point blocks)
+        assert planner._BLOCK == 2048
+        assert sum(points) == 23824
 
     def test_altitude_at_planner_grid_size_skips_the_saturated_plateau(self, tmp_path,
                                                                        monkeypatch):
@@ -711,13 +711,14 @@ class TestCommands:
         assert run_cli(["optimize-altitude", "--env", "all", "--steps", "2000000",
                         "--workers", "2", "--out", tmp_path / "h.csv"]) == 0
         # per environment, the bound call's 4 points per block of the 2000000-point grid,
-        # then the blocks whose bound reaches the largest end point: suburban's 6 around
-        # its optimum, on a plateau where its LoS tail is 1.0 and 1 - p_cov varies only
-        # below 1.2e-9; the last block, of 1152 points, where the other three environments
-        # peak at h_max; and the block before it for urban and dense-urban. 136496 points
-        # in all; a slack of 1e-9 of the larger tail kept 56 suburban blocks, 940464 points
-        blocks, last = -(-2_000_000 // planner._BLOCK), 2_000_000 % planner._BLOCK
-        assert sum(points) <= 4 * 4 * blocks + 8 * planner._BLOCK + 3 * last
+        # 977 blocks of 2048 points, the last of 1152; then the blocks whose bound reaches
+        # the largest end point: suburban's 18 around its optimum (blocks 806 to 823), on a
+        # plateau where its LoS tail is 1.0 and 1 - p_cov varies only below 1.2e-9, and
+        # the last block, where the other three environments peak at h_max. So
+        # 4 * 4 * 977 + 18 * 2048 + 3 * 1152 = 55952 points in all. With 2**14-point
+        # blocks it read 136496, and a slack of 1e-9 of the larger tail kept 940464
+        assert planner._BLOCK == 2048
+        assert sum(points) == 55952
 
     @pytest.mark.parametrize("command", sorted(PLANNERS))
     def test_planner_without_environments_writes_an_empty_table(self, tmp_path, command):

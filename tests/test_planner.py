@@ -31,6 +31,7 @@ from uavcov.planner import (
     DEFAULT_ANGLE_SWEEP,
     DEFAULT_DISTANCE_SWEEP,
     MAX_GRID_POINTS,
+    AltitudeOptimum,
     SweepSpec,
     max_coverage_radius,
     optimal_altitude,
@@ -358,12 +359,12 @@ def _keep_every_block(n, coordinates, environments, radio, mode) -> list:
 
 
 def _scanned_altitudes(monkeypatch, h_min, h_max, steps) -> list:
-    """The altitude blocks optimal_altitude hands the model, in scan order; none is skipped."""
+    """The altitude runs optimal_altitude hands the model, in scan order; none is skipped."""
     blocks = []
 
     def record(r0, h, f_c_hz):
         blocks.append(h)
-        return np.zeros(np.size(h), dtype=int), None
+        return np.zeros(np.size(h), dtype=int), np.zeros(np.size(h))
 
     monkeypatch.setattr(planner, "_angle_and_fspl", record)
     monkeypatch.setattr(planner, "_coverage_arrays", lambda theta, *rest: _PCov(theta))
@@ -373,17 +374,18 @@ def _scanned_altitudes(monkeypatch, h_min, h_max, steps) -> list:
 
 
 class TestAltitudeBlocks:
-    """optimal_altitude builds its altitudes per block, with np.linspace's bits."""
+    """optimal_altitude builds its altitudes per run of blocks, with np.linspace's bits."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("block", [97, planner._BLOCK])
     def test_blocks_are_linspace_bit_for_bit(self, monkeypatch, block, offset):
         monkeypatch.setattr(planner, "_BLOCK", block)
-        steps = block + offset
+        run = planner._RUN_BLOCKS * block
+        steps = run + offset
         for h_min, h_max in _altitude_ranges(20, seed=block + offset):
             blocks = _scanned_altitudes(monkeypatch, h_min, h_max, steps)
-            assert [b.size for b in blocks] == [block] * (steps // block) + (
-                [steps % block] if steps % block else [])
+            assert [b.size for b in blocks] == [run] * (steps // run) + (
+                [steps % run] if steps % run else [])
             expect = np.linspace(h_min, h_max, steps)
             assert np.concatenate(blocks).tobytes() == expect.tobytes(), (h_min, h_max)
 
@@ -427,7 +429,7 @@ class _Kernel:
     @staticmethod
     def angle_and_fspl(r0, h, f_c_hz):
         index = np.asarray(h, dtype=int) - 1 if np.ndim(h) else np.asarray(r0, dtype=int)
-        return index, None
+        return index, index
 
     def __call__(self, theta, fspl, env, radio, mode):
         return _PCov(self.values[theta])
@@ -502,15 +504,16 @@ class TestBlockedScans:
         values, expect_ran = RADIUS_RULE[name]
         values = np.asarray(values, dtype=float)
         monkeypatch.setattr(planner, "_BLOCK", 5)
-        _Kernel(values).install(monkeypatch)
+        kernel = _Kernel(values)
+        kernel.install(monkeypatch)
         monkeypatch.setattr(planner, "_block_bounds", _true_bounds(values))
         ran = []
 
-        def angle_and_fspl(r0, h, f_c_hz):
-            ran.append(int(r0[0]) // 5)
-            return _Kernel.angle_and_fspl(r0, h, f_c_hz)
+        def recorded(theta, *args):
+            ran.extend(np.unique(theta // 5).tolist())
+            return kernel(theta, *args)
 
-        monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
+        monkeypatch.setattr(planner, "_coverage_arrays", recorded)
         got = max_coverage_radius(100.0, (URBAN,), RadioConfig(), 0.9, float(len(values) - 1),
                                   1.0, workers=workers)
         qualifying = np.flatnonzero(values >= 0.9)
@@ -531,25 +534,30 @@ class TestBlockedScans:
 
         monkeypatch.setattr(planner, "_BLOCK", block)
         first_stage, kernel = planner._angle_and_fspl, planner._coverage_arrays
-        # each first stage's angle column, kept alive so that no id is reused, with its
-        # (r0, h) coordinates; the kernel's p_cov per call, with those coordinates or None
-        points, calls = {}, []
+        # each first stage's angle column with its (r0, h) coordinates; the kernel's p_cov
+        # per call, with the coordinates of the slice of a first stage it ran on, or None
+        stages, calls = [], []
 
         def angle_and_fspl(r0, h, f_c_hz):
             columns = first_stage(r0, h, f_c_hz)
-            points[id(columns[0])] = columns[0], np.broadcast_arrays(r0, h)
+            stages.append((columns[0], np.broadcast_arrays(r0, h)))
             return columns
 
         def wrapped(theta, *args):
             result = kernel(theta, *args)
-            calls.append((points.get(id(theta), (None, None))[1], result.p_cov))
+            found = None
+            for stage, coordinates in stages:
+                if np.may_share_memory(theta, stage):
+                    at = (theta.ctypes.data - stage.ctypes.data) // stage.itemsize
+                    found = [c[at:at + theta.size] for c in coordinates]
+            calls.append((found, result.p_cov))
             return result
 
         monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
         monkeypatch.setattr(planner, "_coverage_arrays", wrapped)
 
         def evaluated(axis, coordinate, whole) -> int:
-            # a call on a block's first stage is that block's byte-equal slice of the
+            # a call on a run of a first stage is that run's byte-equal slice of the
             # whole-grid call; the one other call is the bound's, over 4 points per block
             bound_calls, points_run = [], 0
             for block_points, p_cov in calls:
@@ -563,6 +571,7 @@ class TestBlockedScans:
                 points_run += p_cov.size
             assert bound_calls == [4 * -(-n // block)]
             calls.clear()
+            stages.clear()
             return points_run
 
         (got,) = optimal_altitude(400.0, (URBAN,), radio, 20.0, 3000.0, n, mode)
@@ -600,8 +609,9 @@ def _scans(environments, radio, n, mode="standard", workers=1):
                                 workers))
 
 
-# a small block, so that grids of a few blocks stay cheap
+# a small block, so that grids of a few runs of blocks stay cheap
 SPAN_BLOCK = 64
+SPAN_RUN = planner._RUN_BLOCKS * SPAN_BLOCK
 
 
 class TestSpanScans:
@@ -621,11 +631,11 @@ class TestSpanScans:
         radio = RadioConfig(p_min_dbm=-75.0)
         optima = optimal_altitude(400.0, ALL_ENVS, radio, 20.0, 3000.0, 5 * SPAN_BLOCK + 3, mode,
                                   workers=2)
-        # the end points of the 6 blocks, then the angle and FSPL of each block that some
-        # environment keeps, once for all environments
+        # the end points of the 6 blocks, then the angle and FSPL of each run of blocks that
+        # some environment keeps, once for all environments: the grid is one run long
         assert first_stage[0].size == 12
         kept = [h[0] for h in first_stage[1:]]
-        assert len(set(kept)) == len(kept) and 0 < len(kept) <= 6
+        assert len(kept) == 1
         radii = max_coverage_radius(150.0, ALL_ENVS, radio, 0.6, 0.5 * (5 * SPAN_BLOCK + 2), 0.5,
                                     mode, workers=2)
         assert len(optima) == len(radii) == len(ALL_ENVS)
@@ -635,7 +645,7 @@ class TestSpanScans:
             assert _same(optimum.p_cov_star, alone.p_cov_star)
             assert _same(radius, alone_radius)
 
-    @pytest.mark.parametrize("n", [k * SPAN_BLOCK + d for k in (1, 2, 5) for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("n", [k * SPAN_RUN + d for k in (1, 2, 5) for d in (-1, 0, 1)])
     def test_same_results_at_one_to_four_workers(self, monkeypatch, n):
         monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
         pools = _Pools(monkeypatch)
@@ -652,11 +662,11 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
         _Pools(monkeypatch, cpus=16)
         radio = RadioConfig(p_min_dbm=-75.0)
-        serial = _scans(ALL_ENVS, radio, 16 * SPAN_BLOCK + 1)
+        serial = _scans(ALL_ENVS, radio, 16 * SPAN_RUN + 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = _scans(ALL_ENVS, radio, 16 * SPAN_BLOCK + 1, workers=16)
+            threaded = _scans(ALL_ENVS, radio, 16 * SPAN_RUN + 1, workers=16)
         finally:
             sys.setswitchinterval(interval)
         assert [astuple(o) for o in threaded[0]] == [astuple(o) for o in serial[0]]
@@ -666,18 +676,20 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
         pools = _Pools(monkeypatch)
         # a threshold far below any loss: every p_cov is 1.0
-        optima, radii = _scans(ALL_ENVS, RadioConfig(p_min_dbm=-500.0), 10 * SPAN_BLOCK,
+        optima, radii = _scans(ALL_ENVS, RadioConfig(p_min_dbm=-500.0), 10 * SPAN_RUN,
                                workers=4)
         assert pools.sizes == [4, 1]
         assert [(o.h_star_m, o.p_cov_star) for o in optima] == [(20.0, 1.0)] * len(ALL_ENVS)
-        assert radii == (0.5 * (10 * SPAN_BLOCK - 1),) * len(ALL_ENVS)
+        assert radii == (0.5 * (10 * SPAN_RUN - 1),) * len(ALL_ENVS)
 
     def test_last_qualifying_radius_at_the_first_point_of_the_last_span(self, monkeypatch):
-        # 20 points in 4 blocks of 5 at 3 threads; the stub proves nothing, so all 4 blocks
-        # run in one scan of 3 spans
+        # 160 points in 4 runs of 8 blocks of 5 at 3 threads; the stub proves nothing, so
+        # all 4 runs go in one scan of 3 spans
         monkeypatch.setattr(planner, "_BLOCK", 5)
+        run = planner._RUN_BLOCKS * 5
         _Pools(monkeypatch)
-        values = [0.95] * 3 + [0.1] * 7 + [0.95] + [0.1] * 4 + [0.95] + [0.1] * 4
+        values = ([0.95] * 3 + [0.1] * (2 * run - 3) + [0.95] + [0.1] * (run - 1) + [0.95]
+                  + [0.1] * (run - 1))
         _Kernel(values).install(monkeypatch)
         spans = []
         map_on_pool = planner._map_on_pool
@@ -687,10 +699,10 @@ class TestSpanScans:
             return map_on_pool(fn, items, workers)
 
         monkeypatch.setattr(planner, "_map_on_pool", recorded)
-        got = max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9, 19.0, 1.0,
-                                  workers=3)
-        assert spans == [[0], [5], [10, 15]]
-        assert got == (15.0, 15.0)
+        got = max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9,
+                                  float(4 * run - 1), 1.0, workers=3)
+        assert [[lo for lo, _, _ in span] for span in spans] == [[0], [run], [2 * run, 3 * run]]
+        assert got == (3.0 * run, 3.0 * run)
 
     def test_no_environments_start_no_pool(self, monkeypatch):
         def refuse(max_workers):
@@ -707,9 +719,87 @@ class TestSpanScans:
             optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 1)
 
 
-# the traced peak of a scan: one block of the kernel's columns and temporaries, whatever
-# the grid size, since no scan holds its axis (both traced 1.26-1.28 MiB at 2**16 to
-# 2**22 points)
+class TestMergedRuns:
+    """Kept blocks reach the model merged into runs of at most ``_RUN_BLOCKS`` blocks."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_a_scan_of_every_block_runs_the_aligned_runs(self, monkeypatch, workers, extra):
+        # the stub proves nothing, so both planners run every block, as the worst case does:
+        # one first stage per run for all environments, and one kernel call per run for
+        # each environment, never one per block
+        monkeypatch.setattr(planner, "_BLOCK", 5)
+        _Pools(monkeypatch)
+        run = 8 * 5  # 2**14 points at the default block, as a sweep's calls
+        n = 3 * run + extra
+        values = np.random.default_rng(n).random(n)
+        kernel = _Kernel(values)
+        kernel.install(monkeypatch)
+        stages, calls = [], []
+
+        def angle_and_fspl(r0, h, f_c_hz):
+            index, _ = _Kernel.angle_and_fspl(r0, h, f_c_hz)
+            stages.append((int(index[0]), int(index[-1]) + 1))
+            return index, index
+
+        def recorded(theta, fspl, env, *rest):
+            calls.append((env.name, int(theta[0]), int(theta[-1]) + 1))
+            return kernel(theta, fspl, env, *rest)
+
+        monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
+        monkeypatch.setattr(planner, "_coverage_arrays", recorded)
+        runs = [(lo, min(lo + run, n)) for lo in range(0, n, run)]
+        assert len(runs) == -(-n // run)
+        scans = [
+            (lambda: optimal_altitude(500.0, (URBAN, SUBURBAN), RadioConfig(), 1.0, float(n), n,
+                                      workers=workers),
+             (AltitudeOptimum(float(np.argmax(values) + 1), float(values.max())),) * 2),
+            (lambda: max_coverage_radius(100.0, (URBAN, SUBURBAN), RadioConfig(), 0.9,
+                                         float(n - 1), 1.0, workers=workers),
+             (float(np.flatnonzero(values >= 0.9)[-1]),) * 2),
+        ]
+        for scan, expect in scans:
+            stages.clear()
+            calls.clear()
+            assert scan() == expect
+            assert sorted(stages) == runs
+            for env in (URBAN, SUBURBAN):
+                assert sorted(lh for name, *lh in calls if name == env.name) == [
+                    list(r) for r in runs]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_each_environment_runs_its_own_kept_blocks(self, monkeypatch, workers):
+        monkeypatch.setattr(planner, "_BLOCK", 5)
+        _Pools(monkeypatch)
+        assert planner._RUN_BLOCKS == 8  # runs end at multiples of 40 points
+        # 93 points in 19 blocks, the last of 3. "a" keeps a whole run, two blocks past its
+        # end and the last block; "b" three separate stretches; "c" nothing
+        kept = [[0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 90], [10, 15, 25, 50, 55, 60], []]
+        stages, calls = [], []
+
+        def angle_and_fspl(r0, h, f_c_hz):
+            stages.append((int(r0[0]), int(r0[-1]) + 1))
+            return r0, r0
+
+        def kernel(theta, fspl, env, radio, mode):
+            calls.append(env)
+            return _PCov(theta)
+
+        monkeypatch.setattr(planner, "_angle_and_fspl", angle_and_fspl)
+        monkeypatch.setattr(planner, "_coverage_arrays", kernel)
+        got = planner._scan(93, kept, lambda k: (k, 100.0), ("a", "b", "c"), RadioConfig(),
+                            planner.FormulationMode.STANDARD, workers,
+                            lambda lo, columns: (lo, columns.p_cov.size))
+        # the first stage runs once on each run of the blocks that some environment keeps
+        assert sorted(stages) == [(0, 40), (40, 65), (90, 93)]
+        assert got == [[(0, 40), (40, 10), (90, 3)], [(10, 10), (25, 5), (50, 15)], []]
+        assert sorted(calls) == ["a"] * 3 + ["b"] * 3
+
+
+# the traced peak of a scan: one run of the kernel's columns and temporaries, whatever
+# the grid size, since no scan holds its axis, and the bound pass's columns at 4 points
+# per block (both traced 0.17-0.80 MiB at 2**16 to 2**22 points; 1.26-1.28 MiB with
+# 2**14-point blocks)
 SCAN_PEAK_BOUND = 4 << 20
 
 
@@ -759,7 +849,7 @@ def _random_altitudes(rng, n: int) -> tuple:
         h_min = float(10.0 ** rng.uniform(-2, 5))
         h_max = h_min * (1.0 + 10.0 ** rng.uniform(-13, 2))
     values = np.linspace(h_min, h_max, n)
-    return r_edge, values, lambda lo, hi: (r_edge, values[lo:hi])
+    return r_edge, values, lambda k: (r_edge, values[k])
 
 
 def _random_radii(rng, n: int) -> tuple:
@@ -771,7 +861,7 @@ def _random_radii(rng, n: int) -> tuple:
     h = MAX_LENGTH_M if rng.random() < 0.1 else float(10.0 ** rng.uniform(-2, 5))
     r_max = float(10.0 ** (rng.uniform(-2, 307) if rng.random() < 0.2 else rng.uniform(-1, 5)))
     values = planner._grid(0.0, r_max, r_max / (n - 1), "resolution")
-    return h, values, lambda lo, hi: (values[lo:hi], h)
+    return h, values, lambda k: (values[k], h)
 
 
 def _random_radio(rng, env, mode, theta, fspl) -> RadioConfig:
@@ -796,8 +886,8 @@ def _random_radio(rng, env, mode, theta, fspl) -> RadioConfig:
 
 
 def _whole_grid(coordinates, n, env, radio, mode) -> np.ndarray:
-    return planner._coverage_arrays(*_angle_and_fspl(*coordinates(0, n), radio.f_c_hz), env, radio,
-                                    planner.FormulationMode(mode)).p_cov
+    return planner._coverage_arrays(*_angle_and_fspl(*coordinates(np.arange(n)), radio.f_c_hz),
+                                    env, radio, planner.FormulationMode(mode)).p_cov
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -816,7 +906,7 @@ def test_block_bounds_hold_for_every_point_of_every_block(monkeypatch, seed):
         scan = _random_altitudes if rng.random() < 0.5 else _random_radii
         _, values, coordinates = scan(rng, int(rng.integers(2, 1500)))
         n = len(values)
-        theta, fspl = _angle_and_fspl(*coordinates(0, n), RadioConfig().f_c_hz)
+        theta, fspl = _angle_and_fspl(*coordinates(np.arange(n)), RadioConfig().f_c_hz)
         env = _random_environment(rng)
         mode = planner.FormulationMode(rng.choice(["standard", "paper-literal"]))
         # the edge near a block's first point, where its FSPL is lowest
@@ -899,18 +989,18 @@ def test_pruned_planners_equal_the_whole_grid_at_one_to_four_workers(monkeypatch
             envs = tuple(_random_environment(rng) for _ in range(int(rng.integers(1, 4))))
             mode = str(rng.choice(["standard", "paper-literal"]))
             radio = _random_radio(rng, envs[0], mode,
-                                  *_angle_and_fspl(*distances(0, len(radii)), 2e9))
+                                  *_angle_and_fspl(*distances(np.arange(len(radii))), 2e9))
         else:
             # one case that prunes on purpose, whatever the random ones do: a built-in
             # environment on grids of 47 blocks, most of them far below the optimum
             r_edge, altitudes = 500.0, np.linspace(20.0, 3000.0, 3000)
             h, radii = 100.0, planner._grid(0.0, 3000.0, 1.0, "resolution")
 
-            def heights(lo, hi):
-                return r_edge, altitudes[lo:hi]
+            def heights(k):
+                return r_edge, altitudes[k]
 
-            def distances(lo, hi):
-                return radii[lo:hi], h
+            def distances(k):
+                return radii[k], h
 
             envs, mode, radio = (ALL_ENVS[seed % len(ALL_ENVS)],), "standard", RadioConfig()
         whole_h = [_whole_grid(heights, len(altitudes), env, radio, mode) for env in envs]
