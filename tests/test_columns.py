@@ -35,6 +35,7 @@ from uavcov.coverage import (
 )
 from uavcov.planner import (
     _BLOCK,
+    _RUN_BLOCKS,
     AXES,
     AXIS_ALTITUDE,
     AXIS_DISTANCE,
@@ -57,6 +58,8 @@ H = np.array([1.0, 100.0, 100.0, 750.0, 30.0, 2000.0, 50.0])
 FIELDS = ("theta_deg", "p_los", "fspl_db", "mean_pl_db", "deficit_los", "deficit_nlos",
           "q_los", "q_nlos", "p_cov")
 SWEEP_FIELDS = ("p_los", "mean_pl_db", "p_cov")
+# a sweep's kernel calls: runs of this many points
+RUN = _RUN_BLOCKS * _BLOCK
 
 
 def kernel(r0, h, env, radio, mode) -> CoverageColumns:
@@ -119,11 +122,11 @@ class TestSweepColumns:
                 assert len(getattr(result, name)) == len(ENVS)
                 assert bits(getattr(result, name)[j]) == bits(getattr(expect, name)), name
 
-    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", [RUN - 1, RUN, RUN + 1, 3 * RUN + 5])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("axis", AXES)
     def test_blocks_join_to_the_whole_grid_bit_for_bit(self, axis, mode, n):
-        # grids of n points that end before, on, after and between block boundaries
+        # grids of n points that end before, on, after and between run boundaries
         start, stop = {AXIS_ELEVATION: (0.5, 90.0), AXIS_DISTANCE: (0.0, n - 1.0),
                        AXIS_ALTITUDE: (50.0, n + 49.0)}[axis]
         spec = SweepSpec(axis, start, stop, (stop - start) / (n - 1), environments=ENVS,
@@ -270,9 +273,9 @@ class TestConstantGeometry:
             tracemalloc.stop()
         assert len(result.axis_values) == n
         # what the sweep keeps, one environment's three columns as they are joined from
-        # its blocks, and the kernel columns of two blocks; a kernel run on the whole grid
+        # its runs, and the kernel columns of two runs; a kernel run on the whole grid
         # would add about nine grid-sized arrays
-        assert peak <= (3 * len(ENVS) + 1) * 8 * n + 3 * 8 * n + 2 * 9 * 8 * _BLOCK
+        assert peak <= (3 * len(ENVS) + 1) * 8 * n + 3 * 8 * n + 2 * 9 * 8 * RUN
 
 
 class TestLinkColumns:

@@ -798,12 +798,12 @@ class TestMergedRuns:
 
 # the traced peak of a scan: one run of the kernel's columns and temporaries, whatever
 # the grid size, since no scan holds its axis, and the bound pass's columns at 4 points
-# per block (both traced 0.17-0.80 MiB at 2**16 to 2**22 points; 1.26-1.28 MiB with
-# 2**14-point blocks)
+# per block (both traced 0.17-0.80 MiB at 2**16 to 2**22 points and 3.2 MiB at the
+# 2**24-point cap; 1.26-1.28 MiB at 2**22 with 2**14-point blocks)
 SCAN_PEAK_BOUND = 4 << 20
 
 
-@pytest.mark.parametrize("n", [1 << 16, 1 << 20, 1 << 22])
+@pytest.mark.parametrize("n", [1 << 16, 1 << 20, 1 << 22, MAX_GRID_POINTS])
 @pytest.mark.parametrize("scan", ["optimal_altitude", "max_coverage_radius"])
 def test_scan_memory_is_one_block(scan, n):
     calls = {
