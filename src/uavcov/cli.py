@@ -28,6 +28,7 @@ from .planner import (
     DEFAULT_DISTANCE_SWEEP,
     SweepSpec,
     _map_on_pool,
+    _pool_size,
     max_coverage_radius,
     optimal_altitude,
     run_sweep,
@@ -120,7 +121,7 @@ _OPTIONS = (
     _Option("--config", None, str, None, "JSON config file"),
     _Option("--out", None, str, None, "output CSV path (default: stdout)"),
     _Option("--plot", None, bool, False, "also write an SVG chart beside the CSV"),
-    _Option("--workers", None, int, 1, "worker threads; results do not depend on it"),
+    _Option("--workers", None, int, 1, "most worker threads; results do not depend on it"),
     _Option("--env", None, list, None,
             "environment name, repeatable; 'all' selects every built-in", field="environments"),
     _Option("--sigma-los", None, float, None, "override LoS shadowing deviation, dB",
@@ -420,7 +421,8 @@ def _sweep_table(config: RunConfig, envs: list, radio: RadioConfig) -> OutputTab
                 n_samples=mc_samples, seed=params["seed"] + 1_000_003 * cell,
             )
 
-        estimates = _map_on_pool(estimate, range(n_cells), config.workers)
+        estimates = _map_on_pool(estimate, range(n_cells),
+                                 _pool_size(config.workers, n_cells * mc_samples))
         pairs = np.array([(mc.estimate, mc.std_error) for mc in estimates])
         for name, rows in zip(result.environment_names, pairs.reshape(-1, n_rows, 2)):
             header += [f"p_cov_mc[{name}]", f"mc_stderr[{name}]"]

@@ -13,10 +13,12 @@ engine, ``_scan``: it merges the contiguous blocks it is asked for into runs
 of at most ``_RUN_BLOCKS`` blocks, computes the first stage of each run once
 for all environments, and hands each environment's runs of those columns to a
 reducer. The bound is taken over narrow blocks, which keeps it tight, while
-the kernel runs on runs as long as a sweep's. Contiguous spans of runs go on a
-thread pool (``_map_on_pool``, which also runs the CLI's Monte Carlo cells).
-Each span keeps per-run results that merge in grid order, so no result
-depends on the number of threads.
+the kernel runs on runs as long as a sweep's. The runs are cut into contiguous
+spans, one per thread that ``_pool_size`` grants their kernel points, and the
+spans go through ``_map_on_pool``, which runs a scan granted one thread on the
+calling thread and also runs the CLI's Monte Carlo cells. Each span keeps
+per-run results that merge in grid order, so no result depends on the number
+of threads.
 """
 
 from __future__ import annotations
@@ -256,19 +258,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(workers: int, n_items: int) -> int:
-    # more threads than items or usable CPUs would only idle or contend for them; a pool
-    # of 0 is refused, so no items still get one
-    return max(1, min(workers, n_items, _usable_cpus()))
+# the units of work that earn a thread: kernel points summed over environments for a
+# scan, draws for the Monte Carlo cells, user-draws for a scenario's shadowing; below two
+# of them a second thread does not pay for itself. Each kind of work at 1 -> 2 threads,
+# in-process, median of 21 alternating runs, and the runs that 2 threads won (x86-64,
+# 2 vCPUs; a scan of every block of 4 environments, 64 Monte Carlo cells, the shadowing
+# of units / 100 users x 100 draws):
+#
+#   units  scan                   Monte Carlo            scenario shadowing
+#   2**18  13.65 -> 11.47 ms 13   9.76 -> 11.31 ms  4    6.20 ->  4.51 ms 21
+#   2**19  19.93 -> 16.46 ms 17  15.06 -> 13.07 ms 21   12.57 ->  8.83 ms 21
+#   2**20  55.68 -> 33.37 ms 20  26.79 -> 20.27 ms 21   22.55 -> 15.67 ms 21
+#
+# A round of 11 read the same: at 2**18 the Monte Carlo cells won 2 and the scan 6, at
+# 2**19 each kind won 6 to 11, and at 2**17 the Monte Carlo cells took 5.64 -> 10.30 ms.
+# Only 1 -> 2 threads was measured: a third thread and more per further 2**18 units is
+# unverified, since no host with more than 2 CPUs was tried
+_THREAD_WORK = 1 << 18
 
 
-def _map_on_pool(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` on a thread pool of at most ``workers``; results in item order.
+def _pool_size(workers: int, work: int) -> int:
+    # one thread per _THREAD_WORK units of work, but no more than workers or the usable
+    # CPUs, which more threads would only contend for; and at least the calling thread
+    return max(1, min(workers, work // _THREAD_WORK, _usable_cpus()))
 
-    Items are independent and each is deterministic, so threads change no byte.
-    The first item to raise, in item order, raises here.
+
+def _map_on_pool(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` on ``threads`` threads at most; results in item order.
+
+    ``threads`` is what ``_pool_size`` granted. At one thread or one item the
+    map runs on the calling thread and no pool is built; otherwise a pool of
+    one thread per item, at most ``threads``, runs it. Items are independent
+    and each is deterministic, so threads change no byte. The first item to
+    raise, in item order, raises here.
     """
-    with ThreadPoolExecutor(_pool_size(workers, len(items))) as pool:
+    if threads < 2 or len(items) < 2:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -303,19 +329,19 @@ def _scan(n: int, starts: list, coordinates, environments: tuple, radio: RadioCo
     kernel then runs once on each environment's run, a slice of those columns.
     ``reduce`` gets its ``CoverageColumns``, which live for one run unless
     ``reduce`` keeps some of them. The merged runs are cut into contiguous
-    spans, one per pool thread. Returns one list per environment of its run
-    results in grid order, whatever the spans.
+    spans, one per thread that ``_pool_size`` grants the kernel points of
+    every environment's runs, and never more spans than runs. Returns one list
+    per environment of its run results in grid order, whatever the spans.
     """
     merged = _runs(sorted(set().union(*starts)), n)
-    if not merged:
-        return [[] for _ in environments]
     # each environment's runs lie inside the merged runs, which end at the same multiples
     firsts = [lo for lo, _ in merged]
     plan = [(lo, hi, [[] for _ in environments]) for lo, hi in merged]
     for j, blocks in enumerate(starts):
         for lo, hi in _runs(blocks, n):
             plan[bisect.bisect_right(firsts, lo) - 1][2][j].append((lo, hi))
-    k = _pool_size(workers, len(plan))
+    work = sum(hi - lo for *_, env_runs in plan for runs in env_runs for lo, hi in runs)
+    k = min(_pool_size(workers, work), len(plan))
     spans = [plan[j * len(plan) // k:(j + 1) * len(plan) // k] for j in range(k)]
 
     def run(span: list) -> list:

@@ -256,12 +256,13 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     values is exact, so the block size never changes a result.
 
     The normals of block ``k + _LEAD`` are drawn into one of ``_LEAD + 1`` buffers
-    while block ``k`` is compared. When ``workers`` and the usable CPUs are both at
-    least 2 they are drawn on one helper thread, the only one a scenario starts, and
-    otherwise on the calling thread. The normal stream is one generator consumed in
-    block order either way, so the fractions do not depend on ``workers``. It is not
-    split further: the ziggurat takes a variable number of outputs per normal, so no
-    block's position in the stream is known before the blocks ahead of it are drawn.
+    while block ``k`` is compared. Where ``_pool_size`` grants the ``n_draws * n_users``
+    user-draws 2 threads or more of ``workers``, they are drawn on one helper thread,
+    the only one a scenario starts, and otherwise on the calling thread. The normal
+    stream is one generator consumed in block order either way, so the fractions do
+    not depend on ``workers``. It is not split further: the ziggurat takes a variable
+    number of outputs per normal, so no block's position in the stream is known
+    before the blocks ahead of it are drawn.
 
     While the next block's normals are not yet drawn, the calling thread takes one
     step of ``idle`` at a time in place of waiting; ``idle``'s items are true until it
@@ -295,7 +296,7 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     counts = np.zeros(spec.n_draws, dtype=np.intp)
     # an executor starts its thread at the first submit, so the inline path starts none
     with ThreadPoolExecutor(1) as pool:
-        submit = pool.submit if _pool_size(workers, 2) == 2 else _done
+        submit = pool.submit if _pool_size(workers, total) >= 2 else _done
         ahead = [submit(fill, k) for k in range(min(_LEAD, len(starts)))]
         for k, lo in enumerate(starts):
             hi = min(lo + size, total)
@@ -330,9 +331,11 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
     ``covered_fraction_draws`` holds one covered fraction per shadowing draw;
     each draw realizes an independent LoS/NLoS pick and excess loss for every
     user. All randomness derives from ``spec.seed``. ``workers`` is an integer
-    of at least 1; at 2 or more, and with 2 or more usable CPUs, the shadowing's
-    normals are drawn on one helper thread, ahead of the draws that the calling
-    thread compares. The result does not depend on ``workers``.
+    of at least 1, the most threads the shadowing may use. Where it and the usable
+    CPUs are both at least 2 and the scenario draws at least ``2 * _THREAD_WORK``
+    user-draws (``planner._pool_size``'s rule), the shadowing's normals are drawn
+    on one helper thread, ahead of the draws that the calling thread compares.
+    The result does not depend on ``workers``.
 
     The summary's sum rate and energy efficiency need only the links, so one that leaves
     a double (``InputError`` naming ``bandwidth_hz`` or ``p_tx_dbm``) is refused before
@@ -341,7 +344,7 @@ def evaluate_scenario(spec: ScenarioSpec, workers: int = 1,
     ``idle``, if given, is called with the result's records once the links are
     evaluated, and returns an iterator of work whose items are true: the calling
     thread takes its steps one at a time while it would otherwise wait for the
-    helper's normals, and leaves the rest untaken. At ``workers=1`` it takes none.
+    helper's normals, and leaves the rest untaken. Without the helper it takes none.
     """
     check_in(workers, 1, math.inf, "workers", "worker count", "", "[)", kind=int)
     positions = generate_users(spec.n_users, spec.area_side_m, spec.seed, spec.area_shape)

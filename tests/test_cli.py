@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -23,6 +24,30 @@ from uavcov.scenario import MAX_USERS
 
 def run_cli(argv):
     return cli.main([str(a) for a in argv])
+
+
+def pool_sizes(monkeypatch) -> list:
+    """The size of each thread pool built from here on, recorded as it is built."""
+    sizes, pool = [], planner.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
+    return sizes
+
+
+def started_threads(monkeypatch) -> list:
+    """The threads started from here on, recorded as they start."""
+    started, start = [], threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
 
 
 def read_csv(path):
@@ -522,13 +547,19 @@ class TestCommands:
         assert header == ["environment", "max_radius_m"]
         assert len(rows) == 4
 
-    def test_scenario_csv_deterministic_and_worker_invariant(self, tmp_path):
+    def test_scenario_csv_deterministic_and_worker_invariant(self, tmp_path, monkeypatch):
         paths = [tmp_path / name for name in ("s1.csv", "s2.csv", "s4.csv")]
         base = ["scenario", "--env", "urban", "--n-users", "300", "--n-draws", "10",
                 "--seed", "11", "--p-min", "-70"]
         assert run_cli(base + ["--out", paths[0]]) == 0
         assert run_cli(base + ["--out", paths[1], "--workers", "1"]) == 0
+        # 4 usable CPUs and a thread granted per user-draw, so that the normals are drawn
+        # on the helper thread
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
+        started = started_threads(monkeypatch)
         assert run_cli(base + ["--out", paths[2], "--workers", "4"]) == 0
+        assert len(started) == 1
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
         _, comments, header, rows = read_csv(paths[0])
@@ -550,12 +581,18 @@ class TestCommands:
             summary["sum_rate_bps"] / summary["total_power_w"], rel=1e-9
         )
 
-    def test_sweep_coverage_mc_columns_worker_invariant(self, tmp_path):
+    def test_sweep_coverage_mc_columns_worker_invariant(self, tmp_path, monkeypatch):
+        # 4 usable CPUs and a thread granted per draw, so that 2 to 4 workers run the 3 cells
+        # on a pool of 2 or 3 threads; the sweep's one run of points builds none
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
+        sizes = pool_sizes(monkeypatch)
         paths = {w: tmp_path / f"mc{w}.csv" for w in (1, 2, 3, 4)}
         base = ["sweep-coverage", "--env", "urban", "--start", "100", "--stop", "300",
                 "--step", "100", "--p-min", "-70", "--mc-samples", "20000", "--seed", "3"]
         for workers, path in paths.items():
             assert run_cli(base + ["--workers", workers, "--out", path]) == 0
+        assert sizes == [2, 3, 3]
         assert len({path.read_bytes() for path in paths.values()}) == 1
         _, _, header, rows = read_csv(paths[1])
         assert header == ["distance_m", "p_cov[urban]", "p_cov_mc[urban]", "mc_stderr[urban]"]
@@ -586,6 +623,8 @@ class TestCommands:
         (1, 8, 1),
     ])
     def test_mc_pool_size_is_bounded(self, tmp_path, monkeypatch, workers, cpus, size):
+        # a thread for every draw, so that the 60 draws' pool is bounded by the rest
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
         sizes = []
 
         class InlinePool:
@@ -606,26 +645,23 @@ class TestCommands:
         assert run_cli(["sweep-coverage", "--env", "urban", "--env", "suburban", "--start",
                         "100", "--stop", "300", "--step", "100", "--mc-samples", "10",
                         "--workers", workers, "--out", tmp_path / "mc.csv"]) == 0
-        # the sweep's one-thread block scan, then the Monte Carlo cells
-        assert sizes == [1, size]
+        # only the Monte Carlo cells: the sweep's block scan, and a pool of one thread, run
+        # on the calling thread
+        assert sizes == ([size] if size > 1 else [])
 
     def test_mc_pool_without_sched_getaffinity(self, tmp_path, monkeypatch):
         # platforms other than Linux have no os.sched_getaffinity; the CPU count stands in
         argv = ["sweep-coverage", "--env", "urban", "--start", "100", "--stop", "300",
                 "--step", "100", "--mc-samples", "10", "--workers", "2", "--out"]
         assert run_cli(argv + [tmp_path / "with.csv"]) == 0
-        sizes = []
-        pool = planner.ThreadPoolExecutor
-
-        def recorded(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers)
-
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
+        sizes = pool_sizes(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
         assert run_cli(argv + [tmp_path / "without.csv"]) == 0
-        assert sizes == [1, 1]  # the sweep's block scan, then the Monte Carlo cells
+        # one usable CPU grants one thread, so neither the block scan nor the Monte Carlo
+        # cells build a pool
+        assert sizes == []
         assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
 
     # planner grids of three runs of blocks and a part, with every built-in environment
@@ -637,10 +673,17 @@ class TestCommands:
     }
 
     @pytest.mark.parametrize("command", sorted(PLANNERS))
-    def test_planner_tables_worker_invariant(self, tmp_path, command):
+    def test_planner_tables_worker_invariant(self, tmp_path, monkeypatch, command):
+        # 4 usable CPUs and a thread granted per kernel point, so that 2 to 4 workers run
+        # the scans of two runs or more on a pool
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
+        sizes = pool_sizes(monkeypatch)
         paths = {w: tmp_path / f"p{w}.csv" for w in (1, 2, 3, 4)}
         for workers, path in paths.items():
             assert run_cli(self.PLANNERS[command] + ["--workers", workers, "--out", path]) == 0
+        # each command runs one scan, which keeps 3 runs: a pool at each of 2 to 4 workers
+        assert sizes == [2, 3, 3]
         assert len({path.read_bytes() for path in paths.values()}) == 1
         _, _, _, rows = read_csv(paths[1])
         assert [row[0] for row in rows] == ["suburban", "urban", "dense-urban", "high-rise-urban"]
@@ -654,28 +697,57 @@ class TestCommands:
     ])
     def test_planner_pool_size_is_bounded(self, tmp_path, monkeypatch, command, workers, cpus,
                                           size):
-        sizes = []
-        pool = planner.ThreadPoolExecutor
-
-        def recorded(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers)
-
-        monkeypatch.setattr(planner, "ThreadPoolExecutor", recorded)
+        # a thread for every kernel point, so that the pools are bounded by the rest
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
+        sizes = pool_sizes(monkeypatch)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         # a threshold far below any loss makes p_cov 1 everywhere, so no bound rules a block
         # out: the altitude scan runs all 4 runs, and the radius scan only the last block,
-        # whose last point qualifies, on one thread
-        expect = size if command == "optimize-altitude" else 1
+        # whose last point qualifies, on the calling thread, as a pool of one would
+        expect = [size] if command == "optimize-altitude" and size > 1 else []
         assert run_cli(self.PLANNERS[command] + ["--p-min", "-500", "--workers", workers,
                                                  "--out", tmp_path / "p.csv"]) == 0
-        assert sizes == [expect]
-        # a grid of one run is one span, whatever the environments
+        assert sizes == expect
+        # a grid of one run is one span, whatever the environments, and builds no pool
         argv = ["optimize-altitude", "--steps", "50"] if command == "optimize-altitude" else [
             "coverage-radius"]
         assert run_cli(argv + ["--env", "all", "--workers", workers,
                                "--out", tmp_path / "p.csv"]) == 0
-        assert sizes == [expect, 1]
+        assert sizes == expect
+
+    def test_an_unpruned_scan_of_two_quanta_gets_two_threads(self, tmp_path, monkeypatch):
+        # --p-min -500 keeps every block: the altitude scan runs steps x 4 environments
+        # kernel points, and a second thread from 2 * _THREAD_WORK of them on
+        sizes = pool_sizes(monkeypatch)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        steps = 2 * planner._THREAD_WORK // len(BUILTIN_ENVIRONMENTS)
+        assert steps * len(BUILTIN_ENVIRONMENTS) >= 1 << 19
+        for grid, expect in ((steps - 1, []), (steps, [2])):
+            assert run_cli(["optimize-altitude", "--env", "all", "--steps", grid, "--p-min",
+                            "-500", "--workers", "4", "--out", tmp_path / "p.csv"]) == 0
+            assert sizes == expect
+            sizes.clear()
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_sweep_without_mc_starts_no_thread(self, tmp_path, monkeypatch, workers):
+        started = started_threads(monkeypatch)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert run_cli(["sweep-coverage", "--env", "all", "--axis", "altitude", "--workers",
+                        workers, "--out", tmp_path / "s.csv"]) == 0
+        assert started == []
+
+    def test_mc_cells_get_a_second_thread_from_two_quanta_of_draws(self, tmp_path,
+                                                                   monkeypatch):
+        # 4 cells: one environment, 4 rows
+        sizes = pool_sizes(monkeypatch)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        samples = 2 * planner._THREAD_WORK // 4
+        for draws, expect in ((samples - 1, []), (samples, [2])):
+            assert run_cli(["sweep-coverage", "--env", "urban", "--start", "100", "--stop",
+                            "400", "--step", "100", "--mc-samples", draws, "--workers", "4",
+                            "--out", tmp_path / "mc.csv"]) == 0
+            assert sizes == expect
+            sizes.clear()
 
     def test_radius_at_planner_grid_size_pins_its_kernel_points(self, tmp_path, monkeypatch):
         points = []
@@ -688,8 +760,11 @@ class TestCommands:
 
         monkeypatch.setattr(planner, "_coverage_arrays", counted)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        started = started_threads(monkeypatch)
         assert run_cli(["coverage-radius", "--env", "all", "--resolution", "0.001",
                         "--workers", "2", "--out", tmp_path / "r.csv"]) == 0
+        # 4 * 2048 kernel points are far below two _THREAD_WORK: no thread starts
+        assert started == []
         # per environment, the bound call's 4 points per block of the 2000001-point grid,
         # 977 blocks of 2048 points, and the one block that holds the last qualifying end
         # point: 4 * (4 * 977 + 2048) = 23824 points in all (67504 with 2**14-point blocks)
@@ -708,8 +783,11 @@ class TestCommands:
 
         monkeypatch.setattr(planner, "_coverage_arrays", counted)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(2)))
+        started = started_threads(monkeypatch)
         assert run_cli(["optimize-altitude", "--env", "all", "--steps", "2000000",
                         "--workers", "2", "--out", tmp_path / "h.csv"]) == 0
+        # 18 * 2048 + 3 * 1152 kernel points are far below two _THREAD_WORK: no thread starts
+        assert started == []
         # per environment, the bound call's 4 points per block of the 2000000-point grid,
         # 977 blocks of 2048 points, the last of 1152; then the blocks whose bound reaches
         # the largest end point: suburban's 18 around its optimum (blocks 806 to 823), on a

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import astuple
 from typing import NamedTuple
@@ -587,9 +588,11 @@ class TestBlockedScans:
 
 
 class _Pools:
-    """Records the size of every pool the planners start; ``cpus`` usable CPUs."""
+    """Records the size of every pool the planners start; ``cpus`` usable CPUs, and a
+    thread granted per kernel point, so that small grids reach the pools."""
 
     def __init__(self, monkeypatch, cpus=8):
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
         self.sizes = []
         pool = planner.ThreadPoolExecutor
 
@@ -614,8 +617,43 @@ SPAN_BLOCK = 64
 SPAN_RUN = planner._RUN_BLOCKS * SPAN_BLOCK
 
 
+class TestPoolSize:
+    """One thread per ``_THREAD_WORK`` units of work, at most ``workers`` and the CPUs."""
+
+    Q = planner._THREAD_WORK
+
+    @pytest.mark.parametrize("work, threads", [(0, 1), (1, 1), (2 * Q - 1, 1), (2 * Q, 2),
+                                               (3 * Q - 1, 2), (3 * Q, 3), (100 * Q, 4)])
+    def test_one_thread_per_quantum(self, monkeypatch, work, threads):
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 8)
+        assert planner._pool_size(4, work) == threads
+
+    @pytest.mark.parametrize("workers, cpus, threads", [(1, 8, 1), (2, 8, 2), (8, 3, 3),
+                                                        (8, 1, 1)])
+    def test_capped_by_workers_and_the_usable_cpus(self, monkeypatch, workers, cpus, threads):
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: cpus)
+        assert planner._pool_size(workers, 1000 * self.Q) == threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+    def test_a_map_of_one_thread_or_one_item_builds_no_pool(self, monkeypatch, threads,
+                                                             n_items):
+        pools = _Pools(monkeypatch)
+        callers = planner._map_on_pool(lambda item: (item, threading.current_thread()),
+                                       list(range(n_items)), threads)
+        assert [item for item, _ in callers] == list(range(n_items))
+        inline = threads == 1 or n_items <= 1
+        assert pools.sizes == ([] if inline else [min(threads, n_items)])
+        assert all((thread is threading.current_thread()) == inline for _, thread in callers)
+
+
 class TestSpanScans:
     """Every environment in one scan, on contiguous spans of blocks over the pool."""
+
+    @pytest.fixture(autouse=True)
+    def a_thread_per_point(self, monkeypatch):
+        # so that grids of a few runs are cut into spans at 2 workers or more
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
 
     @pytest.mark.parametrize("mode", ["standard", "paper-literal"])
     def test_environments_together_equal_each_alone(self, monkeypatch, mode):
@@ -650,12 +688,21 @@ class TestSpanScans:
         monkeypatch.setattr(planner, "_BLOCK", SPAN_BLOCK)
         pools = _Pools(monkeypatch)
         radio = RadioConfig(p_min_dbm=-75.0)
-        results = {workers: _scans(ALL_ENVS, radio, n, workers=workers) for workers in range(1, 5)}
+        results, sizes = {}, {}
+        for workers in range(1, 5):
+            del pools.sizes[:]
+            results[workers] = _scans(ALL_ENVS, radio, n, workers=workers)
+            sizes[workers] = list(pools.sizes)
         for got in results.values():
             assert [astuple(o) for o in got[0]] == [astuple(o) for o in results[1][0]]
             assert got[1] == results[1][1]
-        # a pool per altitude scan and per radius scan, one thread per span
-        assert len(pools.sizes) >= 8 and max(pools.sizes) <= min(4, -(-n // SPAN_BLOCK))
+        # a scan at 1 worker builds no pool. At 2 to 4 workers, a scan of two runs or more
+        # builds one of a thread per span, at most one per run; each worker count has such a
+        # scan, since the radius scan's kept blocks are not contiguous even on one-run grids
+        assert sizes[1] == []
+        for workers in range(2, 5):
+            assert sizes[workers]
+            assert all(2 <= size <= min(workers, -(-n // SPAN_BLOCK)) for size in sizes[workers])
 
     def test_more_threads_than_cores_switching_often(self, monkeypatch):
         # spans share only read-only inputs; each keeps its own results
@@ -678,7 +725,8 @@ class TestSpanScans:
         # a threshold far below any loss: every p_cov is 1.0
         optima, radii = _scans(ALL_ENVS, RadioConfig(p_min_dbm=-500.0), 10 * SPAN_RUN,
                                workers=4)
-        assert pools.sizes == [4, 1]
+        # the radius scan runs only the last block, on the calling thread
+        assert pools.sizes == [4]
         assert [(o.h_star_m, o.p_cov_star) for o in optima] == [(20.0, 1.0)] * len(ALL_ENVS)
         assert radii == (0.5 * (10 * SPAN_RUN - 1),) * len(ALL_ENVS)
 
@@ -708,6 +756,7 @@ class TestSpanScans:
         def refuse(max_workers):
             raise AssertionError("a pool was started")
 
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
         monkeypatch.setattr(planner, "ThreadPoolExecutor", refuse)
         assert optimal_altitude(500.0, (), RadioConfig(), 50.0, 2000.0, 100, workers=2) == ()
         assert max_coverage_radius(100.0, [], RadioConfig(), 0.9, 500.0, 5.0, workers=2) == ()
@@ -971,7 +1020,9 @@ def test_block_bounds_are_never_looser_than_a_margin_of_the_larger_tail(monkeypa
 @pytest.mark.parametrize("seed", range(6))
 def test_pruned_planners_equal_the_whole_grid_at_one_to_four_workers(monkeypatch, seed):
     """Both planners against an argmax and a last-qualifying scan of one whole-grid kernel call."""
-    monkeypatch.setattr(planner.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    # 4 usable CPUs and a thread granted per kernel point, so that 2 to 4 workers cut these
+    # grids into spans on threads
+    pools = _Pools(monkeypatch, cpus=4)
     monkeypatch.setattr(planner, "_BLOCK", 64)
     kernel, points = planner._coverage_arrays, []
 
@@ -1025,6 +1076,7 @@ def test_pruned_planners_equal_the_whole_grid_at_one_to_four_workers(monkeypatch
             assert list(got) == expect_r, (seed, case, workers)
         monkeypatch.setattr(planner, "_coverage_arrays", kernel)
     assert skipped  # the bound ruled some blocks out
+    assert pools.sizes  # and some scans ran on a pool
 
 
 def test_a_nan_bound_keeps_its_block(monkeypatch):

@@ -357,8 +357,10 @@ SCENARIO = ["scenario", "--n-users", str(5 * CHUNK - 100), "--n-draws", "20", "-
 @pytest.fixture
 def slow_shadowing(monkeypatch):
     """Each block of normals takes 2 ms more, so that at workers=2 the calling thread
-    waits for the helper thread, and four usable CPUs, so that workers=2 starts it."""
+    waits for the helper thread, and four usable CPUs and a thread granted per
+    user-draw, so that workers=2 starts it."""
     monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(planner, "_THREAD_WORK", 1)
     monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", CHUNK * 5 - 100)
 
     class SlowNormals(np.random.Generator):
@@ -400,10 +402,13 @@ class TestPrefetchedScenarioBody:
         assert len(spools) == 2
         assert all(spool.closed for spool in spools)
 
-    @pytest.mark.parametrize("cpus, workers", [(4, 1), (1, 2)])
-    def test_no_file_without_the_helper_thread(self, cpus, workers, slow_shadowing, spools,
-                                               scenario_csv, tmp_path, monkeypatch):
+    # in the last case the user-draws fall just short of two _THREAD_WORK: no second thread
+    @pytest.mark.parametrize("cpus, workers, thread_work", [
+        (4, 1, 1), (1, 2, 1), (4, 2, (5 * CHUNK - 100) * 20 // 2 + 1)])
+    def test_no_file_without_the_helper_thread(self, cpus, workers, thread_work, slow_shadowing,
+                                               spools, scenario_csv, tmp_path, monkeypatch):
         monkeypatch.setattr(planner, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(planner, "_THREAD_WORK", thread_work)
         out = tmp_path / "scenario.csv"
         assert cli.main(SCENARIO + ["--workers", str(workers), "--out", str(out)]) == 0
         assert out.read_text(encoding="ascii") == scenario_csv

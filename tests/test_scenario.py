@@ -296,8 +296,10 @@ def shadowing_case(name):
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """Four usable CPUs, so that workers=2 draws the normals on the helper thread on any host."""
+    """Four usable CPUs and a thread granted per user-draw, so that workers=2 draws the
+    normals on the helper thread on any host, whatever the scenario's size."""
     monkeypatch.setattr(planner, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(planner, "_THREAD_WORK", 1)
 
 
 def started_threads(monkeypatch) -> list:
@@ -347,6 +349,7 @@ class TestStreamedShadowing:
                                                         (4, 4, 1), (1, 4, 0)])
     def test_one_helper_thread_at_most(self, cpus, workers, helpers, monkeypatch):
         monkeypatch.setattr(planner, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(planner, "_THREAD_WORK", 1)
         started = started_threads(monkeypatch)
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 7)
         evaluate_scenario(make_spec(), workers=workers)
