@@ -59,6 +59,9 @@ class EnvironmentProfile:
 
     def __post_init__(self):
         where = f"environment {self.name!r}"
+        # the name is printed into a CSV header line and cell, and a chart's legend
+        if not isinstance(self.name, str) or not self.name.isprintable() or "," in self.name:
+            raise InputError(f"{where}: name must be printable text with no comma", field="name")
         check_in(self.a, 0.0, math.inf, "a", f"{where}: a", "", "()")
         check_in(self.b, 0.0, math.inf, "b", f"{where}: b", "1/degree", "()")
         check_in(self.mu_nlos_db, -MAX_ABS_DB, MAX_ABS_DB, "mu_nlos_db",

@@ -261,7 +261,8 @@ def _load_config_file(path: str) -> dict:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         _fail("--config", f"cannot read {path}: {exc}")
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer of too many digits
+    # not UTF-8, not JSON, an integer of too many digits, or nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
         _fail("--config", f"invalid JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         _fail("--config", "top level must be a JSON object")

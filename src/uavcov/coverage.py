@@ -254,9 +254,10 @@ def _draw_covered(los, covered_if_los, covered_if_nlos):
 
 
 # the most draws of one run of either sampler (a sweep's Monte Carlo cells x samples, a
-# scenario's users x draws), checked before any draw is made; at the ~26 ns per Monte Carlo
-# draw measured with two worker threads (2 vCPU) and the ~37 ns per scenario user-draw
-# (numpy 2.4, x86-64), a run at the cap takes ~110-160 s
+# scenario's users x draws), checked before any draw is made. The benchmark's medians give
+# ~12.6 ns per Monte Carlo draw (mc-check's run_s over its 3.6e7 draws, two worker threads)
+# and at most ~18 ns per scenario user-draw (scenario-area's run_s over its 10^7, links and
+# CSV included; 2-vCPU x86-64, numpy 2.4), so a run at the cap takes ~55-80 s
 MAX_DRAWS = 1 << 32
 
 

@@ -416,6 +416,9 @@ def render_svg(table: OutputTable) -> str:
         f'fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if len(numeric_cols) >= 2:
+        # the column names as XML character data
+        names = [name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                 for name in table.header]
         xs, *series = (table.columns[j].astype(float).tolist() for j in numeric_cols)
         ys = [y for column in series for y in column]
         x_lo, x_hi = min(xs), max(xs)
@@ -454,7 +457,7 @@ def render_svg(table: OutputTable) -> str:
             )
         parts.append(
             f'<text x="{ml + plot_w / 2}" y="{height - 12}" font-size="12" '
-            f'text-anchor="middle">{table.header[numeric_cols[0]]}</text>'
+            f'text-anchor="middle">{names[numeric_cols[0]]}</text>'
         )
         for k, (j, column) in enumerate(zip(numeric_cols[1:], series)):
             colour = _PALETTE[k % len(_PALETTE)]
@@ -468,7 +471,7 @@ def render_svg(table: OutputTable) -> str:
                 f'y2="{ly}" stroke="{colour}" stroke-width="2"/>'
             )
             parts.append(
-                f'<text x="{ml + plot_w + 40}" y="{ly + 4}" font-size="11">{table.header[j]}</text>'
+                f'<text x="{ml + plot_w + 40}" y="{ly + 4}" font-size="11">{names[j]}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

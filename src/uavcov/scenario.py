@@ -4,9 +4,9 @@ Per-user analytic link statistics come from the channel and coverage modules
 and stay numpy columns, which ``UserColumns`` holds read-only. The empirical
 covered fraction re-draws the shadowing model once per user per draw from a
 stream derived from the scenario seed, so results are reproducible bit for
-bit. The link kernel runs on fixed blocks of users and the draws on fixed flat
-blocks of user-draws, so a scenario holds its per-user columns and a fixed
-working set, whatever the number of users or draws.
+bit. The link kernel runs on fixed blocks of users, and the draws on rectangles of
+the (draw, user) grid of at most a fixed number of user-draws, so a scenario holds
+its per-user columns, a count per draw and a fixed working set.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ _LEAD = 3
 # shadowing margin among them. A run at the cap peaked at 362 MB
 MAX_USERS = 1 << 22
 
+# the most draws one scenario may make, checked before anything is allocated. A CLI run
+# written to a file traced ~55 B per added draw (a count and a fraction; 1 user, 2**14 to
+# 2**18 draws) and ~81 B per added user (1 draw, 2**15 to 2**18 users), so one at this cap
+# traces ~0.23 GB, less than the ~0.34 GB of one at MAX_USERS users (numpy 2.4, x86-64)
+_MAX_N_DRAWS = 1 << 22
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -76,8 +82,8 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "mode", FormulationMode(self.mode))
         _check_users(self.n_users, self.area_side_m, self.seed, self.area_shape)
-        # the draw cap, as a bound on the draws of this many users
-        check_in(self.n_draws, 1, MAX_DRAWS // self.n_users, "n_draws",
+        # the draw cap, and MAX_DRAWS as a bound on the draws of this many users
+        check_in(self.n_draws, 1, min(_MAX_N_DRAWS, MAX_DRAWS // self.n_users), "n_draws",
                  f"shadowing draw count for n_users={self.n_users}", kind=int)
         # a UAV coordinate left unset is the area centre, which lies within the bound
         _check_uav(self.uav_position)
@@ -248,12 +254,13 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     shadowing generator, the normals from a copy of it advanced past every
     uniform. That is exactly where a single ``random((n_draws, n_users))``
     followed by ``standard_normal((n_draws, n_users))`` would take them. The
-    streams are drawn in flat blocks of ``SHADOWING_BLOCK_ELEMENTS`` user-draws,
-    whatever ``n_users`` is; a block splits into the end of a started draw, whole
-    draws and the start of the next, each compared with slices of the users'
-    columns. Each draw keeps an integer count of covered users, and
-    ``count / n_users`` has the bits of the draw's mean, since a float sum of 0/1
-    values is exact, so the block size never changes a result.
+    streams are drawn in blocks that are rectangles of the (draw, user) grid, of at
+    most ``SHADOWING_BLOCK_ELEMENTS`` user-draws whatever ``n_users`` is: whole
+    draws where one fits, else equal runs of one draw's users. A block's corners
+    follow from its index and the spec alone, and its user-draws are contiguous in
+    flat order, so each block is one compare. Each draw keeps an integer count of
+    covered users, and ``count / n_users`` has the bits of the draw's mean, since a
+    float sum of 0/1 values is exact, so the block size never changes a result.
 
     The normals of block ``k + _LEAD`` are drawn into one of ``_LEAD + 1`` buffers
     while block ``k`` is compared. Where ``_pool_size`` grants the ``n_draws * n_users``
@@ -273,54 +280,51 @@ def _covered_fractions(spec: ScenarioSpec, p_los: np.ndarray, margin: np.ndarray
     total = spec.n_draws * n
     # one shadowing realization per (draw, user); stream independent of the
     # position stream so adding draws never disturbs the layout
-    uniform_bits = np.random.PCG64(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
-    normal_bits = np.random.PCG64()
-    normal_bits.state = uniform_bits.state
-    normal_bits.advance(total)  # one 64-bit output per uniform
-    uniforms = np.random.Generator(uniform_bits)
-    normals = np.random.Generator(normal_bits)
+    seeds = np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,))
+    uniforms = np.random.Generator(np.random.PCG64(seeds))
+    # the same stream advanced past every uniform, each one 64-bit output
+    normals = np.random.Generator(np.random.PCG64(seeds).advance(total))
 
-    starts = range(0, total, SHADOWING_BLOCK_ELEMENTS)
-    size = min(SHADOWING_BLOCK_ELEMENTS, total)
-    u = np.empty(size)
+    # block k is draws d0:d1 of users i0:i1: `per` whole draws where a draw fits in a
+    # block, else one of a draw's `pieces` runs of `width` users
+    per = max(1, SHADOWING_BLOCK_ELEMENTS // n)
+    pieces = -(-n // SHADOWING_BLOCK_ELEMENTS)
+    width = -(-n // pieces)
+    n_blocks = -(-spec.n_draws // per) * pieces
+
+    def corners(k):
+        d0, i0 = k // pieces * per, k % pieces * width
+        return d0, min(d0 + per, spec.n_draws), i0, min(i0 + width, n)
+
+    u = np.empty((min(per, spec.n_draws), width))
     # block k's normals are in z_blocks[k % buffers]: the block compared, the ones drawn
     # ahead of it, and the one being drawn into the buffer that the block before the
     # compared one released
     buffers = _LEAD + 1
-    z_blocks = [np.empty(size) for _ in range(buffers)]
+    z_blocks = [np.empty_like(u) for _ in range(buffers)]
 
     def fill(k):
-        lo = starts[k]
-        normals.standard_normal(out=z_blocks[k % buffers][:min(lo + size, total) - lo])
+        d0, d1, i0, i1 = corners(k)
+        normals.standard_normal(out=z_blocks[k % buffers][:d1 - d0, :i1 - i0])
 
     counts = np.zeros(spec.n_draws, dtype=np.intp)
     # an executor starts its thread at the first submit, so the inline path starts none
     with ThreadPoolExecutor(1) as pool:
         submit = pool.submit if _pool_size(workers, total) >= 2 else _done
-        ahead = [submit(fill, k) for k in range(min(_LEAD, len(starts)))]
-        for k, lo in enumerate(starts):
-            hi = min(lo + size, total)
+        ahead = [submit(fill, k) for k in range(min(_LEAD, n_blocks))]
+        for k in range(n_blocks):
             while not ahead[0].done() and next(idle, False):
                 pass
             ahead.pop(0).result()
-            if k + _LEAD < len(starts):
+            if k + _LEAD < n_blocks:
                 ahead.append(submit(fill, k + _LEAD))
-            uniforms.random(out=u[:hi - lo])
-            z = z_blocks[k % buffers]
-            # the block's pieces: the end of a started draw, whole draws, the start of a draw
-            first = min(hi, -(-lo // n) * n)
-            last = max(first, hi // n * n)
-            for start, stop in ((lo, first), (first, last), (last, hi)):
-                if start == stop:
-                    continue
-                draw, user = divmod(start, n)
-                width = min(stop - start, n)
-                piece, users = slice(start - lo, stop - lo), slice(user, user + width)
-                us, zs = u[piece].reshape(-1, width), z[piece].reshape(-1, width)
-                covered = _draw_covered(us < p_los[users],
-                                        env.mu_los_db + env.sigma_los_db * zs <= margin[users],
-                                        env.mu_nlos_db + env.sigma_nlos_db * zs <= margin[users])
-                counts[draw:draw + len(us)] += np.count_nonzero(covered, axis=1)
+            d0, d1, i0, i1 = corners(k)
+            us = uniforms.random(out=u[:d1 - d0, :i1 - i0])
+            zs, users = z_blocks[k % buffers][:d1 - d0, :i1 - i0], slice(i0, i1)
+            covered = _draw_covered(us < p_los[users],
+                                    env.mu_los_db + env.sigma_los_db * zs <= margin[users],
+                                    env.mu_nlos_db + env.sigma_nlos_db * zs <= margin[users])
+            counts[d0:d1] += np.count_nonzero(covered, axis=1)
     return tuple((counts / n).tolist())
 
 

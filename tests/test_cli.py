@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -142,7 +143,8 @@ class TestParseArgs:
     @pytest.mark.parametrize("raw", [
         b'{"scenario": {"area_side_m": 1' + b"0" * 5000 + b"}}",  # past int's digit limit
         b'\xff\xfe{"scenario": {}}',  # not UTF-8
-    ], ids=["long-integer", "not-utf8"])
+        b"[" * 200_000,  # nested past the decoder's recursion limit
+    ], ids=["long-integer", "not-utf8", "deep-nesting"])
     def test_unreadable_config_values_exit_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(raw)
@@ -334,6 +336,8 @@ class TestParseArgs:
             (["scenario", "--n-users", "65536", "--n-draws", "65537"], "--n-draws"),
             (["scenario", "--n-users", "1", "--n-draws", str(MAX_DRAWS + 1)], "--n-draws"),
             (["scenario", "--n-users", "1", "--n-draws", "100000000000"], "--n-draws"),
+            # past the draw cap of a scenario of any size
+            (["scenario", "--n-users", "1", "--n-draws", str((1 << 22) + 1)], "--n-draws"),
             (["sweep-coverage", "--env", "urban", "--start", "15", "--stop", "15", "--step", "1",
               "--mc-samples", str(cli.MAX_DRAWS + 1)], "--mc-samples"),
             # the default distance grid: 4 environments x 98 rows = 392 cells
@@ -947,6 +951,36 @@ class TestPlot:
         for name in ("suburban", "urban", "dense-urban", "high-rise-urban"):
             assert name in text
         assert text.count("<polyline") >= 4
+        minidom.parseString(text)
+
+    @staticmethod
+    def run_with_environment_name(tmp_path, command, name):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"environment": {"name": name, "a": 9.6, "b": 0.16,
+                                                   "mu_los_db": 1.0, "mu_nlos_db": 20.0}}))
+        return run_cli([*command, "--config", cfg, "--out", tmp_path / "out.csv", "--plot"])
+
+    @pytest.mark.parametrize("command", [["optimize-altitude", "--steps", "5"], ["sweep-plos"]])
+    @pytest.mark.parametrize("name", ["a\nb", "a,b", "a\tb", "a\x00b", "a\u2028b"])
+    def test_an_environment_name_that_breaks_a_line_or_a_cell_exits_2(self, tmp_path, capsys,
+                                                                     command, name):
+        assert self.run_with_environment_name(tmp_path, command, name) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("uavcov: error: --env: ") and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("command", [["optimize-altitude", "--steps", "5"], ["sweep-plos"]])
+    def test_markup_in_an_environment_name_is_escaped_in_the_chart(self, tmp_path, command):
+        name = "a&b <c>"
+        assert self.run_with_environment_name(tmp_path, command, name) == 0
+        lines = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()
+        assert f"# environment: {name} a=9.6 b=0.16 mu_los_db=1 mu_nlos_db=20 " \
+               "sigma_los_db=3 sigma_nlos_db=8" in lines
+        rows = [line.count(",") for line in lines if not line.startswith("#")]
+        assert len(set(rows)) == 1
+        svg = minidom.parse(str(tmp_path / "out.svg"))
+        texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+        assert (f"p_los[{name}]" in texts) == (command == ["sweep-plos"])
 
     def test_plot_without_out_rejected(self, capsys):
         assert run_cli(["sweep-plos", "--plot"]) == 2

@@ -1,6 +1,8 @@
 """Fuzzed argv and config files: the CLI exits 0-3, never with a traceback.
 
-Every refusal with exit 2 names the flag at fault, and leaves no output file.
+Every refusal with exit 2 names the flag at fault, and leaves no output file. Every
+success writes a CSV whose uncommented lines have one column count, and a chart that
+parses as XML.
 Counts that only cost time (``--n-draws``, ``--mc-samples``) are drawn small,
 so each example runs in milliseconds.
 """
@@ -12,6 +14,7 @@ import math
 import os
 import re
 import tempfile
+from xml.dom import minidom
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,11 +54,12 @@ CONFIG_KEYS = {section: sorted(keys) for section, keys in cli._CONFIG_SECTIONS.i
                if keys is not None}
 # keys whose large values cost only time
 SMALL_KEYS = {"n_draws", "mc_samples"}
-ENV_FIELDS = cli._ENV_KEYS[1:]
+# a line break or a comma would split a CSV line or cell; markup would break the chart
+ENV_NAMES = ["fuzz", "a\nb", "a,b", "a\tb", "a&b <c>"]
 
 
 def run_main(argv, config=None, plot=False):
-    """Run the CLI in process; return (exit code, stderr, output written)."""
+    """Run the CLI in process; return (exit code, stderr, {output file name: text})."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.csv")
         argv = list(argv) + ["--out", out] + (["--plot"] if plot else [])
@@ -67,17 +71,24 @@ def run_main(argv, config=None, plot=False):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
-        return code, err.getvalue(), os.listdir(tmp) != (["cfg.json"] if config else [])
+        written = {}
+        for name in set(os.listdir(tmp)) - {"cfg.json"}:
+            with open(os.path.join(tmp, name), encoding="utf-8", newline="") as handle:
+                written[name] = handle.read()
+        return code, err.getvalue(), written
 
 
-def check(code, err, wrote):
+def check(code, err, written):
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err
     if code == 2:
         assert re.search(r"^uavcov: error: --[a-z][a-z0-9-]*: ", err, re.MULTILINE), err
-        assert not wrote, err
+        assert not written, err
     if code == 0:
-        assert wrote
+        lines = written["out.csv"].split("\n")
+        assert len({line.count(",") for line in lines[:-1] if not line.startswith("#")}) == 1
+        if "out.svg" in written:
+            minidom.parseString(written["out.svg"])
 
 
 @st.composite
@@ -103,7 +114,8 @@ def config_case(draw):
         config[section] = {key: draw(st.sampled_from(values))}
     if draw(st.booleans()):
         env = {"name": "fuzz", "a": 9.6, "b": 0.16, "mu_los_db": 1.0, "mu_nlos_db": 20.0}
-        env[draw(st.sampled_from(ENV_FIELDS))] = draw(st.sampled_from(JSON_VALUES))
+        key = draw(st.sampled_from(cli._ENV_KEYS))
+        env[key] = draw(st.sampled_from(ENV_NAMES if key == "name" else JSON_VALUES))
         config["environment"] = env
     argv = [command, *fixed, "--workers", str(draw(st.integers(1, 4)))]
     if "environment" not in config:

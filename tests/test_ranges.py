@@ -77,6 +77,9 @@ ROWS = {
     "env-mu-los-negative": (lambda: env(mu_los_db=-1.0), "mu_los_db", True, True),
     "env-sigma-los-zero": (lambda: env(sigma_los_db=0.0), "sigma_los_db", True, True),
     "env-sigma-nlos-nan": (lambda: env(sigma_nlos_db=math.nan), "sigma_nlos_db", True, True),
+    **{f"env-name-{label}": (lambda name=name: EnvironmentProfile(name, 5.0, 0.1, 1.0, 20.0),
+                             "name", True, False)
+       for label, name in (("newline", "a\nb"), ("comma", "a,b"), ("not-str", 4))},
     "geometry-r0-negative": (lambda: LinkGeometry(-1.0, 100.0), "r0_m", True, True),
     "geometry-h-nan": (lambda: LinkGeometry(100.0, math.nan), "h_m", True, True),
     "geometry-h-none": (lambda: LinkGeometry(100.0, None), "h_m", True, True),
@@ -134,6 +137,8 @@ ROWS = {
     "scenario-draws-bool": (lambda: scenario(n_draws=True), "n_draws", True, True),
     "scenario-draws-past-cap": (lambda: scenario(n_users=1, n_draws=MAX_DRAWS + 1),
                                 "n_draws", True, True),
+    "scenario-draws-past-draw-cap": (lambda: scenario(n_users=1, n_draws=(1 << 22) + 1),
+                                     "n_draws", True, True),
     "scenario-seed-negative": (lambda: scenario(seed=-1), "seed", True, True),
     "scenario-seed-fraction": (lambda: scenario(seed=0.5), "seed", True, True),
     "scenario-area-zero": (lambda: scenario(area_side_m=0.0), "area_side_m", True, True),

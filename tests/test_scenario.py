@@ -214,6 +214,7 @@ class TestEvaluateScenario:
 
     @pytest.mark.parametrize("n_users, n_draws", [
         (1, MAX_DRAWS + 1), (1 << 16, (1 << 16) + 1), (MAX_USERS, 1025), (1, 10**11),
+        (1, (1 << 22) + 1),
     ])
     def test_user_draw_cap_refused_without_allocating(self, n_users, n_draws):
         tracemalloc.start()
@@ -228,6 +229,7 @@ class TestEvaluateScenario:
         # at the cap the spec is accepted; nothing is run
         assert make_spec(n_users=1 << 16, n_draws=1 << 16).n_draws == 1 << 16
         assert make_spec(n_users=MAX_USERS, n_draws=1024).n_users == MAX_USERS
+        assert make_spec(n_users=1, n_draws=1 << 22).n_draws == 1 << 22
 
     @pytest.mark.parametrize("field", ["uav_x_m", "uav_y_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -337,13 +339,37 @@ class TestStreamedShadowing:
         assert got == dense_covered_fractions(spec)
 
     def test_draws_do_not_depend_on_the_worker_count(self, four_cpus, monkeypatch):
-        # blocks of 1000 split the draws of 1500 users at a different user in each block
+        # blocks of at most 1000 user-draws cut each draw of 1500 users into two runs of 750
         monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 1000)
         spec = make_spec(n_users=1500, n_draws=9, seed=3)
         results = [evaluate_scenario(spec, workers=workers) for workers in range(1, 5)]
         for result in results[1:]:
             assert result.summary == results[0].summary
             assert result.records == results[0].records
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape, blocks", [
+        # a draw spans blocks: each draw of 1500 users is two blocks of 1 x 750
+        ((1500, 9), [(1, 750)] * 18),
+        # a block holds several draws: 27 whole draws of 37 users, then the 19 left
+        ((37, 100), [(27, 37)] * 3 + [(19, 37)]),
+    ])
+    def test_one_compare_per_rectangular_block(self, shape, blocks, workers, four_cpus,
+                                               monkeypatch):
+        draw_covered, shapes = scenario._draw_covered, []
+
+        def counted(is_los, *args):
+            shapes.append(is_los.shape)
+            return draw_covered(is_los, *args)
+
+        n_users, n_draws = shape
+        spec = make_spec(n_users=n_users, n_draws=n_draws, seed=5)
+        monkeypatch.setattr(scenario, "SHADOWING_BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(scenario, "_draw_covered", counted)
+        got = evaluate_scenario(spec, workers=workers).summary.covered_fraction_draws
+        assert shapes == blocks
+        assert max(rows * users for rows, users in shapes) <= 1000
+        assert got == dense_covered_fractions(spec)
 
     @pytest.mark.parametrize("cpus, workers, helpers", [(4, 1, 0), (4, 2, 1), (4, 3, 1),
                                                         (4, 4, 1), (1, 4, 0)])
@@ -478,6 +504,24 @@ class TestBoundedWorkingSet:
         per_user = (peak(many) - peak(few)) / (many - few)
         assert per_user <= 96, per_user
         assert many > scenario.SHADOWING_BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_per_added_draw(self, workers, four_cpus):
+        # a draw keeps only its count of covered users and its covered fraction, so a run
+        # at the draw cap traces less than one at the user cap, at the bound per user above
+        def peak(n_draws):
+            spec = make_spec(n_users=1, n_draws=n_draws)
+            tracemalloc.start()
+            try:
+                evaluate_scenario(spec, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = 1 << 14, 1 << 18
+        per_draw = (peak(many) - peak(few)) / (many - few)
+        assert per_draw <= 64, per_draw
+        assert 64 * scenario._MAX_N_DRAWS <= 96 * MAX_USERS
 
 
 class TestUserColumns:
